@@ -16,7 +16,6 @@ from .distributions import WishartSpec, mean_type2, sample_batch
 from .errors import (
     ColumnMismatch,
     NonNumeric,
-    NotInQG,
     OutOfDomain,
     PosteriorShapeInadmissible,
 )
@@ -115,11 +114,8 @@ def posterior_update(prior, sample):
             "updated shape leaves the admissible set", n=sample.n)
     scale = IncompleteMatrix(
         prior.graph, prior.scale.data + sample.projected.data)
-    try:
-        return WishartSpec(prior.graph, shape, scale, "inv_type2",
-                           ordering=prior.ordering, hasse=prior.hasse)
-    except NotInQG:
-        raise
+    return WishartSpec(prior.graph, shape, scale, "inv_type2",
+                       ordering=prior.ordering, hasse=prior.hasse)
 
 
 def log_likelihood(sigma2, sample):

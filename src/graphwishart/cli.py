@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+import traceback
 
 import numpy as np
 
@@ -20,10 +21,12 @@ from .bayes import ingest, posterior_summaries, posterior_update
 from .cones import (
     IncompleteMatrix,
     SparsePrecision,
+    _check_symmetric,
     complete,
     phi,
 )
 from .distributions import (
+    FAMILIES,
     RngStream,
     WishartSpec,
     logpdf,
@@ -118,6 +121,9 @@ def _load_matrix(path, graph=None):
             "matrix file has no graph; pass --graph", path=path)
     r = graph.vertex_count
     rows = obj["matrix"]
+    if not isinstance(rows, list) or \
+            not all(isinstance(row, list) for row in rows):
+        raise MalformedInput("'matrix' must be a list of rows", path=path)
     if len(rows) != r or any(len(row) != r for row in rows):
         raise MalformedInput("matrix has wrong dimensions",
                              expected=r, path=path)
@@ -137,9 +143,7 @@ def _load_matrix(path, graph=None):
                     raise MalformedInput(
                         "non-null entry off the graph pattern",
                         row=i + 1, col=j + 1)
-    gap = float(np.max(np.abs(data - data.T)))
-    if gap > 1e-12:
-        raise MalformedInput("matrix is not symmetric", asymmetry=gap)
+    _check_symmetric(data)
     return graph, data
 
 
@@ -432,6 +436,25 @@ def _cmd_verify_mean426(args):
     return 0
 
 
+_FLAGS = {
+    "--graph": {},
+    "--output": {},
+    "--matrix": {"required": True},
+    "--shape": {"required": True},
+    "--scale": {"required": True},
+    "--data": {"required": True},
+    "--prior": {"required": True},
+    "--n": {"type": int},
+    "--order": {"type": int},
+    "--seed": {"type": int, "default": 0},
+    "--p": {"type": float, "required": True},
+    "--a1": {"type": float, "required": True},
+    "--a2": {"type": float, "required": True},
+    "--kind": {"choices": ("I", "II"), "default": "I"},
+    "--family": {"required": True, "choices": FAMILIES},
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="graphwishart",
@@ -441,50 +464,31 @@ def _build_parser():
     def add(group_parser, name, fn, flags):
         p = group_parser.add_parser(name)
         for flag in flags:
-            if flag in ("--n", "--seed", "--order"):
-                p.add_argument(flag, type=int,
-                               default=0 if flag == "--seed" else None)
-            elif flag in ("--p", "--a1", "--a2"):
-                p.add_argument(flag, type=float, required=True)
-            elif flag == "--kind":
-                p.add_argument(flag, choices=("I", "II"), default="I")
-            elif flag == "--family":
-                p.add_argument(flag, required=True,
-                               choices=("type1", "type2",
-                                        "inv_type1", "inv_type2"))
-            else:
-                required = flag in ("--matrix", "--shape", "--scale",
-                                    "--data", "--prior") and \
-                    name not in ("analyze", "hasse")
-                p.add_argument(flag, required=required)
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(fn=fn)
-        return p
 
     graph = sub.add_parser("graph").add_subparsers(
         dest="cmd", required=True)
     add(graph, "analyze", _cmd_graph_analyze,
-        ["--graph", "--order", "--seed", "--output"])
-    add(graph, "hasse", _cmd_graph_hasse,
-        ["--graph", "--seed", "--output"])
+        ["--graph", "--order", "--output"])
+    add(graph, "hasse", _cmd_graph_hasse, ["--graph", "--output"])
 
     cone = sub.add_parser("cone").add_subparsers(
         dest="cmd", required=True)
     add(cone, "complete", _cmd_cone_complete,
-        ["--matrix", "--graph", "--seed", "--output"])
-    add(cone, "phi", _cmd_cone_phi,
-        ["--matrix", "--graph", "--seed", "--output"])
+        ["--matrix", "--graph", "--output"])
+    add(cone, "phi", _cmd_cone_phi, ["--matrix", "--graph", "--output"])
 
     dist = sub.add_parser("dist").add_subparsers(
         dest="cmd", required=True)
     add(dist, "logpdf", _cmd_dist_logpdf,
         ["--family", "--shape", "--scale", "--matrix", "--graph",
-         "--seed", "--output"])
+         "--output"])
     add(dist, "sample", _cmd_dist_sample,
         ["--family", "--shape", "--scale", "--graph", "--n", "--seed",
          "--output"])
     add(dist, "mean", _cmd_dist_mean,
-        ["--family", "--shape", "--scale", "--graph", "--seed",
-         "--output"])
+        ["--family", "--shape", "--scale", "--graph", "--output"])
 
     bayes = sub.add_parser("bayes").add_subparsers(
         dest="cmd", required=True)
@@ -497,8 +501,7 @@ def _build_parser():
         ["--graph", "--shape", "--scale", "--kind", "--n", "--seed",
          "--output"])
     add(verify, "a4", _cmd_verify_a4,
-        ["--graph", "--shape", "--scale", "--kind", "--seed",
-         "--output"])
+        ["--graph", "--shape", "--scale", "--kind", "--output"])
     add(verify, "mellin", _cmd_verify_mellin,
         ["--matrix", "--graph", "--p", "--a1", "--a2", "--n",
          "--seed", "--output"])
@@ -521,8 +524,19 @@ def run(argv):
     try:
         return args.fn(args)
     except GraphWishartError as exc:
-        sys.stdout.write(_fmt(exc.to_dict()) + "\n")
-        return 1
+        err = exc
+    except OSError as exc:
+        err = MalformedInput("cannot access file", path=exc.filename,
+                             reason=exc.strerror or str(exc))
+    except Exception as exc:
+        traceback.print_exc()
+        sys.stdout.write(_fmt({"code": "internal_error",
+                               "message": str(exc),
+                               "context": {"type": type(exc).__name__}})
+                         + "\n")
+        return 2
+    sys.stdout.write(_fmt(err.to_dict()) + "\n")
+    return 1
 
 
 def main():

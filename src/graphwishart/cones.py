@@ -16,6 +16,7 @@ from .errors import (
     DimensionMismatch,
     GraphMismatch,
     MalformedInput,
+    NonNumeric,
     NotInPG,
     NotInQG,
     ShapeMismatch,
@@ -43,11 +44,23 @@ def _idx(vertices):
     return np.asarray(vertices, dtype=int) - 1
 
 
+def _block(arr, vertices):
+    """Submatrix of ``arr`` (..., r, r) on a 1-based vertex tuple."""
+    ix = _idx(vertices)
+    return arr[..., ix[:, None], ix[None, :]]
+
+
+def _tr(a):
+    return np.swapaxes(a, -1, -2)
+
+
 def _as_matrix(data, r):
     arr = np.asarray(data, dtype=float)
     if arr.shape != (r, r):
         raise DimensionMismatch("matrix has wrong shape",
                                 expected=[r, r], got=list(arr.shape))
+    if not np.all(np.isfinite(arr)):
+        raise NonNumeric("matrix has non-finite entries")
     return arr
 
 
@@ -67,8 +80,7 @@ class IncompleteMatrix:
         object.__setattr__(self, "data", arr * self.graph.edge_mask())
 
     def submatrix(self, vertices):
-        ix = _idx(vertices)
-        return self.data[np.ix_(ix, ix)]
+        return _block(self.data, vertices)
 
 
 @dataclass(frozen=True)
@@ -83,13 +95,13 @@ class SparsePrecision:
         object.__setattr__(self, "data", arr * self.graph.edge_mask())
 
     def submatrix(self, vertices):
-        ix = _idx(vertices)
-        return self.data[np.ix_(ix, ix)]
+        return _block(self.data, vertices)
 
 
 def _check_symmetric(arr, tol=1e-12):
-    gap = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
-    if gap > tol:
+    """Reject an asymmetry above ``tol`` times the largest entry."""
+    gap = float(np.max(np.abs(arr - arr.T), initial=0.0))
+    if gap > tol * float(np.max(np.abs(arr), initial=0.0)):
         raise MalformedInput("matrix is not symmetric", asymmetry=gap)
 
 
@@ -168,17 +180,20 @@ def precision_of(x, ordering=None):
     clique inverses minus padded separator inverses.
     """
     ordering = require_qg(x, ordering)
-    r = x.graph.vertex_count
-    out = np.zeros((r, r))
+    return SparsePrecision(x.graph, _precision(x.data, ordering))
+
+
+def _precision(data, ordering):
+    """Batch-first core of :func:`precision_of` on (..., r, r) data."""
+    out = np.zeros(data.shape)
     for c in ordering.cliques:
         ix = _idx(c)
-        out[np.ix_(ix, ix)] += np.linalg.inv(x.submatrix(c))
+        out[..., ix[:, None], ix[None, :]] += np.linalg.inv(_block(data, c))
     for sep in ordering.separators:
-        if not sep:
-            continue
         ix = _idx(sep)
-        out[np.ix_(ix, ix)] -= np.linalg.inv(x.submatrix(sep))
-    return SparsePrecision(x.graph, 0.5 * (out + out.T))
+        out[..., ix[:, None], ix[None, :]] -= np.linalg.inv(
+            _block(data, sep))
+    return 0.5 * (out + _tr(out))
 
 
 def phi(y):
@@ -217,10 +232,11 @@ def logdet_hat(x, ordering=None):
 class Blocks:
     """Regression coordinates of an incomplete matrix.
 
-    The first clique is split against the first separator into a
-    conditional block, a regression coefficient and the separator block
-    itself; every later clique contributes a conditional block and a
-    regression coefficient onto its separator.
+    One (conditional block, regression coefficient) pair per step of
+    ``ordering.steps``: the first separator block ``c1_sep`` on its own,
+    the rest of the first clique (``c1_cond``, ``c1_ratio``) given it,
+    then each later residual (``conds``, ``ratios``) given its
+    separator.
     """
 
     ordering: object
@@ -234,85 +250,67 @@ class Blocks:
     def k(self):
         return self.ordering.k
 
+    def parts(self):
+        """(conditional block, coefficient) per step of the order."""
+        head = ((self.c1_sep, np.zeros((len(self.c1_sep), 0))),
+                (self.c1_cond, self.c1_ratio))
+        return head + tuple(zip(self.conds, self.ratios))
 
-def _regress(x, rows, cols):
-    """Return (conditional block, coefficient) of x[rows] onto x[cols]."""
+
+def _regress(data, rows, cols):
+    """Return (conditional block, coefficient) of data[rows] onto
+    data[cols]."""
     if len(cols) == 0:
-        return x.data[np.ix_(_idx(rows), _idx(rows))].copy(), \
-            np.zeros((len(rows), 0))
+        return _block(data, rows), np.zeros((len(rows), 0))
     ri, ci = _idx(rows), _idx(cols)
-    xs = x.data[np.ix_(ci, ci)]
-    xrs = x.data[np.ix_(ri, ci)]
+    xs = data[np.ix_(ci, ci)]
+    xrs = data[np.ix_(ri, ci)]
     ratio = np.linalg.solve(xs, xrs.T).T
-    cond = x.data[np.ix_(ri, ri)] - ratio @ xrs.T
+    cond = data[np.ix_(ri, ri)] - ratio @ xrs.T
     return cond, ratio
+
+
+def _place(out, new, given, cond, ratio):
+    """Write one step into ``out`` (..., r, r), whose block on ``given``
+    is already set: the regression cross terms and the new block."""
+    ni, gi = _idx(new), _idx(given)
+    cross = ratio @ _block(out, given)
+    out[..., ni[:, None], gi[None, :]] = cross
+    out[..., gi[:, None], ni[None, :]] = _tr(cross)
+    out[..., ni[:, None], ni[None, :]] = cond + cross @ _tr(ratio)
 
 
 def split_blocks(x, ordering=None):
     """Decompose x into independent regression coordinates."""
     ordering = require_qg(x, ordering)
-    if ordering.k == 1:
-        c = ordering.cliques[0]
-        return Blocks(ordering, x.submatrix(c),
-                      np.zeros((len(c), 0)), np.zeros((0, 0)), (), ())
-    s2 = ordering.separators[0]
-    r1 = tuple(v for v in ordering.cliques[0] if v not in s2)
-    c1_cond, c1_ratio = _regress(x, r1, s2)
-    c1_sep = x.submatrix(s2)
-    conds = []
-    ratios = []
-    for j in range(1, ordering.k):
-        cond, ratio = _regress(x, ordering.residuals[j],
-                               ordering.separators[j - 1])
-        conds.append(cond)
-        ratios.append(ratio)
+    parts = [_regress(x.data, new, given) for new, given in ordering.steps]
+    (c1_sep, _), (c1_cond, c1_ratio) = parts[:2]
     return Blocks(ordering, c1_cond, c1_ratio, c1_sep,
-                  tuple(conds), tuple(ratios))
+                  tuple(c for c, _ in parts[2:]),
+                  tuple(b for _, b in parts[2:]))
 
 
 def assemble_blocks(blocks):
     """Inverse of :func:`split_blocks`."""
     ordering = blocks.ordering
-    g = ordering.graph
-    r = g.vertex_count
+    r = ordering.graph.vertex_count
     out = np.zeros((r, r))
-    if ordering.k == 1:
-        ix = _idx(ordering.cliques[0])
-        out[np.ix_(ix, ix)] = blocks.c1_cond
-        return IncompleteMatrix(g, out)
-    s2 = ordering.separators[0]
-    r1 = tuple(v for v in ordering.cliques[0] if v not in s2)
-    si = _idx(s2)
-    ri = _idx(r1)
-    out[np.ix_(si, si)] = blocks.c1_sep
-    cross = blocks.c1_ratio @ blocks.c1_sep
-    out[np.ix_(ri, si)] = cross
-    out[np.ix_(si, ri)] = cross.T
-    out[np.ix_(ri, ri)] = blocks.c1_cond + cross @ blocks.c1_ratio.T
-    for j in range(1, ordering.k):
-        sep = ordering.separators[j - 1]
-        res = ordering.residuals[j]
-        si = _idx(sep)
-        ri = _idx(res)
-        xs = out[np.ix_(si, si)]
-        cross = blocks.ratios[j - 1] @ xs
-        out[np.ix_(ri, si)] = cross
-        out[np.ix_(si, ri)] = cross.T
-        out[np.ix_(ri, ri)] = blocks.conds[j - 1] + \
-            cross @ blocks.ratios[j - 1].T
-    return IncompleteMatrix(g, 0.5 * (out + out.T))
+    for (new, given), (cond, ratio) in zip(ordering.steps, blocks.parts()):
+        _place(out, new, given, cond, ratio)
+    return IncompleteMatrix(ordering.graph, 0.5 * (out + out.T))
 
 
-def schur_pad(m, vertices, size=None):
+def schur_pad(m, vertices):
     """Schur complement of the block on ``vertices``, zero padded.
 
-    Given a dense symmetric matrix m and a 1-based vertex list A, the
-    result is zero on the rows and columns of A and carries
-    m_B - m_BA m_A^{-1} m_AB on the complement B.
+    Given a dense symmetric matrix m (or a stack of them, (..., r, r))
+    and a 1-based vertex list A, the result is zero on the rows and
+    columns of A and carries m_B - m_BA m_A^{-1} m_AB on the
+    complement B.
     """
     arr = np.asarray(m, dtype=float)
-    r = arr.shape[0] if size is None else size
-    if arr.shape != (r, r):
+    r = arr.shape[-1] if arr.ndim else 0
+    if arr.ndim < 2 or arr.shape[-2] != r:
         raise DimensionMismatch("matrix has wrong shape",
                                 expected=[r, r], got=list(arr.shape))
     a = _idx(vertices)
@@ -320,12 +318,8 @@ def schur_pad(m, vertices, size=None):
         raise ShapeMismatch("vertex label out of range",
                             vertices=list(vertices), r=r)
     b = np.setdiff1d(np.arange(r), a)
-    out = np.zeros((r, r))
-    if len(a) == 0:
-        out[np.ix_(b, b)] = arr[np.ix_(b, b)]
-        return out
-    maa = arr[np.ix_(a, a)]
-    mba = arr[np.ix_(b, a)]
-    out[np.ix_(b, b)] = arr[np.ix_(b, b)] - \
-        mba @ np.linalg.solve(maa, mba.T)
+    out = np.zeros(arr.shape)
+    mba = arr[..., b[:, None], a[None, :]]
+    out[..., b[:, None], b[None, :]] = arr[..., b[:, None], b[None, :]] - \
+        mba @ np.linalg.solve(arr[..., a[:, None], a[None, :]], _tr(mba))
     return out

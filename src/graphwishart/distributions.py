@@ -19,6 +19,8 @@ from . import cones
 from .cones import (
     IncompleteMatrix,
     SparsePrecision,
+    _block,
+    _tr,
     complete,
     phi,
     precision_of,
@@ -37,9 +39,10 @@ from .errors import (
     OutOfSupport,
     ShapeNotAdmissible,
 )
-from .graphs import decompose, homogeneous_structure, hasse_exponents
+from .graphs import decompose, homogeneous_structure
 from .shapes import (
     ShapeParam,
+    admissible_walk,
     check_alignment,
     log_gamma_I,
     log_gamma_II,
@@ -47,6 +50,8 @@ from .shapes import (
     log_multigamma,
     shape_class,
     size_shift,
+    step_exponents,
+    steps_log_gamma,
 )
 
 __all__ = [
@@ -89,10 +94,6 @@ def _as_stream(rng):
     return RngStream(rng)
 
 
-def _tr(a):
-    return np.swapaxes(a, -1, -2)
-
-
 def sample_base_wishart(r, p, scale, rng, size=None):
     """Wishart draws with density proportional to
     det(x)^(p - (r+1)/2) exp(-tr(scale^{-1} x)); the mean is p * scale.
@@ -131,7 +132,8 @@ def sample_matrix_normal(mean, row_cov, col_prec_mate, rng, size=None):
 
     The columns are coupled through ``col_prec_mate``: large values
     there mean small spread.  Entrywise the covariance of the deltas is
-    0.5 * col_prec_mate^{-1} (x) row_cov.
+    0.5 * col_prec_mate^{-1} (x) row_cov.  Either matrix may also be a
+    stack (n, ., .) with one matrix per draw.
     """
     rng = _as_stream(rng)
     mean = np.asarray(mean, dtype=float)
@@ -147,37 +149,8 @@ def sample_matrix_normal(mean, row_cov, col_prec_mate, rng, size=None):
         raise NotPositiveDefinite(
             "row or column matrix is not positive definite") from None
     z = rng.gen.normal(0.0, math.sqrt(0.5), size=(n, a, b))
-    delta = mean + lu @ np.linalg.solve(
-        np.broadcast_to(lv.T, (n, b, b)).copy(), _tr(z))\
-        .swapaxes(1, 2)
+    delta = mean + lu @ _tr(np.linalg.solve(_tr(lv), _tr(z)))
     return delta if size is not None else delta[0]
-
-
-def _mn_batch_colcov(mean, row_cov, col_mats, rng, n):
-    """Matrix normal batch where the column coupling varies per draw."""
-    a = mean.shape[0]
-    b = mean.shape[1]
-    if a == 0 or b == 0:
-        return np.broadcast_to(mean, (n, a, b)).copy()
-    lu = np.linalg.cholesky(row_cov)
-    lv = np.linalg.cholesky(col_mats)
-    z = rng.gen.normal(0.0, math.sqrt(0.5), size=(n, a, b))
-    right = np.linalg.solve(_tr(lv), _tr(z))
-    return mean + lu @ _tr(right)
-
-
-def _mn_batch_rowcov(mean, row_mats, col_mat, rng, n):
-    """Matrix normal batch where the row covariance varies per draw."""
-    a = mean.shape[0]
-    b = mean.shape[1]
-    if a == 0 or b == 0:
-        return np.broadcast_to(mean, (n, a, b)).copy()
-    lu = np.linalg.cholesky(row_mats)
-    lv = np.linalg.cholesky(col_mat)
-    z = rng.gen.normal(0.0, math.sqrt(0.5), size=(n, a, b))
-    right = np.linalg.solve(
-        np.broadcast_to(lv.T, (n, b, b)).copy(), _tr(z))
-    return mean + lu @ _tr(right)
 
 
 def log_wishart_pdf(x, p, scale):
@@ -237,7 +210,8 @@ class WishartSpec:
     SparsePrecision for type2 / inv_type2.  Construction checks cone
     membership of the scale and admissibility of the shape; derived
     quantities (clique order, class tree when the graph is homogeneous,
-    log normalizing constant) are cached on the instance.
+    the step list ``walk`` the shape is admissible on with one exponent
+    per step, log normalizing constant) are cached on the instance.
     """
 
     graph: object
@@ -258,7 +232,6 @@ class WishartSpec:
                 self.hasse = homogeneous_structure(self.graph)
             except NotHomogeneous:
                 self.hasse = None
-        wants_q = self.family in ("type1", "inv_type1")
         if isinstance(self.scale, SparsePrecision):
             self.scale = IncompleteMatrix(self.scale.graph,
                                           self.scale.data)
@@ -268,24 +241,19 @@ class WishartSpec:
         if self.scale.graph != self.graph:
             raise GraphMismatch("scale lives on a different graph")
         cones.require_qg(self.scale, self.ordering)
-        cls = shape_class(self.shape, self.ordering, self.hasse)
-        self.shape_info = cls
-        if wants_q:
-            self.admissible_per_order = cls.in_a_p
-            ok = cls.in_a_p or bool(cls.in_a_hom)
-        else:
-            self.admissible_per_order = cls.in_b_p
-            ok = cls.in_b_p or bool(cls.in_b_hom)
-        if not ok:
+        self.shape_info = shape_class(self.shape, self.ordering,
+                                      self.hasse)
+        side = "first" if self.family in ("type1", "inv_type1") \
+            else "second"
+        self.walk = admissible_walk(self.shape_info, self.ordering,
+                                    self.hasse, side)
+        if self.walk is None:
             raise ShapeNotAdmissible(
                 "shape is not admissible for this family",
                 family=self.family)
-        if wants_q:
-            self.log_gamma = log_gamma_I(
-                self.shape, self.ordering, self.hasse)
-        else:
-            self.log_gamma = log_gamma_II(
-                self.shape, self.ordering, self.hasse)
+        self.admissible_per_order = self.walk is self.ordering
+        self.exponents = step_exponents(self.shape, self.walk, side)
+        self.log_gamma = steps_log_gamma(self.walk.steps, self.exponents)
         self.log_h_scale = log_h(self.shape, self.scale, self.ordering)
 
     @property
@@ -411,160 +379,35 @@ def logpdf_f(graph, shape_a, shape_b, scale, point, kind="first"):
     raise OutOfDomain("unknown kind", kind=kind)
 
 
-def _gather(arr, rows, cols):
-    return arr[:, rows[:, None], cols[None, :]]
+def _walk(spec, rng, n):
+    """Draws on the incomplete cone, one ``(new, given)`` step at a time.
 
-
-def _set_block(arr, rows, cols, value):
-    arr[:, rows[:, None], cols[None, :]] = value
-
-
-def _sample_first_cone_batch(spec, rng, n):
-    """Draws from the incomplete-cone family along the clique order."""
-    ordering = spec.ordering
-    r = spec.r
-    blocks = cones.split_blocks(spec.scale, ordering)
-    alpha = spec.shape.alpha
-    out = np.zeros((n, r, r))
-    if ordering.k == 1:
-        ix = cones._idx(ordering.cliques[0])
-        dim = ordering.clique_sizes[0]
-        draw = sample_base_wishart(dim, alpha[0], blocks.c1_cond, rng, n)
-        _set_block(out, ix, ix, draw)
-        return out
-    s2 = ordering.separators[0]
-    r1 = tuple(v for v in ordering.cliques[0] if v not in s2)
-    si = cones._idx(s2)
-    ri = cones._idx(r1)
-    d2 = spec.shape_info.delta2
-    xs2 = sample_base_wishart(len(s2), alpha[0] + d2, blocks.c1_sep, rng, n)
-    cond1 = sample_base_wishart(len(r1), alpha[0] - len(s2) / 2.0,
-                                blocks.c1_cond, rng, n)
-    ratio1 = _mn_batch_colcov(blocks.c1_ratio, blocks.c1_cond,
-                              xs2, rng, n)
-    _set_block(out, si, si, xs2)
-    cross = ratio1 @ xs2
-    _set_block(out, ri, si, cross)
-    _set_block(out, si, ri, _tr(cross))
-    _set_block(out, ri, ri, cond1 + cross @ _tr(ratio1))
-    for j in range(1, ordering.k):
-        sep = ordering.separators[j - 1]
-        res = ordering.residuals[j]
-        sj = cones._idx(sep)
-        rj = cones._idx(res)
-        xsj = _gather(out, sj, sj)
-        condj = sample_base_wishart(
-            len(res), alpha[j] - len(sep) / 2.0,
-            blocks.conds[j - 1], rng, n)
-        ratioj = _mn_batch_colcov(blocks.ratios[j - 1],
-                                  blocks.conds[j - 1], xsj, rng, n)
-        cross = ratioj @ xsj
-        _set_block(out, rj, sj, cross)
-        _set_block(out, sj, rj, _tr(cross))
-        _set_block(out, rj, rj, condj + cross @ _tr(ratioj))
-    return out
-
-
-def _sample_first_cone_hom_batch(spec, rng, n):
-    """Homogeneous-graph sampler walking the class tree root first."""
-    tree = spec.hasse
-    rho, _ = hasse_exponents(tree, spec.shape)
-    r = spec.r
-    sigma = spec.scale
-    out = np.zeros((n, r, r))
-    order = tree.nodes_below(tree.root)
-    for u in order:
-        members = tree.classes[u]
-        anc = tuple(v for v in tree.vertex_sets[u] if v not in members)
-        mi = cones._idx(members)
-        ai = cones._idx(anc)
-        cond, ratio = cones._regress(sigma, members, anc)
-        p_u = rho[u] - tree.depth_weights[u] / 2.0
-        cond_draw = sample_base_wishart(len(members), p_u, cond, rng, n)
-        if anc:
-            xanc = _gather(out, ai, ai)
-            ratio_draw = _mn_batch_colcov(ratio, cond, xanc, rng, n)
-            cross = ratio_draw @ xanc
-            _set_block(out, mi, ai, cross)
-            _set_block(out, ai, mi, _tr(cross))
-            _set_block(out, mi, mi,
-                       cond_draw + cross @ _tr(ratio_draw))
-        else:
-            _set_block(out, mi, mi, cond_draw)
-    return out
-
-
-def _sample_inverse_second_batch(spec, rng, n):
-    """Draws from the incomplete-cone image of the sparse family.
-
-    All regression blocks are independent here; conditional blocks are
-    inverted Wishart draws and the couplings are matrix normal given
-    the conditional block of their own clique.
+    Each step regresses the scale T on its blocks, draws the
+    conditional block and then the regression coefficient, and places
+    both.  First side: the conditional block is Wishart(p, T_cond) and
+    the coefficient is matrix normal around T_ratio with row matrix
+    T_cond and column matrix the block X[given] drawn so far.  Second
+    side: the conditional block is the inverse of Wishart(p, T_cond^-1)
+    and the coefficient has the drawn block as row matrix and T[given]
+    as column matrix.
     """
-    ordering = spec.ordering
-    r = spec.r
-    theta = spec.scale
-    blocks = cones.split_blocks(theta, ordering)
-    alpha = spec.shape.alpha
-    out = np.zeros((n, r, r))
-    if ordering.k == 1:
-        ix = cones._idx(ordering.cliques[0])
-        w = sample_base_wishart(
-            ordering.clique_sizes[0], -alpha[0],
-            np.linalg.inv(blocks.c1_cond), rng, n)
-        _set_block(out, ix, ix, np.linalg.inv(w))
-        return out
-    s2 = ordering.separators[0]
-    r1 = tuple(v for v in ordering.cliques[0] if v not in s2)
-    si = cones._idx(s2)
-    ri = cones._idx(r1)
-    c1 = ordering.clique_sizes[0]
-    g2 = spec.shape_info.gamma2
-    p_sep = -alpha[0] - (c1 - len(s2)) / 2.0 - g2
-    xs2 = np.linalg.inv(sample_base_wishart(
-        len(s2), p_sep, np.linalg.inv(blocks.c1_sep), rng, n))
-    cond1 = np.linalg.inv(sample_base_wishart(
-        len(r1), -alpha[0], np.linalg.inv(blocks.c1_cond), rng, n))
-    ratio1 = _mn_batch_rowcov(blocks.c1_ratio, cond1,
-                              blocks.c1_sep, rng, n)
-    _set_block(out, si, si, xs2)
-    cross = ratio1 @ xs2
-    _set_block(out, ri, si, cross)
-    _set_block(out, si, ri, _tr(cross))
-    _set_block(out, ri, ri, cond1 + cross @ _tr(ratio1))
-    for j in range(1, ordering.k):
-        sep = ordering.separators[j - 1]
-        res = ordering.residuals[j]
-        sj = cones._idx(sep)
-        rj = cones._idx(res)
-        condj = np.linalg.inv(sample_base_wishart(
-            len(res), -alpha[j],
-            np.linalg.inv(blocks.conds[j - 1]), rng, n))
-        ratioj = _mn_batch_rowcov(blocks.ratios[j - 1], condj,
-                                  theta.submatrix(sep), rng, n)
-        xsj = _gather(out, sj, sj)
-        cross = ratioj @ xsj
-        _set_block(out, rj, sj, cross)
-        _set_block(out, sj, rj, _tr(cross))
-        _set_block(out, rj, rj, condj + cross @ _tr(ratioj))
-    return out
-
-
-def _precision_of_batch(batch, ordering):
-    """Batched counterpart of :func:`cones.precision_of`."""
-    n, r, _ = batch.shape
-    out = np.zeros((n, r, r))
-    for c in ordering.cliques:
-        ix = cones._idx(c)
-        out[:, ix[:, None], ix[None, :]] += np.linalg.inv(
-            _gather(batch, ix, ix))
-    for sep in ordering.separators:
-        if not sep:
+    first = spec.family in ("type1", "inv_type1")
+    scale = spec.scale.data
+    out = np.zeros((n, spec.r, spec.r))
+    for (new, given), p in zip(spec.walk.steps, spec.exponents):
+        if not new:
             continue
-        ix = cones._idx(sep)
-        out[:, ix[:, None], ix[None, :]] -= np.linalg.inv(
-            _gather(batch, ix, ix))
-    return 0.5 * (out + _tr(out))
+        t_cond, t_ratio = cones._regress(scale, new, given)
+        if first:
+            cond = sample_base_wishart(len(new), p, t_cond, rng, n)
+            row, col = t_cond, _block(out, given)
+        else:
+            cond = np.linalg.inv(sample_base_wishart(
+                len(new), p, np.linalg.inv(t_cond), rng, n))
+            row, col = cond, _block(scale, given)
+        ratio = sample_matrix_normal(t_ratio, row, col, rng, n)
+        cones._place(out, new, given, cond, ratio)
+    return out
 
 
 def sample_batch(spec, rng, size):
@@ -573,25 +416,15 @@ def sample_batch(spec, rng, size):
     For type1 and inv_type2 the entries are those of the incomplete
     draw; for type2 and inv_type1 they are the sparse matrix itself.
     """
-    rng = _as_stream(rng)
-    n = int(size)
-    if spec.family in ("type1", "inv_type1"):
-        if spec.admissible_per_order:
-            x = _sample_first_cone_batch(spec, rng, n)
-        else:
-            x = _sample_first_cone_hom_batch(spec, rng, n)
-        if spec.family == "type1":
-            return x * spec.graph.edge_mask()
-        return _precision_of_batch(x, spec.ordering) * \
-            spec.graph.edge_mask()
-    if not spec.admissible_per_order:
+    if spec.family in ("type2", "inv_type2") and \
+            not spec.admissible_per_order:
         raise ShapeNotAdmissible(
             "sampling on the second side needs per-order admissibility",
             family=spec.family)
-    x = _sample_inverse_second_batch(spec, rng, n)
-    if spec.family == "inv_type2":
+    x = _walk(spec, _as_stream(rng), int(size))
+    if spec.family in ("type1", "inv_type2"):
         return x * spec.graph.edge_mask()
-    return _precision_of_batch(x, spec.ordering) * spec.graph.edge_mask()
+    return cones._precision(x, spec.ordering) * spec.graph.edge_mask()
 
 
 def sample(spec, rng, n):

@@ -65,10 +65,6 @@ class NotInPG(GraphWishartError):
     code = "not_in_pg"
 
 
-class SingularBlock(GraphWishartError):
-    code = "singular_block"
-
-
 class OutOfDomain(GraphWishartError):
     code = "out_of_domain"
 

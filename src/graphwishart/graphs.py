@@ -214,6 +214,11 @@ class CliqueOrdering:
     lists each separator set once, in order of first occurrence;
     ``multiplicity[i]`` counts its occurrences and ``occurrences[i]``
     gives the clique indices j >= 1 at which it appears.
+
+    ``steps`` lists the order as ``(new, given)`` vertex blocks: the
+    first separator S2 given nothing, the rest R1 of the first clique
+    given S2, then each residual given its separator.  S2 is empty when
+    there is a single clique.
     """
 
     graph: DecomposableGraph
@@ -225,6 +230,7 @@ class CliqueOrdering:
     multiplicity: tuple
     occurrences: tuple
     sep_index: tuple  # per clique j >= 1: index into distinct_separators
+    steps: tuple
 
     @property
     def k(self):
@@ -277,6 +283,9 @@ def _ordering_from_cliques(g, cliques):
             occ.append([j + 1])
             i = len(distinct) - 1
         sep_index.append(i)
+    s2 = separators[0] if separators else ()
+    r1 = tuple(v for v in residuals[0] if v not in s2)
+    steps = ((s2, ()), (r1, s2)) + tuple(zip(residuals[1:], separators))
     return CliqueOrdering(
         graph=g,
         cliques=tuple(tuple(sorted(c)) for c in cliques),
@@ -287,6 +296,7 @@ def _ordering_from_cliques(g, cliques):
         multiplicity=tuple(mult),
         occurrences=tuple(tuple(o) for o in occ),
         sep_index=tuple(sep_index),
+        steps=steps,
     )
 
 
@@ -366,7 +376,9 @@ class HasseTree:
     all its ancestors: a clique when u is a leaf, a distinct minimal
     separator otherwise.  ``clique_index`` / ``separator_index`` map
     nodes into the canonical decomposition of the graph (-1 where the
-    role does not apply).
+    role does not apply).  ``steps`` holds ``(class of u, strict
+    ancestors of u)`` for every node u, root first, in the order of
+    ``nodes_below(root)``.
     """
 
     graph: DecomposableGraph
@@ -380,6 +392,7 @@ class HasseTree:
     clique_index: tuple
     separator_index: tuple
     root: int
+    steps: tuple
 
     @property
     def node_count(self):
@@ -390,13 +403,17 @@ class HasseTree:
 
     def nodes_below(self, u):
         """u together with every descendant."""
-        out = [u]
-        stack = list(self.children[u])
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(self.children[v])
-        return out
+        return _nodes_below(self.children, u)
+
+
+def _nodes_below(children, u):
+    out = [u]
+    stack = list(children[u])
+    while stack:
+        v = stack.pop()
+        out.append(v)
+        stack.extend(children[v])
+    return out
 
 
 def _has_induced_path4(g):
@@ -522,6 +539,10 @@ def homogeneous_structure(g):
         clique_index=tuple(clique_index),
         separator_index=tuple(separator_index),
         root=root,
+        steps=tuple(
+            (tuple(classes[u]),
+             tuple(v for v in vertex_sets[u] if v not in classes[u]))
+            for u in _nodes_below(children, root)),
     )
 
 
@@ -534,14 +555,14 @@ def hasse_exponents(tree, shape):
     rho by half the weight of the strict descendants minus half the
     weight of the strict ancestors.
     """
-    ordering = decompose(tree.graph)
-    if len(shape.alpha) != ordering.k or \
-            len(shape.beta) != ordering.k_prime:
+    m = tree.node_count
+    # Leaves are the cliques, internal nodes the distinct separators.
+    k = sum(1 for u in range(m) if tree.is_leaf(u))
+    if len(shape.alpha) != k or len(shape.beta) != m - k:
         raise ShapeMismatch(
             "shape length does not match clique/separator counts",
             alpha=len(shape.alpha), beta=len(shape.beta),
-            k=ordering.k, k_prime=ordering.k_prime)
-    m = tree.node_count
+            k=k, k_prime=m - k)
     rho = [0.0] * m
     for u in range(m):
         for v in tree.nodes_below(u):

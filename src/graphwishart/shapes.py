@@ -13,12 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from .cones import _block
 from .errors import (
+    NotInQG,
     OutOfDomain,
     ShapeMismatch,
     ShapeNotAdmissible,
 )
-from .graphs import hasse_exponents
+from .graphs import HasseTree, hasse_exponents
 
 __all__ = [
     "ShapeParam",
@@ -113,11 +115,23 @@ def log_multigamma(dim, p):
         sum(gammaln(p - j / 2.0) for j in range(dim)))
 
 
-def _block_logdets(x, ordering):
-    from .cones import _logdet
-    ld_c = [_logdet(x.submatrix(c)) for c in ordering.cliques]
-    ld_s = [_logdet(x.submatrix(s)) for s in ordering.distinct_separators]
-    return ld_c, ld_s
+def _log_h(shape, data, ordering):
+    """Batch-first log h over (..., r, r) arrays.
+
+    Returns the value and whether every block determinant is positive.
+    """
+    pos = neg = 0.0
+    ok = True
+    for a, c in zip(shape.alpha, ordering.cliques):
+        sign, ld = np.linalg.slogdet(_block(data, c))
+        pos = pos + a * ld
+        ok = ok & (sign > 0)
+    for nu, b, s in zip(ordering.multiplicity, shape.beta,
+                        ordering.distinct_separators):
+        sign, ld = np.linalg.slogdet(_block(data, s))
+        neg = neg + nu * b * ld
+        ok = ok & (sign > 0)
+    return pos - neg, ok
 
 
 def log_h(shape, x, ordering=None):
@@ -128,10 +142,9 @@ def log_h(shape, x, ordering=None):
     from .graphs import decompose
     ordering = ordering or decompose(x.graph)
     check_alignment(shape, ordering)
-    ld_c, ld_s = _block_logdets(x, ordering)
-    total = sum(a * ld for a, ld in zip(shape.alpha, ld_c))
-    total -= sum(nu * b * ld for nu, b, ld
-                 in zip(ordering.multiplicity, shape.beta, ld_s))
+    total, ok = _log_h(shape, x.data, ordering)
+    if not ok:
+        raise NotInQG("block has non-positive determinant")
     return float(total)
 
 
@@ -181,18 +194,50 @@ class ShapeClass:
 
 
 def _delta2(shape, ordering):
-    occ = ordering.occurrences[ordering.sep_index[0]]
-    nu = ordering.multiplicity[ordering.sep_index[0]]
-    return sum(shape.alpha[j] for j in occ) - \
-        nu * shape.beta[ordering.sep_index[0]]
+    # sep_index[:1] is S2's index, or nothing for a single clique.
+    return sum(sum(shape.alpha[j] for j in ordering.occurrences[i]) -
+               ordering.multiplicity[i] * shape.beta[i]
+               for i in ordering.sep_index[:1])
 
 
 def _gamma2(shape, ordering):
-    s2 = len(ordering.separators[0])
-    occ = ordering.occurrences[ordering.sep_index[0]]
-    b2 = shape.beta[ordering.sep_index[0]]
-    return sum(shape.alpha[j] - b2 +
-               (ordering.clique_sizes[j] - s2) / 2.0 for j in occ)
+    s2 = len(ordering.steps[0][0])
+    return sum(sum(shape.alpha[j] - shape.beta[i] +
+                   (ordering.clique_sizes[j] - s2) / 2.0
+                   for j in ordering.occurrences[i])
+               for i in ordering.sep_index[:1])
+
+
+def step_exponents(shape, walk, side):
+    """Exponent p of each ``(new, given)`` step of ``walk.steps``.
+
+    ``walk`` is a CliqueOrdering or a HasseTree.  On the ``"first"``
+    side a step's conditional block is Wishart with shape p; on the
+    ``"second"`` side it is the inverse of a Wishart with shape p.
+    """
+    if isinstance(walk, HasseTree):
+        rho, _ = hasse_exponents(walk, shape)
+        if side == "first":
+            return tuple(rho[u] - walk.depth_weights[u] / 2.0
+                         for u in walk.nodes_below(walk.root))
+        return tuple(-rho[u] - walk.subtree_weights[u] / 2.0
+                     for u in walk.nodes_below(walk.root))
+    check_alignment(shape, walk)
+    alpha = shape.alpha
+    if side == "first":
+        head = alpha[0] + _delta2(shape, walk)
+        return (head,) + tuple(a - len(given) / 2.0 for a, (_, given)
+                               in zip(alpha, walk.steps[1:]))
+    s2 = len(walk.steps[0][0])
+    head = -alpha[0] - (walk.clique_sizes[0] - s2) / 2.0 - \
+        _gamma2(shape, walk)
+    return (head,) + tuple(-a for a in alpha)
+
+
+def _steps_admissible(walk, exponents, tol):
+    """Every non-empty step needs p > (|new| - 1) / 2."""
+    return all(p > (len(new) - 1) / 2.0 + tol
+               for (new, _), p in zip(walk.steps, exponents) if new)
 
 
 def shape_class(shape, ordering, hasse=None, tol=_TOL):
@@ -218,54 +263,63 @@ def shape_class(shape, ordering, hasse=None, tol=_TOL):
             abs(-2.0 * beta[i] - len(s) + 1.0 - deltas[0]) <= tol
             for i, s in enumerate(ordering.distinct_separators))
 
-    if ordering.k == 1:
-        c1 = csize[0]
-        in_a_p = alpha[0] > (c1 - 1) / 2.0 + tol
-        in_b_p = -alpha[0] > (c1 - 1) / 2.0 + tol
-        d2 = g2 = None
-    else:
-        ssize = [len(s) for s in ordering.separators]
-        d2 = _delta2(shape, ordering)
-        g2 = _gamma2(shape, ordering)
-        first = ordering.sep_index[0]
-        in_a_p = all(
-            abs(sum(alpha[j] for j in ordering.occurrences[i]) -
-                ordering.multiplicity[i] * beta[i]) <= tol
-            for i in range(ordering.k_prime) if i != first)
-        in_a_p = in_a_p and all(
-            alpha[j] > (csize[j] - 1) / 2.0 + tol
-            for j in range(ordering.k))
-        in_a_p = in_a_p and \
-            alpha[0] + d2 > (ssize[0] - 1) / 2.0 + tol
-
-        in_b_p = all(
-            abs(sum(alpha[j] + (csize[j] - ssize[j - 1]) / 2.0
-                    for j in ordering.occurrences[i]) -
-                ordering.multiplicity[i] * beta[i]) <= tol
-            for i in range(ordering.k_prime) if i != first)
-        in_b_p = in_b_p and all(
-            -alpha[j] > (csize[j] - ssize[j - 1] - 1) / 2.0 + tol
-            for j in range(1, ordering.k))
-        in_b_p = in_b_p and \
-            -alpha[0] > (csize[0] - ssize[0] - 1) / 2.0 + tol
-        in_b_p = in_b_p and \
-            -alpha[0] - (csize[0] - ssize[0]) / 2.0 - g2 > \
-            (ssize[0] - 1) / 2.0 + tol
+    ssize = (0,) + ordering.separator_sizes
+    others = [i for i in range(ordering.k_prime)
+              if i not in ordering.sep_index[:1]]
+    in_a_p = all(
+        abs(sum(alpha[j] for j in ordering.occurrences[i]) -
+            ordering.multiplicity[i] * beta[i]) <= tol
+        for i in others) and _steps_admissible(
+            ordering, step_exponents(shape, ordering, "first"), tol)
+    in_b_p = all(
+        abs(sum(alpha[j] + (csize[j] - ssize[j]) / 2.0
+                for j in ordering.occurrences[i]) -
+            ordering.multiplicity[i] * beta[i]) <= tol
+        for i in others) and _steps_admissible(
+            ordering, step_exponents(shape, ordering, "second"), tol)
+    d2 = g2 = None
+    if ordering.separators:
+        d2, g2 = _delta2(shape, ordering), _gamma2(shape, ordering)
 
     in_a_hom = in_b_hom = None
     if hasse is not None:
-        rho, _ = hasse_exponents(hasse, shape)
-        m_u = [hasse.weights[u] + hasse.depth_weights[u]
-               for u in range(hasse.node_count)]
-        sub = [hasse.weights[u] + hasse.subtree_weights[u]
-               for u in range(hasse.node_count)]
-        in_a_hom = all(rho[u] > (m_u[u] - 1) / 2.0 + tol
-                       for u in range(hasse.node_count))
-        in_b_hom = all(-rho[u] > (sub[u] - 1) / 2.0 + tol
-                       for u in range(hasse.node_count))
+        in_a_hom = _steps_admissible(
+            hasse, step_exponents(shape, hasse, "first"), tol)
+        in_b_hom = _steps_admissible(
+            hasse, step_exponents(shape, hasse, "second"), tol)
 
     return ShapeClass(in_a1, in_b1, in_a_p, in_b_p,
                       in_a_hom, in_b_hom, d2, g2)
+
+
+def admissible_walk(cls, ordering, hasse, side):
+    """The step list a classified shape is admissible on for one side:
+    the clique order, else the class tree, else None."""
+    if cls.in_a_p if side == "first" else cls.in_b_p:
+        return ordering
+    if cls.in_a_hom if side == "first" else cls.in_b_hom:
+        return hasse
+    return None
+
+
+def steps_log_gamma(steps, exponents):
+    """Sum over the steps of (|new| |given| / 2) log(pi) plus the log
+    multivariate gamma of dimension |new| at the step's exponent."""
+    total = 0.0
+    for (new, given), p in zip(steps, exponents):
+        total += len(new) * len(given) / 2.0 * math.log(math.pi) + \
+            log_multigamma(len(new), p)
+    return total
+
+
+def _log_gamma(shape, ordering, hasse, side):
+    check_alignment(shape, ordering)
+    walk = admissible_walk(shape_class(shape, ordering, hasse),
+                           ordering, hasse, side)
+    if walk is None:
+        raise ShapeNotAdmissible(
+            "shape outside the admissible set for this cone")
+    return steps_log_gamma(walk.steps, step_exponents(shape, walk, side))
 
 
 def log_gamma_I(shape, ordering, hasse=None):
@@ -275,78 +329,9 @@ def log_gamma_I(shape, ordering, hasse=None):
     given order, falling back to the class-tree formula for homogeneous
     graphs; raises ShapeNotAdmissible otherwise.
     """
-    check_alignment(shape, ordering)
-    cls = shape_class(shape, ordering, hasse)
-    if ordering.k == 1:
-        if not cls.in_a_p:
-            raise ShapeNotAdmissible(
-                "shape outside the admissible set for this cone")
-        return log_multigamma(ordering.clique_sizes[0], shape.alpha[0])
-    if cls.in_a_p:
-        s2 = len(ordering.separators[0])
-        c1 = ordering.clique_sizes[0]
-        total = log_multigamma(s2, shape.alpha[0] + cls.delta2)
-        total += _ratio_shifted(c1, s2, shape.alpha[0])
-        for j in range(1, ordering.k):
-            total += _ratio_shifted(ordering.clique_sizes[j],
-                                    len(ordering.separators[j - 1]),
-                                    shape.alpha[j])
-        return total
-    if hasse is not None and cls.in_a_hom:
-        return _log_gamma_hom(shape, hasse, side="first")
-    raise ShapeNotAdmissible(
-        "shape outside the admissible set for this cone")
+    return _log_gamma(shape, ordering, hasse, "first")
 
 
 def log_gamma_II(shape, ordering, hasse=None):
     """Log normalizing constant of the second-cone family."""
-    check_alignment(shape, ordering)
-    cls = shape_class(shape, ordering, hasse)
-    if ordering.k == 1:
-        if not cls.in_b_p:
-            raise ShapeNotAdmissible(
-                "shape outside the admissible set for this cone")
-        return log_multigamma(ordering.clique_sizes[0], -shape.alpha[0])
-    if cls.in_b_p:
-        s2 = len(ordering.separators[0])
-        c1 = ordering.clique_sizes[0]
-        a1 = shape.alpha[0]
-        total = log_multigamma(
-            s2, -a1 - (c1 - s2) / 2.0 - cls.gamma2)
-        total += _ratio_plain(c1, s2, -a1)
-        for j in range(1, ordering.k):
-            total += _ratio_plain(ordering.clique_sizes[j],
-                                  len(ordering.separators[j - 1]),
-                                  -shape.alpha[j])
-        return total
-    if hasse is not None and cls.in_b_hom:
-        return _log_gamma_hom(shape, hasse, side="second")
-    raise ShapeNotAdmissible(
-        "shape outside the admissible set for this cone")
-
-
-def _ratio_shifted(c, s, a):
-    """log of (dim-c multigamma at a) / (dim-s multigamma at a)."""
-    return (c - s) * s / 2.0 * math.log(math.pi) + \
-        log_multigamma(c - s, a - s / 2.0)
-
-
-def _ratio_plain(c, s, a):
-    """log of (dim-c multigamma at a) / (dim-s at a - (c - s)/2)."""
-    return (c - s) * s / 2.0 * math.log(math.pi) + \
-        log_multigamma(c - s, a)
-
-
-def _log_gamma_hom(shape, hasse, side):
-    rho, _ = hasse_exponents(hasse, shape)
-    total = 0.0
-    for u in range(hasse.node_count):
-        n_u = hasse.weights[u]
-        total += n_u * hasse.depth_weights[u] / 2.0 * math.log(math.pi)
-        if side == "first":
-            total += log_multigamma(
-                n_u, rho[u] - hasse.depth_weights[u] / 2.0)
-        else:
-            total += log_multigamma(
-                n_u, -rho[u] - hasse.subtree_weights[u] / 2.0)
-    return total
+    return _log_gamma(shape, ordering, hasse, "second")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from . import cones
-from .cones import IncompleteMatrix, split_blocks
+from . import shapes
+from .cones import schur_pad, split_blocks
 from .distributions import (
     RngStream,
     WishartSpec,
@@ -39,6 +39,7 @@ from .shapes import (
     log_gamma_I,
     log_gamma_II,
     log_h,
+    step_exponents,
 )
 
 __all__ = [
@@ -175,17 +176,7 @@ def a4_closed_form(kind, shape, scale):
 
 def _log_h_batch(shape, batch, ordering):
     """Vectorized determinant power product over a draw batch."""
-    n = batch.shape[0]
-    total = np.zeros(n)
-    for j, c in enumerate(ordering.cliques):
-        ix = cones._idx(c)
-        sign, ld = np.linalg.slogdet(batch[:, ix[:, None], ix[None, :]])
-        total += shape.alpha[j] * ld
-    for i, s in enumerate(ordering.distinct_separators):
-        ix = cones._idx(s)
-        sign, ld = np.linalg.slogdet(batch[:, ix[:, None], ix[None, :]])
-        total -= ordering.multiplicity[i] * shape.beta[i] * ld
-    return total
+    return shapes._log_h(shape, batch, ordering)[0]
 
 
 def _hyper_candidates(shape, ordering):
@@ -321,55 +312,22 @@ def check_factorization(spec, point):
                           family=spec.family)
     ordering = spec.ordering
     joint = logpdf(spec, point)
-    bx = split_blocks(point, ordering)
-    bt = split_blocks(spec.scale, ordering)
-    alpha = spec.shape.alpha
-    if ordering.k == 1:
-        parts = log_inv_wishart_pdf(bx.c1_cond, -alpha[0], bt.c1_cond)
-        return abs(joint - parts)
-    c1 = ordering.clique_sizes[0]
-    s2 = len(ordering.separators[0])
-    g2 = spec.shape_info.gamma2
-    p_sep = -alpha[0] - (c1 - s2) / 2.0 - g2
-    parts = log_inv_wishart_pdf(bx.c1_sep, p_sep, bt.c1_sep)
-    parts += log_inv_wishart_pdf(bx.c1_cond, -alpha[0], bt.c1_cond)
-    parts += log_matrix_normal_pdf(bx.c1_ratio, bt.c1_ratio,
-                                   bx.c1_cond, bt.c1_sep)
-    jac = (c1 - s2) * _logdet(bx.c1_sep)
-    for j in range(1, ordering.k):
-        sep = ordering.separators[j - 1]
-        cj = ordering.clique_sizes[j]
-        sj = len(sep)
-        theta_sep = spec.scale.submatrix(sep)
-        parts += log_inv_wishart_pdf(bx.conds[j - 1], -alpha[j],
-                                     bt.conds[j - 1])
-        parts += log_matrix_normal_pdf(bx.ratios[j - 1],
-                                       bt.ratios[j - 1],
-                                       bx.conds[j - 1], theta_sep)
-        jac += (cj - sj) * _logdet(point.submatrix(sep))
+    bx = split_blocks(point, ordering).parts()
+    bt = split_blocks(spec.scale, ordering).parts()
+    exps = step_exponents(spec.shape, ordering, "second")
+    parts = jac = 0.0
+    for (new, given), p, (xc, xr), (tc, tr) in zip(ordering.steps, exps,
+                                                   bx, bt):
+        parts += log_inv_wishart_pdf(xc, p, tc)
+        parts += log_matrix_normal_pdf(xr, tr, xc,
+                                       spec.scale.submatrix(given))
+        jac += len(new) * _logdet(point.submatrix(given))
     return abs(joint - (parts - jac))
 
 
 def _logdet(block):
     sign, val = np.linalg.slogdet(block)
     return float(val)
-
-
-def _schur_pad_batch(batch, vertices, r):
-    a = cones._idx(vertices)
-    b = np.setdiff1d(np.arange(r), a)
-    out = np.zeros_like(batch)
-    if len(a) == 0:
-        out[:, b[:, None], b[None, :]] = batch[:, b[:, None], b[None, :]]
-        return out
-    if len(b) == 0:
-        return out
-    maa = batch[:, a[:, None], a[None, :]]
-    mba = batch[:, b[:, None], a[None, :]]
-    out[:, b[:, None], b[None, :]] = \
-        batch[:, b[:, None], b[None, :]] - \
-        mba @ np.linalg.solve(maa, np.swapaxes(mba, 1, 2))
-    return out
 
 
 def check_mean426(spec, rng, n):
@@ -388,24 +346,16 @@ def check_mean426(spec, rng, n):
         rng = RngStream(rng)
     n = int(n)
     ordering = spec.ordering
-    r = spec.r
-    inv_spec = WishartSpec(spec.graph, spec.shape, spec.scale,
-                           "inv_type2", ordering=ordering,
-                           hasse=spec.hasse)
-    y = sample_batch(WishartSpec(spec.graph, spec.shape, spec.scale,
-                                 "type2", ordering=ordering,
-                                 hasse=spec.hasse), rng, n)
-    del inv_spec
-    m = np.linalg.inv(y)
+    m = np.linalg.inv(sample_batch(spec, rng, n))
     per_draw = np.zeros_like(m)
     for j, c in enumerate(ordering.cliques):
         coef = spec.shape.alpha[j] + (len(c) + 1) / 2.0
-        per_draw += coef * (m - _schur_pad_batch(m, c, r))
+        per_draw += coef * (m - schur_pad(m, c))
     for j in range(1, ordering.k):
         sep = ordering.separators[j - 1]
         coef = spec.shape.beta[ordering.sep_index[j - 1]] + \
             (len(sep) + 1) / 2.0
-        per_draw -= coef * (m - _schur_pad_batch(m, sep, r))
+        per_draw -= coef * (m - schur_pad(m, sep))
     mask = spec.graph.edge_mask()
     per_draw = per_draw * mask
     target = -spec.scale.data * mask

@@ -126,6 +126,33 @@ class TestConeCommands:
                            capsys)
         assert code == 1
 
+    def test_rounding_asymmetry_accepted(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal((40, 2))
+        scatter = z.T @ (z * rng.uniform(0, 1e8, 40)[:, None])
+        assert abs(scatter[0, 1] - scatter[1, 0]) > 1e-12
+        m = write_json(tmp_path / "big.json", {
+            "graph": {"n": 2, "edges": [[1, 2]]},
+            "matrix": scatter.tolist()})
+        code, out = invoke(["cone", "complete", "--matrix", m], capsys)
+        assert code == 0
+
+    def test_nan_entry_rejected(self, tmp_path, capsys):
+        m = tmp_path / "nan.json"
+        m.write_text('{"graph": {"n": 2, "edges": [[1, 2]]}, '
+                     '"matrix": [[NaN, 0.5], [0.5, 1.0]]}')
+        code, out = invoke(["cone", "complete", "--matrix", str(m)],
+                           capsys)
+        assert code == 1
+        assert json.loads(out)["code"] == "non_numeric"
+
+    def test_matrix_not_a_list_rejected(self, tmp_path, capsys):
+        m = write_json(tmp_path / "five.json", {
+            "graph": {"n": 2, "edges": [[1, 2]]}, "matrix": 5})
+        code, out = invoke(["cone", "complete", "--matrix", m], capsys)
+        assert code == 1
+        assert json.loads(out)["code"] == "malformed_input"
+
     def test_asymmetry_rejected(self, tmp_path, capsys):
         m = write_json(tmp_path / "asym.json", {
             "graph": {"n": 2, "edges": [[1, 2]]},
@@ -229,6 +256,36 @@ class TestBayesAndVerify:
         assert doc["n_obs"] == 40
         assert doc["posterior_shape"]["alpha"] == [-21, -21, -21]
         assert "sigma_mean" in doc and "precision_mean" in doc
+
+    def test_bayes_fit_missing_data_file(self, tmp_path, a4_file,
+                                         capsys):
+        prior = write_json(tmp_path / "prior.json", {
+            "shape": {"alpha": [-1.0, -1.0, -1.0],
+                      "beta": [1.0, -0.5]},
+            "scale": np.eye(4).tolist()})
+        code, out = invoke(["bayes", "fit", "--graph", a4_file,
+                            "--data", str(tmp_path / "missing.csv"),
+                            "--prior", prior], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["code"] == "malformed_input"
+        assert doc["context"]["path"].endswith("missing.csv")
+
+    def test_unexpected_exception_is_internal_error(self, a4_file,
+                                                   monkeypatch, capsys):
+        import graphwishart.cli as cli
+
+        def boom(graph):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "decompose", boom)
+        code = run(["graph", "analyze", "--graph", a4_file])
+        captured = capsys.readouterr()
+        assert code == 2
+        doc = json.loads(captured.out)
+        assert doc["code"] == "internal_error"
+        assert doc["message"] == "boom"
+        assert "RuntimeError" in captured.err
 
     def test_verify_normalizer(self, shape_file, scale_file, capsys):
         code, out = invoke(["verify", "normalizer",

@@ -10,6 +10,7 @@ from graphwishart import (
     GraphMismatch,
     IncompleteMatrix,
     MalformedInput,
+    NonNumeric,
     NotInPG,
     NotInQG,
     SparsePrecision,
@@ -50,6 +51,30 @@ class TestProject:
     def test_wrong_size_rejected(self, path3):
         with pytest.raises(DimensionMismatch):
             project(np.eye(4), path3)
+
+    def test_non_finite_rejected(self, path3):
+        for bad in (np.nan, np.inf):
+            m = np.eye(3)
+            m[1, 1] = bad
+            with pytest.raises(NonNumeric):
+                project(m, path3)
+            with pytest.raises(NonNumeric):
+                IncompleteMatrix(path3, m)
+            with pytest.raises(NonNumeric):
+                SparsePrecision(path3, m)
+
+    def test_asymmetry_tolerance_is_relative(self, k3):
+        # A weighted scatter with entries near 3e9 is asymmetric by
+        # rounding only: 6e-8 absolute, 2e-17 relative.
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal((40, 3))
+        scatter = z.T @ (z * rng.uniform(0, 1e8, 40)[:, None])
+        assert np.max(np.abs(scatter - scatter.T)) > 1e-12
+        assert np.allclose(project(scatter, k3).data, scatter)
+        skewed = scatter.copy()
+        skewed[0, 1] += 1e-6 * np.max(np.abs(scatter))
+        with pytest.raises(MalformedInput):
+            project(skewed, k3)
 
 
 class TestTracePair:

@@ -16,14 +16,48 @@ from graphwishart import (
     log_gamma_II,
     log_h,
     log_multigamma,
+    parse_graph,
     project,
     shape_class,
 )
-from graphwishart.shapes import realign_shape
+from graphwishart.shapes import (
+    realign_shape,
+    step_exponents,
+    steps_log_gamma,
+)
 
 from conftest import random_first_admissible, random_second_admissible
 
 LOG_PI = math.log(math.pi)
+
+
+def _cross_formula_gaps(graphs, draw, log_gamma, side, seed):
+    """Per-order log Gamma against the class-tree step sum, on 20
+    shapes per graph that are admissible both ways."""
+    rng = np.random.default_rng(seed)
+    gaps = []
+    for g in graphs:
+        ordering = decompose(g)
+        tree = homogeneous_structure(g)
+        hits = trials = 0
+        while hits < 20:
+            trials += 1
+            assert trials < 2000
+            shape = draw(ordering, rng)
+            info = shape_class(shape, ordering, hasse=tree)
+            both = (info.in_a_p and info.in_a_hom) if side == "first" \
+                else (info.in_b_p and info.in_b_hom)
+            if not both:
+                continue
+            tree_sum = steps_log_gamma(
+                tree.steps, step_exponents(shape, tree, side))
+            gaps.append(abs(log_gamma(shape, ordering) - tree_sum))
+            hits += 1
+    return gaps
+
+
+def _star(n):
+    return parse_graph({"n": n, "edges": [[1, j] for j in range(2, n + 1)]})
 
 
 class TestLogMultigamma:
@@ -149,22 +183,11 @@ class TestLogGammaI:
         assert log_gamma_I(shape, ordering) == pytest.approx(
             math.log(math.pi / 2), abs=1e-13)
 
-    def test_cross_formula_agreement(self, g0, g0_ord):
-        tree = homogeneous_structure(g0)
-        rng = np.random.default_rng(5)
-        hits = 0
-        trials = 0
-        while hits < 20:
-            trials += 1
-            assert trials < 2000
-            shape = random_first_admissible(g0_ord, rng)
-            info = shape_class(shape, g0_ord, hasse=tree)
-            if not (info.in_a_p and info.in_a_hom):
-                continue
-            per_order = log_gamma_I(shape, g0_ord)
-            hom = log_gamma_I(shape, g0_ord, hasse=tree)
-            assert abs(per_order - hom) < 1e-10
-            hits += 1
+    def test_cross_formula_agreement(self, g0, fig1):
+        gaps = _cross_formula_gaps((g0, fig1, _star(8)),
+                                   random_first_admissible, log_gamma_I,
+                                   "first", 5)
+        assert len(gaps) == 60 and max(gaps) < 1e-10
 
     def test_order_invariance(self, a4, a4_ord):
         shape = canonical_shape("hyper", a4_ord, 1.4)
@@ -195,22 +218,11 @@ class TestLogGammaII:
         assert log_gamma_II(shape, a4_ord) == pytest.approx(
             expect, abs=1e-12)
 
-    def test_cross_formula_agreement(self, g0, g0_ord):
-        tree = homogeneous_structure(g0)
-        rng = np.random.default_rng(9)
-        hits = 0
-        trials = 0
-        while hits < 20:
-            trials += 1
-            assert trials < 2000
-            shape = random_second_admissible(g0_ord, rng)
-            info = shape_class(shape, g0_ord, hasse=tree)
-            if not (info.in_b_p and info.in_b_hom):
-                continue
-            per_order = log_gamma_II(shape, g0_ord)
-            hom = log_gamma_II(shape, g0_ord, hasse=tree)
-            assert abs(per_order - hom) < 1e-10
-            hits += 1
+    def test_cross_formula_agreement(self, g0, fig1):
+        gaps = _cross_formula_gaps((g0, fig1, _star(8)),
+                                   random_second_admissible, log_gamma_II,
+                                   "second", 9)
+        assert len(gaps) == 60 and max(gaps) < 1e-10
 
     def test_scalar_gamma_consistency(self, k2):
         ordering = decompose(k2)
