@@ -180,20 +180,14 @@ def precision_of(x, ordering=None):
     clique inverses minus padded separator inverses.
     """
     ordering = require_qg(x, ordering)
-    return SparsePrecision(x.graph, _precision(x.data, ordering))
-
-
-def _precision(data, ordering):
-    """Batch-first core of :func:`precision_of` on (..., r, r) data."""
-    out = np.zeros(data.shape)
+    out = np.zeros(x.data.shape)
     for c in ordering.cliques:
         ix = _idx(c)
-        out[..., ix[:, None], ix[None, :]] += np.linalg.inv(_block(data, c))
+        out[ix[:, None], ix[None, :]] += np.linalg.inv(x.submatrix(c))
     for sep in ordering.separators:
         ix = _idx(sep)
-        out[..., ix[:, None], ix[None, :]] -= np.linalg.inv(
-            _block(data, sep))
-    return 0.5 * (out + _tr(out))
+        out[ix[:, None], ix[None, :]] -= np.linalg.inv(x.submatrix(sep))
+    return SparsePrecision(x.graph, 0.5 * (out + out.T))
 
 
 def phi(y):
@@ -263,21 +257,62 @@ def _regress(data, rows, cols):
     if len(cols) == 0:
         return _block(data, rows), np.zeros((len(rows), 0))
     ri, ci = _idx(rows), _idx(cols)
-    xs = data[np.ix_(ci, ci)]
-    xrs = data[np.ix_(ri, ci)]
+    xs = data[ci[:, None], ci]
+    xrs = data[ri[:, None], ci]
     ratio = np.linalg.solve(xs, xrs.T).T
-    cond = data[np.ix_(ri, ri)] - ratio @ xrs.T
+    cond = data[ri[:, None], ri] - ratio @ xrs.T
     return cond, ratio
 
 
-def _place(out, new, given, cond, ratio):
-    """Write one step into ``out`` (..., r, r), whose block on ``given``
-    is already set: the regression cross terms and the new block."""
-    ni, gi = _idx(new), _idx(given)
-    cross = ratio @ _block(out, given)
-    out[..., ni[:, None], gi[None, :]] = cross
-    out[..., gi[:, None], ni[None, :]] = _tr(cross)
-    out[..., ni[:, None], ni[None, :]] = cond + cross @ _tr(ratio)
+def _slots(pos, rows, cols):
+    """Packed slots of the block rows x cols (1-based vertex tuples);
+    ``pos`` is the slot table of a graph's pattern index."""
+    return pos[_idx(rows)[:, None], _idx(cols)]
+
+
+def _tril(pos, vertices):
+    """Packed slots of the lower triangle of the block on ``vertices``,
+    and the boolean selector of that triangle inside the block."""
+    sel = np.tri(len(vertices), dtype=bool)
+    return _slots(pos, vertices, vertices)[sel], sel
+
+
+def _gather(store, pos, vertices):
+    """Block on ``vertices`` of a packed store (..., r + |E|); the block
+    must lie on the pattern."""
+    return store[..., _slots(pos, vertices, vertices)]
+
+
+def _place(store, pos, new, given, cond, ratio, x_given):
+    """Write one step into a packed store whose block on ``given`` is
+    ``x_given``: the regression cross terms and the new block."""
+    cross = ratio @ x_given
+    store[..., _slots(pos, new, given)] = cross
+    slots, sel = _tril(pos, new)
+    store[..., slots] = (cond + cross @ _tr(ratio))[..., sel]
+
+
+def _add_step_precision(store, pos, new, given, cond_inv, ratio):
+    """Add one step's term E^T cond^-1 E, with E = [I_new, -ratio] on
+    (new, given), to a packed store.  Summed over the steps of a walk
+    these terms give the inverse of the completion (Vandenberghe and
+    Andersen, Chordal Graphs and Semidefinite Optimization, 2015)."""
+    lead = cond_inv @ ratio
+    slots, sel = _tril(pos, new)
+    store[..., slots] += cond_inv[..., sel]
+    store[..., _slots(pos, new, given)] -= lead
+    slots, sel = _tril(pos, given)
+    store[..., slots] += (_tr(ratio) @ lead)[..., sel]
+
+
+def _scatter(store, pattern):
+    """Dense (..., r, r) array of a packed store: exactly symmetric and
+    exactly zero off the pattern."""
+    r = pattern.mask.shape[0]
+    out = np.zeros(store.shape[:-1] + (r, r))
+    out[..., pattern.rows, pattern.cols] = store
+    out[..., pattern.cols, pattern.rows] = store
+    return out
 
 
 def split_blocks(x, ordering=None):
@@ -293,11 +328,12 @@ def split_blocks(x, ordering=None):
 def assemble_blocks(blocks):
     """Inverse of :func:`split_blocks`."""
     ordering = blocks.ordering
-    r = ordering.graph.vertex_count
-    out = np.zeros((r, r))
+    pattern = ordering.graph.pattern
+    store = np.zeros(pattern.size)
     for (new, given), (cond, ratio) in zip(ordering.steps, blocks.parts()):
-        _place(out, new, given, cond, ratio)
-    return IncompleteMatrix(ordering.graph, 0.5 * (out + out.T))
+        _place(store, pattern.pos, new, given, cond, ratio,
+               _gather(store, pattern.pos, given))
+    return IncompleteMatrix(ordering.graph, _scatter(store, pattern))
 
 
 def schur_pad(m, vertices):

@@ -380,7 +380,8 @@ def logpdf_f(graph, shape_a, shape_b, scale, point, kind="first"):
 
 
 def _walk(spec, rng, n):
-    """Draws on the incomplete cone, one ``(new, given)`` step at a time.
+    """Draws on the incomplete cone, one ``(new, given)`` step at a time,
+    in a packed store (n, r + |E|) laid out by ``spec.graph.pattern``.
 
     Each step regresses the scale T on its blocks, draws the
     conditional block and then the regression coefficient, and places
@@ -390,41 +391,56 @@ def _walk(spec, rng, n):
     side: the conditional block is the inverse of Wishart(p, T_cond^-1)
     and the coefficient has the drawn block as row matrix and T[given]
     as column matrix.
+
+    Returns the packed draws for type1 and inv_type2.  For type2 and
+    inv_type1 it returns the packed inverses of their completions,
+    summed from the drawn (conditional block, coefficient) pairs.
     """
     first = spec.family in ("type1", "inv_type1")
+    precision = spec.family in ("type2", "inv_type1")
+    pos = spec.graph.pattern.pos
     scale = spec.scale.data
-    out = np.zeros((n, spec.r, spec.r))
+    x = np.zeros((n, spec.graph.pattern.size))
+    k = np.zeros_like(x) if precision else None
     for (new, given), p in zip(spec.walk.steps, spec.exponents):
         if not new:
             continue
         t_cond, t_ratio = cones._regress(scale, new, given)
+        x_given = cones._gather(x, pos, given)
         if first:
-            cond = sample_base_wishart(len(new), p, t_cond, rng, n)
-            row, col = t_cond, _block(out, given)
+            cond = wishart = sample_base_wishart(len(new), p, t_cond, rng, n)
+            row, col = t_cond, x_given
         else:
-            cond = np.linalg.inv(sample_base_wishart(
-                len(new), p, np.linalg.inv(t_cond), rng, n))
+            wishart = sample_base_wishart(
+                len(new), p, np.linalg.inv(t_cond), rng, n)
+            cond = np.linalg.inv(wishart)
             row, col = cond, _block(scale, given)
         ratio = sample_matrix_normal(t_ratio, row, col, rng, n)
-        cones._place(out, new, given, cond, ratio)
-    return out
+        cones._place(x, pos, new, given, cond, ratio, x_given)
+        if precision:
+            cond_inv = np.linalg.inv(cond) if first else wishart
+            cones._add_step_precision(k, pos, new, given, cond_inv, ratio)
+    return k if precision else x
 
 
 def sample_batch(spec, rng, size):
-    """Dense (n, r, r) array of draws, pattern-masked.
+    """Dense (n, r, r) array of draws.
 
-    For type1 and inv_type2 the entries are those of the incomplete
-    draw; for type2 and inv_type1 they are the sparse matrix itself.
+    The walk works on a packed (n, r + |E|) store, one slot per entry
+    on the diagonal and on the edges, and the dense array is written
+    from it once: it is exactly symmetric and exactly zero off the
+    pattern.  For type1 and inv_type2 the entries are those of the
+    incomplete draw; for type2 and inv_type1 they are the sparse matrix
+    itself, the inverse of the completion, which the walk sums from the
+    drawn step coordinates.
     """
     if spec.family in ("type2", "inv_type2") and \
             not spec.admissible_per_order:
         raise ShapeNotAdmissible(
             "sampling on the second side needs per-order admissibility",
             family=spec.family)
-    x = _walk(spec, _as_stream(rng), int(size))
-    if spec.family in ("type1", "inv_type2"):
-        return x * spec.graph.edge_mask()
-    return cones._precision(x, spec.ordering) * spec.graph.edge_mask()
+    store = _walk(spec, _as_stream(rng), int(size))
+    return cones._scatter(store, spec.graph.pattern)
 
 
 def sample(spec, rng, n):

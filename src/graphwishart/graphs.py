@@ -6,6 +6,7 @@ relies on those two properties.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, permutations
 
 from .errors import (
@@ -42,6 +43,8 @@ class DecomposableGraph:
     vertex_count: int
     edges: frozenset
     _adj: dict = field(compare=False, repr=False, default=None)
+    _pattern: object = field(default=None, init=False, compare=False,
+                             repr=False)
 
     @property
     def r(self):
@@ -59,16 +62,63 @@ class DecomposableGraph:
             return True
         return (min(i, j), max(i, j)) in self.edges
 
+    @property
+    def pattern(self):
+        """The graph's :class:`PatternIndex`, built on first use."""
+        if self._pattern is None:
+            object.__setattr__(self, "_pattern", _pattern_index(self))
+        return self._pattern
+
     def edge_mask(self):
-        """Boolean r x r array, True on the diagonal and on edges."""
+        """Read-only boolean r x r array, True on the diagonal and on
+        edges."""
+        return self.pattern.mask
+
+
+@dataclass(frozen=True, eq=False)
+class PatternIndex:
+    """Packed storage of the entries on the diagonal and on edges.
+
+    A packed array holds one value per slot, ``r + |E|`` slots in all:
+    slot s is entry (rows[s], cols[s]) of the lower triangle (0-based,
+    row-major).  ``mask`` is the read-only boolean pattern.  ``pos[i, j]``
+    and ``pos[j, i]`` both give the slot of (i, j) and are -1 off the
+    pattern; the table is built on first use, so a graph that is never
+    sampled does not hold it.
+    """
+
+    mask: object
+    rows: object
+    cols: object
+
+    @property
+    def size(self):
+        return len(self.rows)
+
+    @cached_property
+    def pos(self):
         import numpy as np
 
-        r = self.vertex_count
-        mask = np.eye(r, dtype=bool)
-        for i, j in self.edges:
-            mask[i - 1, j - 1] = True
-            mask[j - 1, i - 1] = True
-        return mask
+        r = self.mask.shape[0]
+        pos = np.full((r, r), -1, dtype=np.intp)
+        pos[self.rows, self.cols] = pos[self.cols, self.rows] = \
+            np.arange(self.size)
+        pos.setflags(write=False)
+        return pos
+
+
+def _pattern_index(g):
+    import numpy as np
+
+    r = g.vertex_count
+    mask = np.eye(r, dtype=bool)
+    for i, j in g.edges:
+        mask[i - 1, j - 1] = True
+        mask[j - 1, i - 1] = True
+    rows, cols = np.nonzero(np.tril(mask))
+    for a in (mask, rows, cols):
+        a.setflags(write=False)
+    return PatternIndex(mask, rows, cols)
 
 
 def _build_adjacency(n, edges):
@@ -189,6 +239,9 @@ def parse_graph(spec):
         if e in edges:
             raise MalformedInput("duplicate edge", entry=list(e))
         edges.add(e)
+    if len(edges) < n - 1:
+        raise NotConnected("graph is not connected: fewer than n - 1 edges",
+                           n=n, edges=len(edges))
     adj = _build_adjacency(n, edges)
     _check_connected(n, adj)
 

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from graphwishart import (
     IncompleteMatrix,
@@ -43,6 +46,29 @@ def path3():
 @pytest.fixture(scope="session")
 def fig1():
     return parse_graph({"n": 7, "edges": FIG1_EDGES})
+
+
+@st.composite
+def chordal_graphs(draw, max_r=40):
+    """Random connected chordal graph description with at most ``max_r``
+    vertices, grown along a random clique tree: each clique after the
+    first meets one earlier clique in a random non-empty separator and
+    adds 1 to 3 fresh vertices; the labels are then permuted."""
+    cliques = [list(range(draw(st.integers(1, 5))))]
+    r = len(cliques[0])
+    for _ in range(draw(st.integers(0, 16))):
+        parent = draw(st.sampled_from(cliques))
+        sep = draw(st.lists(st.sampled_from(parent), min_size=1,
+                            max_size=4, unique=True))
+        fresh = draw(st.integers(1, 3))
+        if r + fresh > max_r:
+            break
+        cliques.append(sep + list(range(r, r + fresh)))
+        r += fresh
+    label = draw(st.permutations(range(1, r + 1)))
+    edges = sorted({tuple(sorted((label[a], label[b])))
+                    for c in cliques for a, b in combinations(c, 2)})
+    return {"n": r, "edges": [list(e) for e in edges]}
 
 
 def random_qg(graph, rng, jitter=0.0):

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,19 @@ class TestParseGraph:
         with pytest.raises(NotConnected):
             parse_graph({"n": 4, "edges": [[1, 2], [3, 4]]})
 
+    def test_too_few_edges_fail_fast(self):
+        # 10**12 vertices: building the adjacency would never finish
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(NotConnected):
+                parse_graph({"n": 10 ** 12, "edges": [[1, 2]]})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 100_000
+
     def test_self_loop_rejected(self):
         with pytest.raises(MalformedInput):
             parse_graph({"n": 2, "edges": [[1, 1], [1, 2]]})
@@ -52,6 +68,32 @@ class TestParseGraph:
     def test_out_of_range_label_rejected(self):
         with pytest.raises(MalformedInput):
             parse_graph({"n": 3, "edges": [[1, 2], [2, 5]]})
+
+
+class TestPattern:
+
+    def test_mask_is_cached_and_read_only(self, g0):
+        mask = g0.edge_mask()
+        assert mask is g0.edge_mask()
+        with pytest.raises(ValueError):
+            mask[0, 0] = False
+        assert mask[0, 0]
+
+    def test_equal_graphs_compare_equal(self, a4):
+        spec = {"n": 4, "edges": [[3, 4], [1, 2], [2, 3]]}
+        fresh, used = parse_graph(spec), parse_graph(spec)
+        assert used.pattern.pos.shape == (4, 4)
+        assert fresh == used == a4
+        assert hash(fresh) == hash(used) == hash(a4)
+
+    def test_slots_cover_the_pattern(self, fig1):
+        p = fig1.pattern
+        r = fig1.vertex_count
+        assert p.size == r + len(fig1.edges)
+        assert np.array_equal(p.pos >= 0, fig1.edge_mask())
+        assert np.array_equal(p.pos, p.pos.T)
+        assert np.array_equal(p.pos[p.rows, p.cols], np.arange(p.size))
+        assert np.all(p.rows >= p.cols)
 
 
 class TestDecompose:
