@@ -115,7 +115,7 @@ def posterior_update(prior, sample):
     scale = IncompleteMatrix(
         prior.graph, prior.scale.data + sample.projected.data)
     return WishartSpec(prior.graph, shape, scale, "inv_type2",
-                       ordering=prior.ordering, hasse=prior.hasse)
+                       ordering=prior.ordering)
 
 
 def log_likelihood(sigma2, sample):
@@ -149,7 +149,7 @@ def posterior_summaries(post, rng=None, n_draws=4000):
         raise OutOfDomain("posterior must be an inv_type2 spec",
                           family=post.family)
     type2 = WishartSpec(post.graph, post.shape, post.scale, "type2",
-                        ordering=post.ordering, hasse=post.hasse)
+                        ordering=post.ordering)
     prec_mean = mean_type2(type2)
     out = {
         "shape": post.shape,

@@ -39,16 +39,21 @@ from .errors import (
     MalformedInput,
     NonNumeric,
     OutOfDomain,
-    ShapeMismatch,
 )
 from .graphs import (
+    _class_tree,
     decompose,
     enumerate_perfect_orders,
     homogeneous_structure,
     parse_graph,
 )
-from .errors import NotHomogeneous
-from .shapes import ShapeParam, log_gamma_I, log_gamma_II, log_h
+from .shapes import (
+    ShapeParam,
+    check_alignment,
+    log_gamma_I,
+    log_gamma_II,
+    log_h,
+)
 from .verify import (
     a4_closed_form,
     check_factorization,
@@ -119,32 +124,35 @@ def _load_matrix(path, graph=None):
     if graph is None:
         raise MalformedInput(
             "matrix file has no graph; pass --graph", path=path)
+    return graph, _pattern_rows(obj["matrix"], graph, "matrix", path)
+
+
+def _pattern_rows(rows, graph, key, path):
+    """Dense symmetric array from the JSON rows stored under ``key``:
+    a number at every pattern entry, null (or 0) everywhere else."""
     r = graph.vertex_count
-    rows = obj["matrix"]
     if not isinstance(rows, list) or \
             not all(isinstance(row, list) for row in rows):
-        raise MalformedInput("'matrix' must be a list of rows", path=path)
+        raise MalformedInput("%r must be a list of rows" % key, path=path)
     if len(rows) != r or any(len(row) != r for row in rows):
-        raise MalformedInput("matrix has wrong dimensions",
+        raise MalformedInput("%s has wrong dimensions" % key,
                              expected=r, path=path)
-    mask = graph.edge_mask()
-    data = np.zeros((r, r))
-    for i in range(r):
-        for j in range(r):
-            v = rows[i][j]
-            if mask[i, j]:
-                if not isinstance(v, (int, float)) or \
-                        isinstance(v, bool):
+    out = []
+    for i, (row, on) in enumerate(zip(rows, graph.edge_mask().tolist())):
+        vals = [0.0] * r
+        for j, (v, m) in enumerate(zip(row, on)):
+            if m:
+                if type(v) not in (int, float):
                     raise NonNumeric("pattern entry is not a number",
                                      row=i + 1, col=j + 1)
-                data[i, j] = float(v)
-            else:
-                if v is not None and v != 0:
-                    raise MalformedInput(
-                        "non-null entry off the graph pattern",
-                        row=i + 1, col=j + 1)
+                vals[j] = v
+            elif v is not None and v != 0:
+                raise MalformedInput("non-null entry off the graph pattern",
+                                     row=i + 1, col=j + 1)
+        out.append(vals)
+    data = np.array(out, dtype=float)
     _check_symmetric(data)
-    return graph, data
+    return data
 
 
 def _load_shape(path, ordering):
@@ -154,12 +162,7 @@ def _load_shape(path, ordering):
     except (KeyError, TypeError) as exc:
         raise MalformedInput("shape file needs 'alpha' and 'beta'",
                              path=path) from exc
-    if len(shape.alpha) != ordering.k or \
-            len(shape.beta) != ordering.k_prime:
-        raise ShapeMismatch("shape length does not match the graph",
-                            alpha=len(shape.alpha),
-                            beta=len(shape.beta),
-                            k=ordering.k, k_prime=ordering.k_prime)
+    check_alignment(shape, ordering)
     return shape
 
 
@@ -185,11 +188,9 @@ def _matrix_json(graph, data, full=False):
 def _spec_from_args(args, family=None):
     graph = _load_graph(args.graph) if args.graph else None
     graph, data = _load_matrix(args.scale, graph)
-    ordering = decompose(graph)
-    shape = _load_shape(args.shape, ordering)
-    scale = IncompleteMatrix(graph, data)
-    return WishartSpec(graph, shape, scale,
-                       family or args.family, ordering=ordering)
+    shape = _load_shape(args.shape, decompose(graph))
+    return WishartSpec(graph, shape, IncompleteMatrix(graph, data),
+                       family or args.family)
 
 
 def _require_graph(args):
@@ -207,11 +208,6 @@ def _cmd_graph_analyze(args):
             raise OutOfDomain("order index out of range",
                               order=args.order, count=len(orders))
         ordering = orders[args.order]
-    try:
-        homogeneous_structure(graph)
-        homogeneous = True
-    except NotHomogeneous:
-        homogeneous = False
     _emit({
         "n": graph.vertex_count,
         "edges": [list(e) for e in sorted(graph.edges)],
@@ -221,7 +217,7 @@ def _cmd_graph_analyze(args):
                                 ordering.distinct_separators],
         "multiplicities": list(ordering.multiplicity),
         "residuals": [list(rv) for rv in ordering.residuals],
-        "homogeneous": homogeneous,
+        "homogeneous": _class_tree(graph) is not None,
     }, args.output)
     return 0
 
@@ -303,7 +299,6 @@ def _cmd_dist_mean(args):
 def _cmd_bayes_fit(args):
     graph = _require_graph(args)
     prior_obj = _load_json(args.prior)
-    ordering = decompose(graph)
     try:
         shape = ShapeParam(tuple(prior_obj["shape"]["alpha"]),
                            tuple(prior_obj["shape"]["beta"]))
@@ -311,14 +306,9 @@ def _cmd_bayes_fit(args):
     except (KeyError, TypeError) as exc:
         raise MalformedInput(
             "prior file needs 'shape' and 'scale'") from exc
-    r = graph.vertex_count
-    data = np.array([[0.0 if v is None else float(v) for v in row]
-                     for row in scale_rows], dtype=float)
-    if data.shape != (r, r):
-        raise MalformedInput("prior scale has wrong dimensions")
-    prior = WishartSpec(graph, shape,
-                        IncompleteMatrix(graph, data), "inv_type2",
-                        ordering=ordering)
+    data = _pattern_rows(scale_rows, graph, "scale", args.prior)
+    prior = WishartSpec(graph, shape, IncompleteMatrix(graph, data),
+                        "inv_type2")
     with open(args.data) as fh:
         rows = [[cell for cell in row] for row in csv.reader(fh)
                 if row]

@@ -121,9 +121,10 @@ def project(full, graph):
     return IncompleteMatrix(graph, sym)
 
 
-def require_qg(x, ordering=None):
-    """Check positive definiteness of every clique submatrix."""
-    ordering = ordering or decompose(x.graph)
+def require_qg(x):
+    """Check positive definiteness of every clique submatrix; returns the
+    graph's clique order."""
+    ordering = decompose(x.graph)
     for c in ordering.cliques:
         if not _is_pd(x.submatrix(c)):
             raise NotInQG("clique submatrix is not positive definite",
@@ -144,13 +145,13 @@ def trace_pair(x, y):
     return float(np.sum(x.data * y.data * mask))
 
 
-def complete(x, ordering=None):
+def complete(x):
     """Unique positive definite completion as a dense array.
 
-    Filled in along a perfect clique order: each new residual block is
-    regressed onto the current history through its separator.
+    Filled in along the graph's perfect clique order: each new residual
+    block is regressed onto the current history through its separator.
     """
-    ordering = require_qg(x, ordering)
+    ordering = require_qg(x)
     r = x.graph.vertex_count
     out = np.zeros((r, r))
     c1 = _idx(ordering.cliques[0])
@@ -173,13 +174,13 @@ def complete(x, ordering=None):
     return 0.5 * (out + out.T)
 
 
-def precision_of(x, ordering=None):
+def precision_of(x):
     """Inverse of the completion of x, computed blockwise.
 
     The result is exactly zero off the pattern: it accumulates padded
     clique inverses minus padded separator inverses.
     """
-    ordering = require_qg(x, ordering)
+    ordering = require_qg(x)
     out = np.zeros(x.data.shape)
     for c in ordering.cliques:
         ix = _idx(c)
@@ -191,12 +192,17 @@ def precision_of(x, ordering=None):
 
 
 def phi(y):
-    """Projection of the dense inverse of y onto the pattern of y."""
+    """Projection of the dense inverse of y onto the pattern of y.
+
+    The inverse is symmetrized rather than checked: its rounding
+    asymmetry grows with the size and conditioning of y.
+    """
     try:
         np.linalg.cholesky(y.data)
     except np.linalg.LinAlgError:
         raise NotInPG("matrix is not positive definite") from None
-    return project(np.linalg.inv(y.data), y.graph)
+    inv = np.linalg.inv(y.data)
+    return IncompleteMatrix(y.graph, 0.5 * (inv + inv.T))
 
 
 def _logdet(block):
@@ -206,13 +212,13 @@ def _logdet(block):
     return val
 
 
-def logdet_hat(x, ordering=None):
+def logdet_hat(x):
     """Log determinant of the completion of x.
 
     Computed as the clique log determinants minus the separator ones,
     never forming the completion itself.
     """
-    ordering = ordering or decompose(x.graph)
+    ordering = decompose(x.graph)
     total = 0.0
     for c in ordering.cliques:
         total += _logdet(x.submatrix(c))
@@ -316,8 +322,10 @@ def _scatter(store, pattern):
 
 
 def split_blocks(x, ordering=None):
-    """Decompose x into independent regression coordinates."""
-    ordering = require_qg(x, ordering)
+    """Decompose x into independent regression coordinates along
+    ``ordering`` (default: the graph's clique order)."""
+    require_qg(x)
+    ordering = ordering or decompose(x.graph)
     parts = [_regress(x.data, new, given) for new, given in ordering.steps]
     (c1_sep, _), (c1_cond, c1_ratio) = parts[:2]
     return Blocks(ordering, c1_cond, c1_ratio, c1_sep,

@@ -32,14 +32,13 @@ from .errors import (
     DimensionMismatch,
     NotPositiveDefinite,
     GraphMismatch,
-    NotHomogeneous,
     NotInPG,
     NotInQG,
     OutOfDomain,
     OutOfSupport,
     ShapeNotAdmissible,
 )
-from .graphs import decompose, homogeneous_structure
+from .graphs import _class_tree, decompose
 from .shapes import (
     ShapeParam,
     admissible_walk,
@@ -209,9 +208,11 @@ class WishartSpec:
     ``scale`` is an IncompleteMatrix for type1 / inv_type1 and a
     SparsePrecision for type2 / inv_type2.  Construction checks cone
     membership of the scale and admissibility of the shape; derived
-    quantities (clique order, class tree when the graph is homogeneous,
+    quantities (the graph's class tree ``hasse`` when it is homogeneous,
     the step list ``walk`` the shape is admissible on with one exponent
     per step, log normalizing constant) are cached on the instance.
+    ``ordering`` is the clique order the shape is aligned with; it
+    defaults to the graph's own.
     """
 
     graph: object
@@ -219,7 +220,7 @@ class WishartSpec:
     scale: object
     family: str
     ordering: object = field(default=None)
-    hasse: object = field(default=None)
+    hasse: object = field(init=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -227,11 +228,7 @@ class WishartSpec:
         if self.ordering is None:
             self.ordering = decompose(self.graph)
         check_alignment(self.shape, self.ordering)
-        if self.hasse is None:
-            try:
-                self.hasse = homogeneous_structure(self.graph)
-            except NotHomogeneous:
-                self.hasse = None
+        self.hasse = _class_tree(self.graph)
         if isinstance(self.scale, SparsePrecision):
             self.scale = IncompleteMatrix(self.scale.graph,
                                           self.scale.data)
@@ -240,7 +237,7 @@ class WishartSpec:
                               family=self.family)
         if self.scale.graph != self.graph:
             raise GraphMismatch("scale lives on a different graph")
-        cones.require_qg(self.scale, self.ordering)
+        cones.require_qg(self.scale)
         self.shape_info = shape_class(self.shape, self.ordering,
                                       self.hasse)
         side = "first" if self.family in ("type1", "inv_type1") \
@@ -284,7 +281,7 @@ def logpdf(spec, point):
         if point.graph != spec.graph:
             raise GraphMismatch("point lives on a different graph")
         try:
-            cones.require_qg(point, ordering)
+            cones.require_qg(point)
         except NotInQG as exc:
             raise OutOfSupport(
                 "point has a non positive definite clique block",
@@ -304,21 +301,15 @@ def logpdf(spec, point):
 
     base = log_h(spec.shape, x, ordering) \
         - spec.log_gamma - spec.log_h_scale
-    if spec.family == "type1":
-        pair = trace_pair(x, precision_of(spec.scale, ordering))
-        return base - pair + log_h(_mu_weight(ordering), x, ordering)
-    if spec.family == "inv_type2":
-        xinv = np.linalg.inv(complete(x, ordering))
-        pair = float(np.sum(spec.scale.data * xinv *
-                            spec.graph.edge_mask()))
-        return base - pair + log_h(_mu_weight(ordering), x, ordering)
-    if spec.family == "type2":
-        pair = float(np.sum(spec.scale.data * point.data *
-                            spec.graph.edge_mask()))
-        return base - pair + log_h(_nu_weight(ordering), x, ordering)
-    # inv_type1
-    pair = trace_pair(x, precision_of(spec.scale, ordering))
-    return base - pair + log_h(_nu_weight(ordering), x, ordering)
+    if spec.family in ("type1", "inv_type1"):
+        pair = trace_pair(x, precision_of(spec.scale))
+    elif spec.family == "type2":
+        pair = trace_pair(spec.scale, point)
+    else:
+        pair = trace_pair(spec.scale, precision_of(x))
+    weight = _mu_weight if spec.family in ("type1", "inv_type2") \
+        else _nu_weight
+    return base - pair + log_h(weight(ordering), x, ordering)
 
 
 def logpdf_f(graph, shape_a, shape_b, scale, point, kind="first"):
@@ -331,21 +322,18 @@ def logpdf_f(graph, shape_a, shape_b, scale, point, kind="first"):
     shape_a - shape_b on the first side and shape_b on the second.
     """
     ordering = decompose(graph)
-    try:
-        hasse = homogeneous_structure(graph)
-    except NotHomogeneous:
-        hasse = None
+    hasse = _class_tree(graph)
     if kind == "first":
         if not isinstance(scale, IncompleteMatrix) or \
                 scale.graph != graph:
             raise OutOfDomain("scale must be an incomplete matrix "
                               "on the same graph")
-        cones.require_qg(scale, ordering)
+        cones.require_qg(scale)
         if not isinstance(point, IncompleteMatrix) or \
                 point.graph != graph:
             raise OutOfSupport("point must be an incomplete matrix")
         try:
-            cones.require_qg(point, ordering)
+            cones.require_qg(point)
         except NotInQG:
             raise OutOfSupport("point outside the cone") from None
         lg = log_gamma_II(shape_b - shape_a, ordering, hasse) \
@@ -463,7 +451,7 @@ def mean_type1(spec):
         raise OutOfDomain("mean_type1 needs a type1 spec",
                           family=spec.family)
     ordering = spec.ordering
-    hat = complete(spec.scale, ordering)
+    hat = complete(spec.scale)
     total = np.zeros_like(hat)
     for j, c in enumerate(ordering.cliques):
         total += spec.shape.alpha[j] * (hat - schur_pad(hat, c))
@@ -509,7 +497,7 @@ def laplace(spec, t):
     ordering = spec.ordering
     tm = np.asarray(t, dtype=float) * spec.graph.edge_mask()
     if spec.family == "type1":
-        shifted = precision_of(spec.scale, ordering).data - tm
+        shifted = precision_of(spec.scale).data - tm
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
@@ -520,7 +508,7 @@ def laplace(spec, t):
     if spec.family == "type2":
         shifted = IncompleteMatrix(spec.graph, spec.scale.data - tm)
         try:
-            cones.require_qg(shifted, ordering)
+            cones.require_qg(shifted)
         except NotInQG:
             raise OutOfDomain(
                 "shifted scale leaves the cone") from None

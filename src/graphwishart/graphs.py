@@ -37,14 +37,22 @@ class DecomposableGraph:
 
     Instances are built through :func:`parse_graph`, which performs all
     validation.  ``edges`` holds each undirected edge once as an (i, j)
-    pair with i < j.
+    pair with i < j.  What the graph alone determines (the search order
+    of the chordality test, the clique order, the class tree and the
+    pattern index) is kept on the instance once computed; those fields
+    take no part in equality or hashing.
     """
 
     vertex_count: int
     edges: frozenset
     _adj: dict = field(compare=False, repr=False, default=None)
+    _mcs: tuple = field(compare=False, repr=False, default=None)
     _pattern: object = field(default=None, init=False, compare=False,
                              repr=False)
+    _ordering: object = field(default=None, init=False, compare=False,
+                              repr=False)
+    _tree: object = field(default=None, init=False, compare=False,
+                          repr=False)
 
     @property
     def r(self):
@@ -65,14 +73,22 @@ class DecomposableGraph:
     @property
     def pattern(self):
         """The graph's :class:`PatternIndex`, built on first use."""
-        if self._pattern is None:
-            object.__setattr__(self, "_pattern", _pattern_index(self))
-        return self._pattern
+        return _cached(self, "_pattern", _pattern_index)
 
     def edge_mask(self):
         """Read-only boolean r x r array, True on the diagonal and on
         edges."""
         return self.pattern.mask
+
+
+def _cached(g, attr, build):
+    """Value of a structure field of g, computed by ``build(g)`` on first
+    use and kept on the graph."""
+    value = getattr(g, attr)
+    if value is None:
+        value = build(g)
+        object.__setattr__(g, attr, value)
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +270,7 @@ def parse_graph(spec):
                 cycle = _chordless_cycle_witness(n, adj)
                 raise NotChordal("graph has a chordless cycle",
                                  cycle=cycle)
-    return DecomposableGraph(n, frozenset(edges), adj)
+    return DecomposableGraph(n, frozenset(edges), adj, tuple(order))
 
 
 @dataclass(frozen=True)
@@ -356,7 +372,7 @@ def _ordering_from_cliques(g, cliques):
 def _maximal_cliques(g):
     """Maximal cliques with the MCS rank at which each is completed."""
     adj = g._adj
-    order = _mcs_order(g.vertex_count, adj)
+    order = g._mcs
     pos = {v: idx for idx, v in enumerate(order)}
     candidates = []
     for v in order:
@@ -378,7 +394,12 @@ def decompose(g):
     Cliques are discovered by maximum cardinality search (lowest vertex
     label wins ties) and listed in the order their last vertex is
     visited, which always satisfies the running intersection property.
+    The order is computed once per graph and kept on it.
     """
+    return _cached(g, "_ordering", _decompose)
+
+
+def _decompose(g):
     cliques = _maximal_cliques(g)
     ordering = _ordering_from_cliques(g, cliques)
     if ordering is None:  # pragma: no cover - MCS guarantees success
@@ -487,8 +508,23 @@ def homogeneous_structure(g):
     Two independent criteria are evaluated: pairwise comparability of
     closed neighborhoods along every edge, and absence of an induced
     4-vertex path.  They must agree; a disagreement means a bug and
-    raises InternalInconsistency.
+    raises InternalInconsistency.  The tree is computed once per graph
+    and kept on it.
     """
+    tree = _class_tree(g)
+    if tree is None:
+        raise NotHomogeneous("graph contains an induced 4-vertex path")
+    return tree
+
+
+def _class_tree(g):
+    """Class tree of g, or None when g is not homogeneous."""
+    return _cached(g, "_tree", _build_class_tree) or None
+
+
+def _build_class_tree(g):
+    """Class tree of g, or False (cached like a tree) when g is not
+    homogeneous."""
     adj = g._adj
     closed = {v: adj[v] | {v} for v in adj}
     edge_test = all(
@@ -501,7 +537,7 @@ def homogeneous_structure(g):
             "neighborhood and induced-path homogeneity tests disagree",
             edge_test=edge_test, path_test=path_test)
     if not edge_test:
-        raise NotHomogeneous("graph contains an induced 4-vertex path")
+        return False
 
     # Vertex classes: equal closed neighborhoods.
     classes = []

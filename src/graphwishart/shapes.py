@@ -20,7 +20,7 @@ from .errors import (
     ShapeMismatch,
     ShapeNotAdmissible,
 )
-from .graphs import HasseTree, hasse_exponents
+from .graphs import HasseTree, decompose, hasse_exponents
 
 __all__ = [
     "ShapeParam",
@@ -139,7 +139,6 @@ def log_h(shape, x, ordering=None):
 
     Separator factors are weighted by their multiplicity in the order.
     """
-    from .graphs import decompose
     ordering = ordering or decompose(x.graph)
     check_alignment(shape, ordering)
     total, ok = _log_h(shape, x.data, ordering)

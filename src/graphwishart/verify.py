@@ -26,6 +26,7 @@ from .distributions import (
 )
 from .errors import (
     DegenerateWeights,
+    GraphWishartError,
     NonConvergent,
     OutOfDomain,
     PoleAtC,
@@ -33,14 +34,7 @@ from .errors import (
     WrongGraph,
 )
 from .graphs import decompose
-from .shapes import (
-    ShapeParam,
-    canonical_shape,
-    log_gamma_I,
-    log_gamma_II,
-    log_h,
-    step_exponents,
-)
+from .shapes import canonical_shape, step_exponents
 
 __all__ = [
     "McEstimate",
@@ -231,7 +225,7 @@ def mc_normalizer(kind, graph, ordering, shape, scale, rng, n,
             prop = make(v)
             spec = WishartSpec(graph, prop, scale, family,
                                ordering=ordering)
-        except Exception:
+        except GraphWishartError:
             continue
         pilot = sample_batch(spec, rng.spawn(10_000 + i), n_pilot)
         logw = _log_h_batch(shape - prop, pilot, ordering)
@@ -254,13 +248,7 @@ def mc_normalizer(kind, graph, ordering, shape, scale, rng, n,
         raise DegenerateWeights(
             "importance weights overflowed on the final run",
             proposal=v)
-    if kind == "I":
-        log_const = log_gamma_I(prop, ordering) + \
-            log_h(prop, scale, ordering)
-    else:
-        log_const = log_gamma_II(prop, ordering) + \
-            log_h(prop, scale, ordering)
-    contrib = np.exp(logw + log_const)
+    contrib = np.exp(logw + (spec.log_gamma + spec.log_h_scale))
     value = float(contrib.mean())
     se = float(contrib.std(ddof=1) / math.sqrt(n))
     return McEstimate(value, se, n, rng.seed, rng.substream,

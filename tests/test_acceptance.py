@@ -277,7 +277,7 @@ def test_criterion_06_special_case_collapse(a4, a4_ord):
     shape = canonical_shape("hyper", a4_ord, p)
     scale = random_qg(a4, nrng)
     spec = WishartSpec(a4, shape, scale, "type1", ordering=a4_ord)
-    hat = complete(scale, a4_ord)
+    hat = complete(scale)
     worst_first = 0.0
     batch = sample_batch(spec, RngStream(79), 20)
     for b in batch:
@@ -324,16 +324,16 @@ def test_criterion_07_cone_algebra():
         ordering = decompose(g)
         for _ in range(20):
             x = random_qg(g, nrng)
-            back = phi(precision_of(x, ordering))
+            back = phi(precision_of(x))
             worst_rt = max(worst_rt,
                            float(np.max(np.abs(back.data - x.data))))
             y = SparsePrecision(g, random_pg(g, nrng))
             back2 = precision_of(phi(y))
             worst_rt = max(worst_rt,
                            float(np.max(np.abs(back2.data - y.data))))
-            dense = np.linalg.slogdet(complete(x, ordering))[1]
+            dense = np.linalg.slogdet(complete(x))[1]
             worst_ld = max(worst_ld,
-                           abs(logdet_hat(x, ordering) - dense)
+                           abs(logdet_hat(x) - dense)
                            / max(abs(dense), 1.0))
         for _ in range(250):
             x = random_qg(g, nrng)
@@ -353,7 +353,7 @@ def test_criterion_07_cone_algebra():
 
         def map_inverse(v):
             xi = IncompleteMatrix(g, _from_vec(v, pairs, r))
-            return _to_vec(precision_of(xi, ordering).data, pairs)
+            return _to_vec(precision_of(xi).data, pairs)
 
         jac = np.zeros((len(pairs), len(pairs)))
         for idx in range(len(pairs)):
@@ -496,7 +496,7 @@ def test_criterion_10_cumulant_gradient(a4, a4_ord):
 
         # the alternative sign arrangement of the padded terms must
         # disagree with the finite differences
-        hat = complete(scale, a4_ord)
+        hat = complete(scale)
         c0 = sum(shape.alpha) - sum(
             shape.beta[a4_ord.sep_index[j - 1]]
             for j in range(1, a4_ord.k))

@@ -271,6 +271,30 @@ class TestBayesAndVerify:
         assert doc["code"] == "malformed_input"
         assert doc["context"]["path"].endswith("missing.csv")
 
+    @pytest.mark.parametrize("scale, code", [
+        (5, "malformed_input"),
+        ([[1.0, "x", None, None], [0.0, 1.0, 0.0, None],
+          [None, 0.0, 1.0, 0.0], [None, None, 0.0, 1.0]], "non_numeric"),
+        ([[1.0, 0.3, None, None], [0.0, 1.0, 0.0, None],
+          [None, 0.0, 1.0, 0.0], [None, None, 0.0, 1.0]],
+         "malformed_input"),
+        ([[1.0, 0.0, 0.5, None], [0.0, 1.0, 0.0, None],
+          [0.5, 0.0, 1.0, 0.0], [None, None, 0.0, 1.0]],
+         "malformed_input"),
+    ], ids=["not-a-list", "string-cell", "asymmetric", "off-pattern"])
+    def test_bayes_fit_bad_prior_scale(self, tmp_path, a4_file, capsys,
+                                       scale, code):
+        csv = tmp_path / "d.csv"
+        csv.write_text("1,2,3,4\n0.5,0.1,-1,2\n")
+        prior = write_json(tmp_path / "prior.json", {
+            "shape": {"alpha": [-1.0, -1.0, -1.0], "beta": [1.0, -0.5]},
+            "scale": scale})
+        status, out = invoke(["bayes", "fit", "--graph", a4_file,
+                              "--data", str(csv), "--prior", prior],
+                             capsys)
+        assert status == 1
+        assert json.loads(out)["code"] == code
+
     def test_unexpected_exception_is_internal_error(self, a4_file,
                                                    monkeypatch, capsys):
         import graphwishart.cli as cli

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from graphwishart import graphs
 from graphwishart import (
     InternalInconsistency,
     MalformedInput,
@@ -19,6 +20,8 @@ from graphwishart import (
     order_signature,
     parse_graph,
 )
+
+from conftest import G0_EDGES
 
 
 class TestParseGraph:
@@ -83,8 +86,15 @@ class TestPattern:
         spec = {"n": 4, "edges": [[3, 4], [1, 2], [2, 3]]}
         fresh, used = parse_graph(spec), parse_graph(spec)
         assert used.pattern.pos.shape == (4, 4)
+        decompose(used)
+        with pytest.raises(NotHomogeneous):
+            homogeneous_structure(used)
         assert fresh == used == a4
         assert hash(fresh) == hash(used) == hash(a4)
+        tree = parse_graph({"n": 3, "edges": [[1, 2], [1, 3]]})
+        other = parse_graph({"n": 3, "edges": [[1, 3], [1, 2]]})
+        homogeneous_structure(tree)
+        assert tree == other and hash(tree) == hash(other)
 
     def test_slots_cover_the_pattern(self, fig1):
         p = fig1.pattern
@@ -94,6 +104,51 @@ class TestPattern:
         assert np.array_equal(p.pos, p.pos.T)
         assert np.array_equal(p.pos[p.rows, p.cols], np.arange(p.size))
         assert np.all(p.rows >= p.cols)
+
+
+class TestStructureCache:
+    """The clique order and class tree are computed once per graph, from
+    the search order that the chordality test already ran."""
+
+    def test_decompose_is_cached(self, g0):
+        assert decompose(g0) is decompose(g0)
+        assert homogeneous_structure(g0) is homogeneous_structure(g0)
+
+    def test_each_structure_is_built_once(self, monkeypatch):
+        counts = {}
+
+        def counting(name):
+            original = getattr(graphs, name)
+
+            def wrapper(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args)
+            monkeypatch.setattr(graphs, name, wrapper)
+
+        for name in ("_mcs_order", "_decompose", "_build_class_tree"):
+            counting(name)
+        g = parse_graph({"n": 6, "edges": G0_EDGES})
+        for _ in range(3):
+            decompose(g)
+            homogeneous_structure(g)
+            enumerate_perfect_orders(g)
+        assert counts == {"_mcs_order": 1, "_decompose": 1,
+                          "_build_class_tree": 1}
+
+    def test_not_homogeneous_raises_every_time(self, monkeypatch):
+        g = parse_graph({"n": 4, "edges": [[1, 2], [2, 3], [3, 4]]})
+        calls = []
+        build = graphs._build_class_tree
+        monkeypatch.setattr(graphs, "_build_class_tree",
+                            lambda g: calls.append(g) or build(g))
+        raised = []
+        for _ in range(3):
+            with pytest.raises(NotHomogeneous) as info:
+                homogeneous_structure(g)
+            raised.append(info.value)
+        assert len(calls) == 1
+        assert len({id(e) for e in raised}) == 3
+        assert graphs._class_tree(g) is None
 
 
 class TestDecompose:

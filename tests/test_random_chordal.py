@@ -1,9 +1,12 @@
-"""Sampler and block coordinates on random connected chordal graphs.
+"""Sampler, block coordinates, cone algebra and densities on random
+connected chordal graphs.
 
-Every example uses the same scale seed, draw seed and shape family, so
-type1 and inv_type1 (and inv_type2 and type2) walk the same steps with
-the same random numbers: the draws of one family of each pair are the
-sparse inverses of the completions of the other's.
+Every sampler example uses the same scale seed, draw seed and shape
+family, so type1 and inv_type1 (and inv_type2 and type2) walk the same
+steps with the same random numbers: the draws of one family of each pair
+are the sparse inverses of the completions of the other's.  The cone
+and density examples compare each blockwise formula with plain dense
+linear algebra.
 """
 
 import numpy as np
@@ -12,17 +15,29 @@ from hypothesis import given, settings
 from graphwishart import (
     IncompleteMatrix,
     RngStream,
+    SparsePrecision,
     WishartSpec,
     assemble_blocks,
     canonical_shape,
+    complete,
     decompose,
+    logdet_hat,
+    logpdf,
+    mean_type1,
     parse_graph,
+    phi,
     precision_of,
     sample_batch,
     split_blocks,
 )
 
-from conftest import chordal_graphs, random_qg
+from conftest import (
+    chordal_graphs,
+    random_first_admissible,
+    random_pg,
+    random_qg,
+    random_second_admissible,
+)
 
 SEED = 2024
 DRAWS = 4
@@ -57,7 +72,7 @@ def test_step_precision_matches_clique_form(spec):
     for x_family, k_family in (("type1", "inv_type1"),
                                ("inv_type2", "type2")):
         for x, k in zip(draws[x_family], draws[k_family]):
-            ref = precision_of(IncompleteMatrix(g, x), o).data
+            ref = precision_of(IncompleteMatrix(g, x)).data
             assert _rel(k, ref) < 1e-10
 
 
@@ -78,3 +93,95 @@ def test_blocks_roundtrip(spec):
     for x in draws["type1"]:
         back = assemble_blocks(split_blocks(IncompleteMatrix(g, x), o))
         assert _rel(back.data, x) < 1e-10
+
+
+@given(spec=chordal_graphs())
+@EXAMPLES
+def test_cone_algebra_matches_dense(spec):
+    g = parse_graph(spec)
+    x = random_qg(g, np.random.default_rng(SEED))
+    k = precision_of(x)
+    hat = complete(x)
+    assert _rel(hat, np.linalg.inv(k.data)) < 1e-10
+    assert _rel(phi(k).data, x.data) < 1e-10
+    sign, dense = np.linalg.slogdet(hat)
+    assert sign > 0 and abs(logdet_hat(x) - dense) < 1e-10 * (1 + abs(dense))
+
+
+def _first_shape(o, rng):
+    """Random first-side shape with every clique exponent above half the
+    largest clique size, so every step is admissible."""
+    lo = max(o.clique_sizes) / 2.0
+    return random_first_admissible(o, rng, lo=lo, hi=lo + 2.5)
+
+
+def _outer(hat, block):
+    """hat[:, A] hat[A, A]^-1 hat[A, :]: the completion minus its
+    zero-padded Schur complement on A."""
+    ix = np.asarray(block) - 1
+    return hat[:, ix] @ np.linalg.solve(hat[np.ix_(ix, ix)], hat[ix, :])
+
+
+@given(spec=chordal_graphs())
+@EXAMPLES
+def test_mean_type1_matches_dense(spec):
+    g = parse_graph(spec)
+    o = decompose(g)
+    rng = np.random.default_rng(SEED)
+    scale = random_qg(g, rng)
+    shape = _first_shape(o, rng)
+    hat = np.linalg.inv(precision_of(scale).data)
+    ref = sum(a * _outer(hat, c) for a, c in zip(shape.alpha, o.cliques))
+    for j, sep in enumerate(o.separators):
+        ref = ref - shape.beta[o.sep_index[j]] * _outer(hat, sep)
+    got = mean_type1(WishartSpec(g, shape, scale, "type1")).data
+    assert _rel(got, ref * g.edge_mask()) < 1e-10
+
+
+def _log_h_dense(alpha, beta, m, o):
+    def ld(block):
+        ix = np.asarray(block) - 1
+        return np.linalg.slogdet(m[np.ix_(ix, ix)])[1]
+    return sum(a * ld(c) for a, c in zip(alpha, o.cliques)) - sum(
+        nu * b * ld(s) for nu, b, s in
+        zip(o.multiplicity, beta, o.distinct_separators))
+
+
+def _logpdf_dense(spec, point):
+    """The density with dense inverses and pairings in place of the
+    blockwise ones."""
+    o, mask = spec.ordering, spec.graph.edge_mask()
+    incomplete = spec.family in ("type1", "inv_type2")
+    x = point.data if incomplete else np.linalg.inv(point.data) * mask
+    shift = -0.5 if incomplete else 0.5
+    if spec.family in ("type1", "inv_type1"):
+        pair = np.sum(x * np.linalg.inv(complete(spec.scale)) * mask)
+    elif spec.family == "inv_type2":
+        pair = np.sum(spec.scale.data * np.linalg.inv(complete(point)) *
+                      mask)
+    else:
+        pair = np.sum(spec.scale.data * point.data)
+    shape = spec.shape
+    return _log_h_dense(shape.alpha, shape.beta, x, o) - spec.log_gamma \
+        - _log_h_dense(shape.alpha, shape.beta, spec.scale.data, o) \
+        - pair + _log_h_dense(
+            [shift * (len(c) + 1) for c in o.cliques],
+            [shift * (len(t) + 1) for t in o.distinct_separators], x, o)
+
+
+@given(spec=chordal_graphs())
+@EXAMPLES
+def test_logpdf_matches_dense(spec):
+    g = parse_graph(spec)
+    o = decompose(g)
+    rng = np.random.default_rng(SEED)
+    scale = random_qg(g, rng)
+    shapes = {"first": _first_shape(o, rng),
+              "second": random_second_admissible(o, rng)}
+    for family in ("type1", "inv_type1", "type2", "inv_type2"):
+        side = "first" if family in ("type1", "inv_type1") else "second"
+        s = WishartSpec(g, shapes[side], scale, family)
+        point = random_qg(g, rng) if family in ("type1", "inv_type2") \
+            else SparsePrecision(g, random_pg(g, rng))
+        ref = _logpdf_dense(s, point)
+        assert abs(logpdf(s, point) - ref) < 1e-9 * (1 + abs(ref))

@@ -151,6 +151,19 @@ class TestMcNormalizer:
         assert abs(est.value - expect) < 3 * est.std_error \
             + 1e-12 * expect
 
+    def test_candidate_bug_is_not_swallowed(self, a4, a4_ord,
+                                            monkeypatch):
+        import graphwishart.verify as verify
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(verify, "WishartSpec", boom)
+        shape = ShapeParam((2.0, 1.5, 1.5), (1.0, 1.5))
+        with pytest.raises(RuntimeError):
+            mc_normalizer("I", a4, a4_ord, shape, project(np.eye(4), a4),
+                          RngStream(3), 1000)
+
     def test_first_kind_admissible(self, a4, a4_ord):
         shape = ShapeParam((2.0, 1.5, 1.5), (1.0, 1.5))
         scale = project(np.eye(4) * 1.2, a4)
