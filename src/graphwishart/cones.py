@@ -148,30 +148,61 @@ def trace_pair(x, y):
 def complete(x):
     """Unique positive definite completion as a dense array.
 
-    Filled in along the graph's perfect clique order: each new residual
-    block is regressed onto the current history through its separator.
+    Filled in along the graph's step list: each new block is regressed
+    onto its given block, and through it onto the history so far.
     """
     ordering = require_qg(x)
-    r = x.graph.vertex_count
-    out = np.zeros((r, r))
-    c1 = _idx(ordering.cliques[0])
-    out[np.ix_(c1, c1)] = x.submatrix(ordering.cliques[0])
-    for j in range(1, ordering.k):
-        sep = ordering.separators[j - 1]
-        res = ordering.residuals[j]
-        hist = _idx(ordering.histories[j - 1])
-        si = _idx(sep)
-        ri = _idx(res)
-        xs = x.submatrix(sep)
-        xrs = x.data[np.ix_(ri, si)]
-        ratio = np.linalg.solve(xs, xrs.T).T if len(sep) else \
-            np.zeros((len(res), 0))
-        cross = ratio @ out[np.ix_(si, hist)] if len(sep) else \
-            np.zeros((len(res), len(hist)))
-        out[np.ix_(ri, hist)] = cross
-        out[np.ix_(hist, ri)] = cross.T
-        out[np.ix_(ri, ri)] = x.submatrix(res)
+    out = np.zeros(x.data.shape)
+    hist = np.zeros(0, dtype=int)
+    for new, given in ordering.steps:
+        ni, gi = _idx(new), _idx(given)
+        if len(gi):
+            ratio = np.linalg.solve(_block(x.data, given),
+                                    x.data[ni[:, None], gi].T).T
+            cross = ratio @ out[gi[:, None], hist]
+            out[ni[:, None], hist] = cross
+            out[hist[:, None], ni] = cross.T
+        out[ni[:, None], ni] = _block(x.data, new)
+        hist = np.concatenate([hist, ni])
     return 0.5 * (out + out.T)
+
+
+def _logdet_sum(data, blocks, weights):
+    """Sum of w * log det data_A over the blocks A of (..., r, r) arrays.
+
+    Returns the value and whether every block determinant is positive.
+    """
+    total = 0.0
+    ok = True
+    for a, w in zip(blocks, weights):
+        sign, ld = np.linalg.slogdet(_block(data, a))
+        total = total + w * ld
+        ok = ok & (sign > 0)
+    return total, ok
+
+
+def _inverse_sum(data, blocks, weights):
+    """Sum of w * (data_A)^-1, each zero padded to the full size."""
+    out = np.zeros(data.shape)
+    for a, w in zip(blocks, weights):
+        ix = _idx(a)
+        out[..., ix[:, None], ix] += w * np.linalg.inv(_block(data, a))
+    return out
+
+
+def _outer_sum(data, pattern, blocks, weights):
+    """Sum of w * data[:, A] data_A^-1 data[A, :] over the blocks A of
+    dense (..., r, r) arrays, on the slots of ``pattern`` only: a packed
+    (..., r + |E|) array.  Each term is the matrix minus its zero padded
+    Schur complement on A (:func:`schur_pad`)."""
+    out = np.zeros(data.shape[:-2] + (pattern.size,))
+    for a, w in zip(blocks, weights):
+        ix = _idx(a)
+        cols = data[..., :, ix]
+        lead = np.linalg.solve(data[..., ix[:, None], ix], _tr(cols))
+        out += w * np.einsum("...sa,...as->...s", cols[..., pattern.rows, :],
+                             lead[..., pattern.cols])
+    return out
 
 
 def precision_of(x):
@@ -181,13 +212,7 @@ def precision_of(x):
     clique inverses minus padded separator inverses.
     """
     ordering = require_qg(x)
-    out = np.zeros(x.data.shape)
-    for c in ordering.cliques:
-        ix = _idx(c)
-        out[ix[:, None], ix[None, :]] += np.linalg.inv(x.submatrix(c))
-    for sep in ordering.separators:
-        ix = _idx(sep)
-        out[ix[:, None], ix[None, :]] -= np.linalg.inv(x.submatrix(sep))
+    out = _inverse_sum(x.data, ordering.blocks, ordering.signs)
     return SparsePrecision(x.graph, 0.5 * (out + out.T))
 
 
@@ -205,13 +230,6 @@ def phi(y):
     return IncompleteMatrix(y.graph, 0.5 * (inv + inv.T))
 
 
-def _logdet(block):
-    sign, val = np.linalg.slogdet(block) if block.size else (1.0, 0.0)
-    if sign <= 0:
-        raise NotInQG("block has non-positive determinant")
-    return val
-
-
 def logdet_hat(x):
     """Log determinant of the completion of x.
 
@@ -219,42 +237,20 @@ def logdet_hat(x):
     never forming the completion itself.
     """
     ordering = decompose(x.graph)
-    total = 0.0
-    for c in ordering.cliques:
-        total += _logdet(x.submatrix(c))
-    for sep in ordering.separators:
-        if sep:
-            total -= _logdet(x.submatrix(sep))
-    return total
+    total, ok = _logdet_sum(x.data, ordering.blocks, ordering.signs)
+    if not ok:
+        raise NotInQG("block has non-positive determinant")
+    return float(total)
 
 
 @dataclass(frozen=True)
 class Blocks:
-    """Regression coordinates of an incomplete matrix.
-
-    One (conditional block, regression coefficient) pair per step of
-    ``ordering.steps``: the first separator block ``c1_sep`` on its own,
-    the rest of the first clique (``c1_cond``, ``c1_ratio``) given it,
-    then each later residual (``conds``, ``ratios``) given its
-    separator.
-    """
+    """Regression coordinates of an incomplete matrix: ``parts`` holds
+    one (conditional block, regression coefficient) pair per step of
+    ``ordering.steps``."""
 
     ordering: object
-    c1_cond: np.ndarray
-    c1_ratio: np.ndarray
-    c1_sep: np.ndarray
-    conds: tuple  # j = 1..k-1 (0-based list index j-1)
-    ratios: tuple
-
-    @property
-    def k(self):
-        return self.ordering.k
-
-    def parts(self):
-        """(conditional block, coefficient) per step of the order."""
-        head = ((self.c1_sep, np.zeros((len(self.c1_sep), 0))),
-                (self.c1_cond, self.c1_ratio))
-        return head + tuple(zip(self.conds, self.ratios))
+    parts: tuple
 
 
 def _regress(data, rows, cols):
@@ -326,11 +322,8 @@ def split_blocks(x, ordering=None):
     ``ordering`` (default: the graph's clique order)."""
     require_qg(x)
     ordering = ordering or decompose(x.graph)
-    parts = [_regress(x.data, new, given) for new, given in ordering.steps]
-    (c1_sep, _), (c1_cond, c1_ratio) = parts[:2]
-    return Blocks(ordering, c1_cond, c1_ratio, c1_sep,
-                  tuple(c for c, _ in parts[2:]),
-                  tuple(b for _, b in parts[2:]))
+    return Blocks(ordering, tuple(_regress(x.data, new, given)
+                                  for new, given in ordering.steps))
 
 
 def assemble_blocks(blocks):
@@ -338,7 +331,7 @@ def assemble_blocks(blocks):
     ordering = blocks.ordering
     pattern = ordering.graph.pattern
     store = np.zeros(pattern.size)
-    for (new, given), (cond, ratio) in zip(ordering.steps, blocks.parts()):
+    for (new, given), (cond, ratio) in zip(ordering.steps, blocks.parts):
         _place(store, pattern.pos, new, given, cond, ratio,
                _gather(store, pattern.pos, given))
     return IncompleteMatrix(ordering.graph, _scatter(store, pattern))

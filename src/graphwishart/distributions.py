@@ -24,8 +24,6 @@ from .cones import (
     complete,
     phi,
     precision_of,
-    project,
-    schur_pad,
     trace_pair,
 )
 from .errors import (
@@ -41,6 +39,7 @@ from .errors import (
 from .graphs import _class_tree, decompose
 from .shapes import (
     ShapeParam,
+    _weights,
     admissible_walk,
     check_alignment,
     log_gamma_I,
@@ -258,14 +257,6 @@ class WishartSpec:
         return self.graph.vertex_count
 
 
-def _mu_weight(ordering):
-    return size_shift(ordering, -0.5, 1)
-
-
-def _nu_weight(ordering):
-    return size_shift(ordering, 0.5, 1)
-
-
 def logpdf(spec, point):
     """Log density of a spec at a point of the matching cone.
 
@@ -299,17 +290,15 @@ def logpdf(spec, point):
             raise OutOfSupport(
                 "point is not positive definite") from None
 
-    base = log_h(spec.shape, x, ordering) \
-        - spec.log_gamma - spec.log_h_scale
     if spec.family in ("type1", "inv_type1"):
         pair = trace_pair(x, precision_of(spec.scale))
     elif spec.family == "type2":
         pair = trace_pair(spec.scale, point)
     else:
         pair = trace_pair(spec.scale, precision_of(x))
-    weight = _mu_weight if spec.family in ("type1", "inv_type2") \
-        else _nu_weight
-    return base - pair + log_h(weight(ordering), x, ordering)
+    shift = -0.5 if spec.family in ("type1", "inv_type2") else 0.5
+    return log_h(spec.shape + size_shift(ordering, shift, 1), x, ordering) \
+        - spec.log_gamma - spec.log_h_scale - pair
 
 
 def logpdf_f(graph, shape_a, shape_b, scale, point, kind="first"):
@@ -342,8 +331,8 @@ def logpdf_f(graph, shape_a, shape_b, scale, point, kind="first"):
         shifted = IncompleteMatrix(graph, scale.data + point.data)
         return lg - log_h(shape_b, scale, ordering) \
             + log_h(shape_b - shape_a, shifted, ordering) \
-            + log_h(shape_a, point, ordering) \
-            + log_h(_mu_weight(ordering), point, ordering)
+            + log_h(shape_a + size_shift(ordering, -0.5, 1), point,
+                    ordering)
     if kind == "second":
         if not isinstance(scale, SparsePrecision) or \
                 scale.graph != graph:
@@ -362,8 +351,7 @@ def logpdf_f(graph, shape_a, shape_b, scale, point, kind="first"):
         shifted = SparsePrecision(graph, scale.data + point.data)
         return lg - log_h(shape_a, phi(scale), ordering) \
             + log_h(shape_a - shape_b, phi(shifted), ordering) \
-            + log_h(shape_b, x, ordering) \
-            + log_h(_nu_weight(ordering), x, ordering)
+            + log_h(shape_b + size_shift(ordering, 0.5, 1), x, ordering)
     raise OutOfDomain("unknown kind", kind=kind)
 
 
@@ -442,24 +430,18 @@ def sample(spec, rng, n):
 def mean_type1(spec):
     """Closed-form mean of a type1 member.
 
-    Built from the completed scale: each clique contributes its shape
-    weight times (completion minus the padded conditional variance
-    given the clique), separators subtract the analogous term per
-    occurrence.
+    Built from the completed scale: the shape-weighted sum over the
+    cliques and separators A of hat[:, A] hat_A^-1 hat[A, :], taken on
+    the pattern only.
     """
     if spec.family != "type1":
         raise OutOfDomain("mean_type1 needs a type1 spec",
                           family=spec.family)
     ordering = spec.ordering
-    hat = complete(spec.scale)
-    total = np.zeros_like(hat)
-    for j, c in enumerate(ordering.cliques):
-        total += spec.shape.alpha[j] * (hat - schur_pad(hat, c))
-    for j in range(1, ordering.k):
-        b = spec.shape.beta[ordering.sep_index[j - 1]]
-        sep = ordering.separators[j - 1]
-        total -= b * (hat - schur_pad(hat, sep))
-    return project(total, spec.graph)
+    pattern = spec.graph.pattern
+    store = cones._outer_sum(complete(spec.scale), pattern, ordering.blocks,
+                             _weights(spec.shape, ordering))
+    return IncompleteMatrix(spec.graph, cones._scatter(store, pattern))
 
 
 def mean_type2(spec):
@@ -469,21 +451,8 @@ def mean_type2(spec):
         raise OutOfDomain("mean_type2 needs a type2 spec",
                           family=spec.family)
     ordering = spec.ordering
-    r = spec.r
-    theta = spec.scale
-    total = np.zeros((r, r))
-    for j, c in enumerate(ordering.cliques):
-        ix = cones._idx(c)
-        total[np.ix_(ix, ix)] -= spec.shape.alpha[j] * \
-            np.linalg.inv(theta.submatrix(c))
-    for j in range(1, ordering.k):
-        sep = ordering.separators[j - 1]
-        if not sep:
-            continue
-        ix = cones._idx(sep)
-        total[np.ix_(ix, ix)] += \
-            spec.shape.beta[ordering.sep_index[j - 1]] * \
-            np.linalg.inv(theta.submatrix(sep))
+    total = cones._inverse_sum(spec.scale.data, ordering.blocks,
+                               _weights(-spec.shape, ordering))
     return SparsePrecision(spec.graph, 0.5 * (total + total.T))
 
 

@@ -284,6 +284,10 @@ class CliqueOrdering:
     ``multiplicity[i]`` counts its occurrences and ``occurrences[i]``
     gives the clique indices j >= 1 at which it appears.
 
+    ``blocks`` lists the cliques and then the distinct separators, and
+    ``signs`` gives each block's sign in the clique/separator sums of the
+    paper: 1 per clique, ``-multiplicity[i]`` per separator.
+
     ``steps`` lists the order as ``(new, given)`` vertex blocks: the
     first separator S2 given nothing, the rest R1 of the first clique
     given S2, then each residual given its separator.  S2 is empty when
@@ -293,7 +297,6 @@ class CliqueOrdering:
     graph: DecomposableGraph
     cliques: tuple
     separators: tuple
-    histories: tuple
     residuals: tuple
     distinct_separators: tuple
     multiplicity: tuple
@@ -308,6 +311,14 @@ class CliqueOrdering:
     @property
     def k_prime(self):
         return len(self.distinct_separators)
+
+    @property
+    def blocks(self):
+        return self.cliques + self.distinct_separators
+
+    @property
+    def signs(self):
+        return (1,) * self.k + tuple(-m for m in self.multiplicity)
 
     @property
     def clique_sizes(self):
@@ -325,7 +336,6 @@ def _ordering_from_cliques(g, cliques):
     """
     k = len(cliques)
     history = set(cliques[0])
-    histories = [tuple(sorted(history))]
     separators = []
     residuals = [tuple(sorted(cliques[0]))]
     for j in range(1, k):
@@ -336,7 +346,6 @@ def _ordering_from_cliques(g, cliques):
         separators.append(tuple(sorted(sep)))
         residuals.append(tuple(sorted(cj - history)))
         history |= cj
-        histories.append(tuple(sorted(history)))
     distinct = []
     mult = []
     occ = []
@@ -359,7 +368,6 @@ def _ordering_from_cliques(g, cliques):
         graph=g,
         cliques=tuple(tuple(sorted(c)) for c in cliques),
         separators=tuple(separators),
-        histories=tuple(histories),
         residuals=tuple(residuals),
         distinct_separators=tuple(distinct),
         multiplicity=tuple(mult),

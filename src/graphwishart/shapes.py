@@ -10,11 +10,11 @@ admissibility conditions are phrased through it.
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import gammaln
 
-from .cones import _block
+from .cones import _logdet_sum
 from .errors import (
+    NonNumeric,
     NotInQG,
     OutOfDomain,
     ShapeMismatch,
@@ -36,6 +36,17 @@ __all__ = [
 _TOL = 1e-12
 
 
+def _exponent(value, name, index):
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        out = math.nan
+    if not math.isfinite(out):
+        raise NonNumeric("shape exponent is not a finite real number",
+                         field=name, index=index)
+    return out
+
+
 @dataclass(frozen=True)
 class ShapeParam:
     """Clique exponents ``alpha`` and distinct-separator exponents
@@ -45,10 +56,10 @@ class ShapeParam:
     beta: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha",
-                           tuple(float(a) for a in self.alpha))
-        object.__setattr__(self, "beta",
-                           tuple(float(b) for b in self.beta))
+        for name in ("alpha", "beta"):
+            object.__setattr__(self, name, tuple(
+                _exponent(v, name, i)
+                for i, v in enumerate(getattr(self, name))))
 
     def __add__(self, other):
         if len(self.alpha) != len(other.alpha) or \
@@ -115,23 +126,19 @@ def log_multigamma(dim, p):
         sum(gammaln(p - j / 2.0) for j in range(dim)))
 
 
+def _weights(shape, ordering):
+    """Weight of each of ``ordering.blocks`` under a shape: alpha_j per
+    clique, -multiplicity_i * beta_i per distinct separator."""
+    return tuple(s * e for s, e in
+                 zip(ordering.signs, shape.alpha + shape.beta))
+
+
 def _log_h(shape, data, ordering):
     """Batch-first log h over (..., r, r) arrays.
 
     Returns the value and whether every block determinant is positive.
     """
-    pos = neg = 0.0
-    ok = True
-    for a, c in zip(shape.alpha, ordering.cliques):
-        sign, ld = np.linalg.slogdet(_block(data, c))
-        pos = pos + a * ld
-        ok = ok & (sign > 0)
-    for nu, b, s in zip(ordering.multiplicity, shape.beta,
-                        ordering.distinct_separators):
-        sign, ld = np.linalg.slogdet(_block(data, s))
-        neg = neg + nu * b * ld
-        ok = ok & (sign > 0)
-    return pos - neg, ok
+    return _logdet_sum(data, ordering.blocks, _weights(shape, ordering))
 
 
 def log_h(shape, x, ordering=None):

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import shapes
-from .cones import schur_pad, split_blocks
+from .cones import _outer_sum, split_blocks
 from .distributions import (
     RngStream,
     WishartSpec,
@@ -34,7 +34,7 @@ from .errors import (
     WrongGraph,
 )
 from .graphs import decompose
-from .shapes import canonical_shape, step_exponents
+from .shapes import _weights, canonical_shape, size_shift, step_exponents
 
 __all__ = [
     "McEstimate",
@@ -300,8 +300,8 @@ def check_factorization(spec, point):
                           family=spec.family)
     ordering = spec.ordering
     joint = logpdf(spec, point)
-    bx = split_blocks(point, ordering).parts()
-    bt = split_blocks(spec.scale, ordering).parts()
+    bx = split_blocks(point, ordering).parts
+    bt = split_blocks(spec.scale, ordering).parts
     exps = step_exponents(spec.shape, ordering, "second")
     parts = jac = 0.0
     for (new, given), p, (xc, xr), (tc, tr) in zip(ordering.steps, exps,
@@ -309,13 +309,8 @@ def check_factorization(spec, point):
         parts += log_inv_wishart_pdf(xc, p, tc)
         parts += log_matrix_normal_pdf(xr, tr, xc,
                                        spec.scale.submatrix(given))
-        jac += len(new) * _logdet(point.submatrix(given))
+        jac += len(new) * np.linalg.slogdet(point.submatrix(given))[1]
     return abs(joint - (parts - jac))
-
-
-def _logdet(block):
-    sign, val = np.linalg.slogdet(block)
-    return float(val)
 
 
 def check_mean426(spec, rng, n):
@@ -335,20 +330,13 @@ def check_mean426(spec, rng, n):
     n = int(n)
     ordering = spec.ordering
     m = np.linalg.inv(sample_batch(spec, rng, n))
-    per_draw = np.zeros_like(m)
-    for j, c in enumerate(ordering.cliques):
-        coef = spec.shape.alpha[j] + (len(c) + 1) / 2.0
-        per_draw += coef * (m - schur_pad(m, c))
-    for j in range(1, ordering.k):
-        sep = ordering.separators[j - 1]
-        coef = spec.shape.beta[ordering.sep_index[j - 1]] + \
-            (len(sep) + 1) / 2.0
-        per_draw -= coef * (m - schur_pad(m, sep))
-    mask = spec.graph.edge_mask()
-    per_draw = per_draw * mask
-    target = -spec.scale.data * mask
+    pattern = spec.graph.pattern
+    per_draw = _outer_sum(
+        m, pattern, ordering.blocks,
+        _weights(spec.shape + size_shift(ordering, 0.5, 1), ordering))
+    target = -spec.scale.data[pattern.rows, pattern.cols]
     resid = target - per_draw.mean(axis=0)
     se = per_draw.std(axis=0, ddof=1) / math.sqrt(n)
-    flat = np.argmax(np.abs(resid))
+    worst = np.argmax(np.abs(resid))
     return McEstimate(float(np.abs(resid).max()),
-                      float(se.flat[flat]), n, rng.seed, rng.substream)
+                      float(se[worst]), n, rng.seed, rng.substream)

@@ -230,14 +230,14 @@ def test_criterion_04_sampler_moments(k2, a4, g0):
     sb = split_blocks(scale, ordering)
     checks = [(batch[:, 0, 0] - batch[:, 0, 1] ** 2
                / batch[:, 1, 1],
-               s1.alpha[0] - 0.5, float(sb.c1_cond[0, 0]))]
+               s1.alpha[0] - 0.5, float(sb.parts[1][0][0, 0]))]
     for j in (1, 2):
         sep = ordering.separators[j - 1][0] - 1
         res = [v - 1 for v in ordering.cliques[j] if v - 1 != sep][0]
         blk = batch[:, res, res] - batch[:, res, sep] ** 2 \
             / batch[:, sep, sep]
         checks.append((blk, s1.alpha[j] - 0.5,
-                       float(sb.conds[j - 1][0, 0])))
+                       float(sb.parts[j + 1][0][0, 0])))
     for draws, p, sc in checks:
         for moment, target in ((draws, p * sc),
                                (draws ** 2, p * (p + 1) * sc ** 2)):
@@ -386,7 +386,7 @@ def test_criterion_07_cone_algebra():
                 for a in range(len(ix)):
                     for bb in range(a, len(ix)):
                         out.append(c1[a, bb])
-                for ratio, cond in zip(b.ratios, b.conds):
+                for cond, ratio in b.parts[2:]:
                     out.extend(ratio.ravel())
                     for a in range(len(cond)):
                         for bb in range(a, len(cond)):

@@ -189,6 +189,20 @@ class TestDistCommands:
             assert doc["index"] == i
             assert doc["matrix"][0][2] is None
 
+    @pytest.mark.parametrize("alpha", ['["x"]', "[1e400]"],
+                             ids=["string", "overflow"])
+    def test_sample_bad_shape_exponent(self, tmp_path, capsys, alpha):
+        scale = write_json(tmp_path / "scale.json", {
+            "graph": {"n": 2, "edges": [[1, 2]]},
+            "matrix": [[2.0, 0.5], [0.5, 2.0]]})
+        shape = tmp_path / "shape.json"
+        shape.write_text('{"alpha": %s, "beta": []}' % alpha)
+        code, out = invoke(["dist", "sample", "--family", "type1",
+                            "--shape", str(shape), "--scale", scale,
+                            "--n", "2", "--seed", "1"], capsys)
+        assert code == 1
+        assert json.loads(out)["code"] == "non_numeric"
+
     def test_sample_roundtrip_into_logpdf(self, tmp_path, shape_file,
                                           scale_file, capsys):
         code, out = invoke(["dist", "sample", "--family", "type1",
@@ -294,6 +308,22 @@ class TestBayesAndVerify:
                              capsys)
         assert status == 1
         assert json.loads(out)["code"] == code
+
+    @pytest.mark.parametrize("alpha", ['["x"]', "[1e400]"],
+                             ids=["string", "overflow"])
+    def test_bayes_fit_bad_shape_exponent(self, tmp_path, capsys, alpha):
+        graph = write_json(tmp_path / "k2.json",
+                           {"n": 2, "edges": [[1, 2]]})
+        csv = tmp_path / "d.csv"
+        csv.write_text("1,2\n0.5,0.1\n-1,2\n")
+        prior = tmp_path / "prior.json"
+        prior.write_text('{"shape": {"alpha": %s, "beta": []}, '
+                         '"scale": [[1.0, 0.0], [0.0, 1.0]]}' % alpha)
+        code, out = invoke(["bayes", "fit", "--graph", graph,
+                            "--data", str(csv), "--prior", str(prior)],
+                           capsys)
+        assert code == 1
+        assert json.loads(out)["code"] == "non_numeric"
 
     def test_unexpected_exception_is_internal_error(self, a4_file,
                                                    monkeypatch, capsys):

@@ -195,9 +195,9 @@ class TestBlocks:
 
     def test_identity_blocks(self, a4, a4_ord):
         b = split_blocks(project(np.eye(4), a4), a4_ord)
-        for cond in (b.c1_cond,) + b.conds:
+        for cond, _ in b.parts[1:]:
             assert np.allclose(cond, np.eye(len(cond)))
-        for ratio in (b.c1_ratio,) + b.ratios:
+        for _, ratio in b.parts[1:]:
             assert np.allclose(ratio, 0.0)
 
     def test_schur_complement_value(self, path3):
@@ -206,17 +206,17 @@ class TestBlocks:
         b = split_blocks(IncompleteMatrix(path3, m))
         # second clique {2,3} conditions on {2}: stays 1; first clique
         # split gives the 1 - 0.25 complement
-        assert b.c1_cond[0, 0] == pytest.approx(0.75)
+        assert b.parts[1][0][0, 0] == pytest.approx(0.75)
 
     def test_det_product_identity(self, g0, g0_ord):
         rng = np.random.default_rng(23)
         for _ in range(10):
             x = random_qg(g0, rng)
             b = split_blocks(x, g0_ord)
-            total = np.linalg.slogdet(b.c1_cond)[1]
-            if b.c1_sep.size:
-                total += np.linalg.slogdet(b.c1_sep)[1]
-            for cond in b.conds:
+            total = np.linalg.slogdet(b.parts[1][0])[1]
+            if b.parts[0][0].size:
+                total += np.linalg.slogdet(b.parts[0][0])[1]
+            for cond, _ in b.parts[2:]:
                 total += np.linalg.slogdet(cond)[1]
             assert total == pytest.approx(logdet_hat(x), rel=1e-10)
 
@@ -233,7 +233,7 @@ class TestBlocks:
         rng = np.random.default_rng(31)
         x = random_qg(k3, rng)
         b = split_blocks(x)
-        assert np.allclose(b.c1_cond, x.data)
+        assert np.allclose(b.parts[1][0], x.data)
 
 
 class TestSchurPad:

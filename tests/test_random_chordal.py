@@ -21,9 +21,11 @@ from graphwishart import (
     canonical_shape,
     complete,
     decompose,
+    laplace,
     logdet_hat,
     logpdf,
     mean_type1,
+    mean_type2,
     parse_graph,
     phi,
     precision_of,
@@ -136,6 +138,49 @@ def test_mean_type1_matches_dense(spec):
         ref = ref - shape.beta[o.sep_index[j]] * _outer(hat, sep)
     got = mean_type1(WishartSpec(g, shape, scale, "type1")).data
     assert _rel(got, ref * g.edge_mask()) < 1e-10
+
+
+@given(spec=chordal_graphs())
+@EXAMPLES
+def test_mean_type2_matches_per_occurrence_sum(spec):
+    g = parse_graph(spec)
+    o = decompose(g)
+    rng = np.random.default_rng(SEED)
+    theta = random_pg(g, rng)
+    shape = random_second_admissible(o, rng)
+
+    def pad_inv(block):
+        ix = np.asarray(block) - 1
+        out = np.zeros_like(theta)
+        out[np.ix_(ix, ix)] = np.linalg.inv(theta[np.ix_(ix, ix)])
+        return out
+
+    ref = -sum(a * pad_inv(c) for a, c in zip(shape.alpha, o.cliques))
+    for j, sep in enumerate(o.separators):
+        ref = ref + shape.beta[o.sep_index[j]] * pad_inv(sep)
+    got = mean_type2(WishartSpec(g, shape, SparsePrecision(g, theta),
+                                 "type2")).data
+    assert _rel(got, ref) < 1e-10
+
+
+@given(spec=chordal_graphs())
+@EXAMPLES
+def test_means_are_laplace_gradients(spec):
+    g = parse_graph(spec)
+    o = decompose(g)
+    rng = np.random.default_rng(SEED)
+    scale = random_qg(g, rng)
+    specs = (WishartSpec(g, _first_shape(o, rng), scale, "type1"),
+             WishartSpec(g, random_second_admissible(o, rng), scale,
+                         "type2"))
+    h = rng.uniform(-1.0, 1.0, scale.data.shape)
+    h = (h + h.T) * g.edge_mask()
+    h /= np.linalg.norm(h)
+    eps = 1e-5
+    for s, mean in zip(specs, (mean_type1, mean_type2)):
+        fd = (laplace(s, eps * h) - laplace(s, -eps * h)) / (2 * eps)
+        pairing = float(np.sum(mean(s).data * h))
+        assert abs(fd - pairing) < 1e-6 * (1 + abs(pairing))
 
 
 def _log_h_dense(alpha, beta, m, o):

@@ -6,6 +6,7 @@ from scipy.special import gammaln
 
 from graphwishart import (
     IncompleteMatrix,
+    NonNumeric,
     OutOfDomain,
     ShapeParam,
     canonical_shape,
@@ -237,6 +238,18 @@ def test_shape_arithmetic():
     assert (a + b).alpha == (1.5, 2.5)
     assert (a - b).beta == (0.25,)
     assert (-a).alpha == (-1.0, -2.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "x"],
+                         ids=["nan", "inf", "string"])
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+def test_shape_exponent_must_be_finite_real(bad, field):
+    good = {"alpha": (1.0, 2.0), "beta": (0.5,)}
+    values = dict(good, **{field: good[field][:-1] + (bad,)})
+    with pytest.raises(NonNumeric) as info:
+        ShapeParam(values["alpha"], values["beta"])
+    assert info.value.context == {"field": field,
+                                  "index": len(good[field]) - 1}
 
 
 def test_log_multigamma_against_scipy():
