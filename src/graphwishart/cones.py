@@ -121,14 +121,32 @@ def project(full, graph):
     return IncompleteMatrix(graph, sym)
 
 
+def _require_pd_cliques(data, ordering):
+    """Raise NotInQG unless every clique block of the (r, r) array is
+    positive definite: one batched Cholesky per clique size.  The error
+    names the first failing clique of the order."""
+    failed = []
+    for g in ordering.plan:
+        for _, part in _chunks(1, g.cliques, 8 * g.size ** 2):
+            try:
+                np.linalg.cholesky(
+                    _blocks_of(data, ..., g.index[:g.cliques][part]))
+            except np.linalg.LinAlgError:
+                failed.extend(g.members[:g.cliques][part])
+    if failed:
+        failed.sort()
+        j = next((j for j in failed
+                  if not _is_pd(_block(data, ordering.cliques[j]))),
+                 failed[0])
+        raise NotInQG("clique submatrix is not positive definite",
+                      clique=list(ordering.cliques[j]))
+
+
 def require_qg(x):
     """Check positive definiteness of every clique submatrix; returns the
     graph's clique order."""
     ordering = decompose(x.graph)
-    for c in ordering.cliques:
-        if not _is_pd(x.submatrix(c)):
-            raise NotInQG("clique submatrix is not positive definite",
-                          clique=list(c))
+    _require_pd_cliques(x.data, ordering)
     return ordering
 
 
@@ -167,42 +185,86 @@ def complete(x):
     return 0.5 * (out + out.T)
 
 
-def _logdet_sum(data, blocks, weights):
-    """Sum of w * log det data_A over the blocks A of (..., r, r) arrays.
+# Bytes that one gather of blocks may take.  The kernels walk each block
+# size group of a stack of matrices in chunks of draws (of blocks, when
+# one draw is larger) so that their temporaries stay near this size.
+_CHUNK_BYTES = 4 << 20
+
+
+def _chunks(n, m, item):
+    """(draw slice, block slice) pairs that cover n draws times m blocks,
+    each chunk gathering about ``_CHUNK_BYTES`` at ``item`` bytes per
+    block of one draw."""
+    per = max(1, _CHUNK_BYTES // item)
+    if m <= per:
+        step = max(1, per // max(m, 1))
+        return [(slice(a, a + step), slice(None)) for a in range(0, n, step)]
+    return [(slice(a, a + 1), slice(b, b + per))
+            for a in range(n) for b in range(0, m, per)]
+
+
+def _stack(data):
+    """(n, r, r) view of a (..., r, r) array."""
+    return data.reshape((-1,) + data.shape[-2:])
+
+
+def _blocks_of(flat, rows, ix):
+    """Blocks (..., m, k, k) of the ``rows`` of a stack on the 0-based
+    index rows of ``ix`` (m, k)."""
+    return flat[rows, ix[:, :, None], ix[:, None, :]]
+
+
+def _logdet_sum(data, ordering, weights):
+    """Sum of w * log det data_A over ``ordering.blocks`` A of (..., r, r)
+    arrays, one batched ``slogdet`` per block size (and chunk).
 
     Returns the value and whether every block determinant is positive.
     """
-    total = 0.0
-    ok = True
-    for a, w in zip(blocks, weights):
-        sign, ld = np.linalg.slogdet(_block(data, a))
-        total = total + w * ld
-        ok = ok & (sign > 0)
-    return total, ok
+    flat = _stack(data)
+    w = np.asarray(weights, dtype=float)
+    total = np.zeros(len(flat))
+    ok = np.ones(len(flat), dtype=bool)
+    for g in ordering.plan:
+        for rows, part in _chunks(len(flat), len(g.members), 8 * g.size ** 2):
+            sign, ld = np.linalg.slogdet(_blocks_of(flat, rows, g.index[part]))
+            total[rows] += ld @ w[g.members[part]]
+            ok[rows] &= np.all(sign > 0, axis=-1)
+    lead = data.shape[:-2]
+    return total.reshape(lead)[()], ok.reshape(lead)[()]
 
 
-def _inverse_sum(data, blocks, weights):
-    """Sum of w * (data_A)^-1, each zero padded to the full size."""
-    out = np.zeros(data.shape)
-    for a, w in zip(blocks, weights):
-        ix = _idx(a)
-        out[..., ix[:, None], ix] += w * np.linalg.inv(_block(data, a))
-    return out
+def _inverse_sum(data, ordering, weights):
+    """Sum of w * (data_A)^-1 over ``ordering.blocks`` A, each zero padded
+    to the full size: one batched ``inv`` per block size (and chunk)."""
+    flat = _stack(data)
+    n, r = flat.shape[:2]
+    w = np.asarray(weights, dtype=float)
+    out = np.zeros((n, r * r))
+    for g in ordering.plan:
+        for rows, part in _chunks(n, len(g.members), 8 * g.size ** 2):
+            ix = g.index[part]
+            inv = np.linalg.inv(_blocks_of(flat, rows, ix)) * \
+                w[g.members[part], None, None]
+            slots = (ix[:, :, None] * r + ix[:, None, :]).ravel()
+            np.add.at(out, (rows, slots), inv.reshape(len(inv), -1))
+    return out.reshape(data.shape)
 
 
-def _outer_sum(data, pattern, blocks, weights):
-    """Sum of w * data[:, A] data_A^-1 data[A, :] over the blocks A of
-    dense (..., r, r) arrays, on the slots of ``pattern`` only: a packed
-    (..., r + |E|) array.  Each term is the matrix minus its zero padded
-    Schur complement on A (:func:`schur_pad`)."""
-    out = np.zeros(data.shape[:-2] + (pattern.size,))
-    for a, w in zip(blocks, weights):
-        ix = _idx(a)
-        cols = data[..., :, ix]
-        lead = np.linalg.solve(data[..., ix[:, None], ix], _tr(cols))
-        out += w * np.einsum("...sa,...as->...s", cols[..., pattern.rows, :],
-                             lead[..., pattern.cols])
-    return out
+def _outer_sum(data, pattern, ordering, weights):
+    """Sum of w * data[:, A] data_A^-1 data[A, :] over ``ordering.blocks``
+    A of dense (..., r, r) arrays, on the slots of ``pattern`` only: a
+    packed (..., r + |E|) array.  Each term is the matrix minus its zero
+    padded Schur complement on A (:func:`schur_pad`).  The sum is
+    data W data with W the padded inverse sum of :func:`_inverse_sum`,
+    taken in chunks of draws."""
+    flat = _stack(data)
+    n, r = flat.shape[:2]
+    out = np.empty((n, pattern.size))
+    for rows, _ in _chunks(n, 1, 24 * r * r):
+        part = flat[rows]
+        full = part @ _inverse_sum(part, ordering, weights) @ part
+        out[rows] = full[:, pattern.rows, pattern.cols]
+    return out.reshape(data.shape[:-2] + (pattern.size,))
 
 
 def precision_of(x):
@@ -212,7 +274,7 @@ def precision_of(x):
     clique inverses minus padded separator inverses.
     """
     ordering = require_qg(x)
-    out = _inverse_sum(x.data, ordering.blocks, ordering.signs)
+    out = _inverse_sum(x.data, ordering, ordering.signs)
     return SparsePrecision(x.graph, 0.5 * (out + out.T))
 
 
@@ -234,13 +296,11 @@ def logdet_hat(x):
     """Log determinant of the completion of x.
 
     Computed as the clique log determinants minus the separator ones,
-    never forming the completion itself.
+    never forming the completion itself.  Raises NotInQG, naming the
+    clique, when a clique block is not positive definite.
     """
-    ordering = decompose(x.graph)
-    total, ok = _logdet_sum(x.data, ordering.blocks, ordering.signs)
-    if not ok:
-        raise NotInQG("block has non-positive determinant")
-    return float(total)
+    ordering = require_qg(x)
+    return float(_logdet_sum(x.data, ordering, ordering.signs)[0])
 
 
 @dataclass(frozen=True)

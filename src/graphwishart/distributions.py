@@ -12,6 +12,7 @@ entries of the pattern.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -209,9 +210,10 @@ class WishartSpec:
     membership of the scale and admissibility of the shape; derived
     quantities (the graph's class tree ``hasse`` when it is homogeneous,
     the step list ``walk`` the shape is admissible on with one exponent
-    per step, log normalizing constant) are cached on the instance.
-    ``ordering`` is the clique order the shape is aligned with; it
-    defaults to the graph's own.
+    per step, log normalizing constant) are cached on the instance, and
+    so, on first use, are what ``logpdf`` and the sampler walk need of
+    the scale and shape alone.  ``ordering`` is the clique order the
+    shape is aligned with; it defaults to the graph's own.
     """
 
     graph: object
@@ -256,6 +258,40 @@ class WishartSpec:
     def r(self):
         return self.graph.vertex_count
 
+    @cached_property
+    def precision(self):
+        """``precision_of(scale)``: the sparse inverse of the completed
+        scale, read-only."""
+        out = precision_of(self.scale)
+        out.data.setflags(write=False)
+        return out
+
+    @cached_property
+    def logpdf_shape(self):
+        """Exponent shape of ``log_h`` at the point in :func:`logpdf`."""
+        shift = -0.5 if self.family in ("type1", "inv_type2") else 0.5
+        return self.shape + size_shift(self.ordering, shift, 1)
+
+    @cached_property
+    def step_scales(self):
+        """Per step of ``walk.steps``, None for an empty new block, else
+        the scale's regression ``(t_cond, t_ratio)`` on the step's blocks
+        and the scale of the step's Wishart draw: t_cond on the first
+        side, its inverse on the second.  The arrays are read-only."""
+        first = self.family in ("type1", "inv_type1")
+        out = []
+        for new, given in self.walk.steps:
+            if not new:
+                out.append(None)
+                continue
+            t_cond, t_ratio = cones._regress(self.scale.data, new, given)
+            step = (t_cond, t_ratio,
+                    t_cond if first else np.linalg.inv(t_cond))
+            for a in step:
+                a.setflags(write=False)
+            out.append(step)
+        return tuple(out)
+
 
 def logpdf(spec, point):
     """Log density of a spec at a point of the matching cone.
@@ -264,7 +300,6 @@ def logpdf(spec, point):
     clique blocks; type2 and inv_type1 take sparse positive definite
     matrices.  Points outside the cone raise OutOfSupport.
     """
-    ordering = spec.ordering
     if spec.family in ("type1", "inv_type2"):
         if not isinstance(point, IncompleteMatrix):
             raise OutOfSupport("point must be an incomplete matrix",
@@ -291,13 +326,12 @@ def logpdf(spec, point):
                 "point is not positive definite") from None
 
     if spec.family in ("type1", "inv_type1"):
-        pair = trace_pair(x, precision_of(spec.scale))
+        pair = trace_pair(x, spec.precision)
     elif spec.family == "type2":
         pair = trace_pair(spec.scale, point)
     else:
         pair = trace_pair(spec.scale, precision_of(x))
-    shift = -0.5 if spec.family in ("type1", "inv_type2") else 0.5
-    return log_h(spec.shape + size_shift(ordering, shift, 1), x, ordering) \
+    return log_h(spec.logpdf_shape, x, spec.ordering) \
         - spec.log_gamma - spec.log_h_scale - pair
 
 
@@ -368,6 +402,7 @@ def _walk(spec, rng, n):
     and the coefficient has the drawn block as row matrix and T[given]
     as column matrix.
 
+    The scale's side of every step comes from ``spec.step_scales``.
     Returns the packed draws for type1 and inv_type2.  For type2 and
     inv_type1 it returns the packed inverses of their completions,
     summed from the drawn (conditional block, coefficient) pairs.
@@ -378,17 +413,17 @@ def _walk(spec, rng, n):
     scale = spec.scale.data
     x = np.zeros((n, spec.graph.pattern.size))
     k = np.zeros_like(x) if precision else None
-    for (new, given), p in zip(spec.walk.steps, spec.exponents):
+    for (new, given), p, step in zip(spec.walk.steps, spec.exponents,
+                                     spec.step_scales):
         if not new:
             continue
-        t_cond, t_ratio = cones._regress(scale, new, given)
+        t_cond, t_ratio, w_scale = step
         x_given = cones._gather(x, pos, given)
+        wishart = sample_base_wishart(len(new), p, w_scale, rng, n)
         if first:
-            cond = wishart = sample_base_wishart(len(new), p, t_cond, rng, n)
+            cond = wishart
             row, col = t_cond, x_given
         else:
-            wishart = sample_base_wishart(
-                len(new), p, np.linalg.inv(t_cond), rng, n)
             cond = np.linalg.inv(wishart)
             row, col = cond, _block(scale, given)
         ratio = sample_matrix_normal(t_ratio, row, col, rng, n)
@@ -439,7 +474,7 @@ def mean_type1(spec):
                           family=spec.family)
     ordering = spec.ordering
     pattern = spec.graph.pattern
-    store = cones._outer_sum(complete(spec.scale), pattern, ordering.blocks,
+    store = cones._outer_sum(complete(spec.scale), pattern, ordering,
                              _weights(spec.shape, ordering))
     return IncompleteMatrix(spec.graph, cones._scatter(store, pattern))
 
@@ -451,7 +486,7 @@ def mean_type2(spec):
         raise OutOfDomain("mean_type2 needs a type2 spec",
                           family=spec.family)
     ordering = spec.ordering
-    total = cones._inverse_sum(spec.scale.data, ordering.blocks,
+    total = cones._inverse_sum(spec.scale.data, ordering,
                                _weights(-spec.shape, ordering))
     return SparsePrecision(spec.graph, 0.5 * (total + total.T))
 
@@ -466,7 +501,7 @@ def laplace(spec, t):
     ordering = spec.ordering
     tm = np.asarray(t, dtype=float) * spec.graph.edge_mask()
     if spec.family == "type1":
-        shifted = precision_of(spec.scale).data - tm
+        shifted = spec.precision.data - tm
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:

@@ -273,6 +273,21 @@ def parse_graph(spec):
     return DecomposableGraph(n, frozenset(edges), adj, tuple(order))
 
 
+@dataclass(frozen=True, eq=False)
+class BlockGroup:
+    """The blocks of one size of a clique order.
+
+    ``index[g]`` holds the 0-based vertices of block ``members[g]`` of
+    ``CliqueOrdering.blocks``; ``members`` is increasing, so its first
+    ``cliques`` entries are cliques and the rest distinct separators.
+    """
+
+    size: int
+    index: object
+    members: object
+    cliques: int
+
+
 @dataclass(frozen=True)
 class CliqueOrdering:
     """A perfect order of the cliques with its derived structure.
@@ -319,6 +334,24 @@ class CliqueOrdering:
     @property
     def signs(self):
         return (1,) * self.k + tuple(-m for m in self.multiplicity)
+
+    @cached_property
+    def plan(self):
+        """``blocks`` grouped by size, as a tuple of :class:`BlockGroup`
+        in increasing size; built on first use."""
+        import numpy as np
+
+        blocks = self.blocks
+        sizes = [len(b) for b in blocks]
+        out = []
+        for size in sorted(set(sizes) - {0}):
+            members = np.array([i for i, s in enumerate(sizes) if s == size])
+            index = np.array([blocks[i] for i in members]) - 1
+            for a in (members, index):
+                a.setflags(write=False)
+            out.append(BlockGroup(size, index, members,
+                                  int(np.sum(members < self.k))))
+        return tuple(out)
 
     @property
     def clique_sizes(self):

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 from scipy.special import gammaln
 
-from .cones import _logdet_sum
+from .cones import _logdet_sum, _require_pd_cliques
 from .errors import (
     NonNumeric,
-    NotInQG,
     OutOfDomain,
     ShapeMismatch,
     ShapeNotAdmissible,
@@ -138,20 +137,20 @@ def _log_h(shape, data, ordering):
 
     Returns the value and whether every block determinant is positive.
     """
-    return _logdet_sum(data, ordering.blocks, _weights(shape, ordering))
+    return _logdet_sum(data, ordering, _weights(shape, ordering))
 
 
 def log_h(shape, x, ordering=None):
     """Log of the clique/separator determinant power product at x.
 
     Separator factors are weighted by their multiplicity in the order.
+    Raises NotInQG, naming the clique, when a clique block of x is not
+    positive definite.
     """
     ordering = ordering or decompose(x.graph)
     check_alignment(shape, ordering)
-    total, ok = _log_h(shape, x.data, ordering)
-    if not ok:
-        raise NotInQG("block has non-positive determinant")
-    return float(total)
+    _require_pd_cliques(x.data, ordering)
+    return float(_log_h(shape, x.data, ordering)[0])
 
 
 def canonical_shape(kind, ordering, value):

@@ -332,7 +332,7 @@ def check_mean426(spec, rng, n):
     m = np.linalg.inv(sample_batch(spec, rng, n))
     pattern = spec.graph.pattern
     per_draw = _outer_sum(
-        m, pattern, ordering.blocks,
+        m, pattern, ordering,
         _weights(spec.shape + size_shift(ordering, 0.5, 1), ordering))
     target = -spec.scale.data[pattern.rows, pattern.cols]
     resid = target - per_draw.mean(axis=0)

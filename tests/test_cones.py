@@ -13,11 +13,14 @@ from graphwishart import (
     NonNumeric,
     NotInPG,
     NotInQG,
+    ShapeParam,
     SparsePrecision,
     assemble_blocks,
     complete,
     decompose,
+    log_h,
     logdet_hat,
+    parse_graph,
     phi,
     precision_of,
     project,
@@ -25,6 +28,7 @@ from graphwishart import (
     split_blocks,
     trace_pair,
 )
+from graphwishart.cones import require_qg
 
 from conftest import incompletify, random_pg, random_qg
 
@@ -189,6 +193,57 @@ class TestLogdetHat:
             x = random_qg(g0, rng)
             dense = np.linalg.slogdet(complete(x))[1]
             assert logdet_hat(x) == pytest.approx(dense, rel=1e-10)
+
+
+class TestIndefiniteCliques:
+    """A clique block can be indefinite with a positive determinant:
+    diag(-1, -1, 1) on the clique {1, 2, 3}.  Both determinant sums must
+    still reject it and name the clique."""
+
+    @pytest.fixture
+    def x(self):
+        g = parse_graph({"n": 4, "edges": [[1, 2], [1, 3], [2, 3], [3, 4]]})
+        return IncompleteMatrix(g, np.diag([-1.0, -1.0, 1.0, 1.0]))
+
+    def test_logdet_hat(self, x):
+        with pytest.raises(NotInQG) as err:
+            logdet_hat(x)
+        assert err.value.context["clique"] == [1, 2, 3]
+
+    def test_log_h(self, x):
+        o = decompose(x.graph)
+        shape = ShapeParam((1.0, 1.0), (1.0,))
+        with pytest.raises(NotInQG) as err:
+            log_h(shape, x, o)
+        assert err.value.context["clique"] == [1, 2, 3]
+
+
+class TestRequireQG:
+
+    def test_names_first_failing_clique_of_the_order(self):
+        # Cliques {1,2,3}, {3,4}, {4,5} in this order.  {1,2,3} and
+        # {4,5} both fail; the later one is smaller, so its size group
+        # comes first in the block plan.
+        g = parse_graph({"n": 5, "edges": [[1, 2], [1, 3], [2, 3], [3, 4],
+                                           [4, 5]]})
+        o = decompose(g)
+        assert o.cliques == ((1, 2, 3), (3, 4), (4, 5))
+        assert [grp.size for grp in o.plan][:2] == [1, 2]
+        m = np.eye(5)
+        m[0, 1] = m[1, 0] = 2.0
+        m[3, 4] = m[4, 3] = 2.0
+        with pytest.raises(NotInQG) as err:
+            require_qg(IncompleteMatrix(g, m))
+        assert err.value.context["clique"] == [1, 2, 3]
+
+    def test_names_the_only_failing_clique(self):
+        g = parse_graph({"n": 5, "edges": [[1, 2], [1, 3], [2, 3], [3, 4],
+                                           [4, 5]]})
+        m = np.eye(5)
+        m[3, 4] = m[4, 3] = 2.0
+        with pytest.raises(NotInQG) as err:
+            require_qg(IncompleteMatrix(g, m))
+        assert err.value.context["clique"] == [4, 5]
 
 
 class TestBlocks:

@@ -9,6 +9,8 @@ and density examples compare each blockwise formula with plain dense
 linear algebra.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 
@@ -32,6 +34,7 @@ from graphwishart import (
     sample_batch,
     split_blocks,
 )
+from graphwishart import cones
 
 from conftest import (
     chordal_graphs,
@@ -65,6 +68,27 @@ def _draws(spec):
 
 def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def _per_block(data, o, weights):
+    """Plain loops over ``o.blocks``, one block at a time: the reference
+    for the size-grouped kernels of ``cones``."""
+    pattern = o.graph.pattern
+    ld = np.zeros(data.shape[:-2])
+    ok = np.ones(data.shape[:-2], dtype=bool)
+    inv = np.zeros(data.shape)
+    outer = np.zeros(data.shape[:-2] + (pattern.size,))
+    for a, w in zip(o.blocks, weights):
+        ix = np.asarray(a) - 1
+        block = data[..., ix[:, None], ix]
+        sign, val = np.linalg.slogdet(block)
+        ld += w * val
+        ok &= sign > 0
+        inv[..., ix[:, None], ix] += w * np.linalg.inv(block)
+        cols = data[..., :, ix]
+        full = cols @ np.linalg.solve(block, np.swapaxes(cols, -1, -2))
+        outer += w * full[..., pattern.rows, pattern.cols]
+    return ld, ok, inv, outer
 
 
 @given(spec=chordal_graphs())
@@ -230,3 +254,38 @@ def test_logpdf_matches_dense(spec):
             else SparsePrecision(g, random_pg(g, rng))
         ref = _logpdf_dense(s, point)
         assert abs(logpdf(s, point) - ref) < 1e-9 * (1 + abs(ref))
+
+
+@given(spec=chordal_graphs())
+@EXAMPLES
+def test_kernels_match_per_block_loops(spec):
+    """The size-grouped kernels against per-block loops, with random
+    weights, on one matrix and on a stack of six.  They run at the
+    module's chunk size, at 200 bytes (a few draws or a few blocks per
+    chunk) and at 8 bytes (one block of one draw per chunk)."""
+    g = parse_graph(spec)
+    o = decompose(g)
+    rng = np.random.default_rng(SEED)
+    r = g.vertex_count
+    a = rng.standard_normal((6, r, r + 2))
+    stack = a @ np.swapaxes(a, 1, 2) / (r + 2) + 0.5 * np.eye(r)
+    # Draw 2 gets the block diag(-1, rest) on every block holding the
+    # first vertex of the first clique: a negative determinant there.
+    v = o.cliques[0][0] - 1
+    stack[2, v, :] = stack[2, :, v] = 0.0
+    stack[2, v, v] = -1.0
+    weights = rng.standard_normal(len(o.blocks))
+    for chunk in (cones._CHUNK_BYTES, 200, 8):
+        with mock.patch.object(cones, "_CHUNK_BYTES", chunk):
+            for data in (stack[0], stack):
+                ld_ref, ok_ref, inv_ref, outer_ref = _per_block(
+                    data, o, weights)
+                ld, ok = cones._logdet_sum(data, o, weights)
+                assert np.array_equal(ok, ok_ref)
+                assert np.all(np.abs(ld - ld_ref) <=
+                              1e-12 * (1 + np.abs(ld_ref)))
+                assert _rel(cones._inverse_sum(data, o, weights),
+                            inv_ref) < 1e-12
+                assert _rel(cones._outer_sum(data, g.pattern, o, weights),
+                            outer_ref) < 1e-12
+    assert list(ok_ref) == [True, True, False, True, True, True]

@@ -192,6 +192,36 @@ class TestMcNormalizer:
         assert a.value == b.value and a.std_error == b.std_error
 
 
+def test_log_h_batch_memory_is_chunked():
+    """``_log_h_batch`` on 20000 draws of a banded r=20 graph walks each
+    block size in chunks: it allocates at most twice the chunk bound
+    (the gathered blocks and the LAPACK outputs of one chunk) plus
+    O(n) for its outputs, not one (n, m, k, k) gather per size (about
+    40 MB here)."""
+    import tracemalloc
+
+    from graphwishart import cones, verify
+
+    r, n = 20, 20000
+    g = parse_graph({"n": r, "edges": [[i, j] for i in range(1, r + 1)
+                                       for j in range(i + 1, min(r, i + 3)
+                                                      + 1)]})
+    o = decompose(g)
+    shape = canonical_shape("hyper", o, 3.0)
+    batch = np.empty((n, r, r))
+    batch[:] = np.eye(r) + 0.1 * g.edge_mask()
+    expect = verify._log_h_batch(shape, batch[:1], o)[0]
+    tracemalloc.start()
+    try:
+        out = verify._log_h_batch(shape, batch, o)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(out, expect, rtol=1e-13)
+    assert cones._CHUNK_BYTES <= 8 << 20
+    assert peak <= 2 * cones._CHUNK_BYTES + 16 * n
+
+
 class TestMellin:
 
     def test_zero_moments(self):
