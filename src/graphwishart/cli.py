@@ -66,20 +66,21 @@ __all__ = ["main", "run"]
 
 
 def _fmt(value):
-    if isinstance(value, np.bool_):
-        value = bool(value)
-    if isinstance(value, bool) or value is None:
-        return "true" if value is True else \
-            ("false" if value is False else "null")
+    # None and plain floats first: they are nearly every matrix entry.
+    if value is None:
+        return "null"
+    if type(value) is float:
+        if math.isnan(value):
+            return '"nan"'
+        if math.isinf(value):
+            return '"inf"' if value > 0 else '"-inf"'
+        return "%.17g" % value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v):
-            return '"nan"'
-        if math.isinf(v):
-            return '"inf"' if v > 0 else '"-inf"'
-        return "%.17g" % v
+    if isinstance(value, np.floating):
+        return _fmt(float(value))
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -172,16 +173,10 @@ def _graph_json(graph):
 
 
 def _matrix_json(graph, data, full=False):
-    mask = graph.edge_mask()
-    rows = []
-    for i in range(graph.vertex_count):
-        row = []
-        for j in range(graph.vertex_count):
-            if full or mask[i, j]:
-                row.append(float(data[i, j]))
-            else:
-                row.append(None)
-        rows.append(row)
+    rows = data.tolist()
+    if not full:
+        rows = [[v if on else None for v, on in zip(row, mask)]
+                for row, mask in zip(rows, graph.edge_mask().tolist())]
     return {"graph": _graph_json(graph), "matrix": rows}
 
 

@@ -250,23 +250,6 @@ def _inverse_sum(data, ordering, weights):
     return out.reshape(data.shape)
 
 
-def _outer_sum(data, pattern, ordering, weights):
-    """Sum of w * data[:, A] data_A^-1 data[A, :] over ``ordering.blocks``
-    A of dense (..., r, r) arrays, on the slots of ``pattern`` only: a
-    packed (..., r + |E|) array.  Each term is the matrix minus its zero
-    padded Schur complement on A (:func:`schur_pad`).  The sum is
-    data W data with W the padded inverse sum of :func:`_inverse_sum`,
-    taken in chunks of draws."""
-    flat = _stack(data)
-    n, r = flat.shape[:2]
-    out = np.empty((n, pattern.size))
-    for rows, _ in _chunks(n, 1, 24 * r * r):
-        part = flat[rows]
-        full = part @ _inverse_sum(part, ordering, weights) @ part
-        out[rows] = full[:, pattern.rows, pattern.cols]
-    return out.reshape(data.shape[:-2] + (pattern.size,))
-
-
 def precision_of(x):
     """Inverse of the completion of x, computed blockwise.
 
@@ -315,14 +298,13 @@ class Blocks:
 
 def _regress(data, rows, cols):
     """Return (conditional block, coefficient) of data[rows] onto
-    data[cols]."""
+    data[cols], for (..., r, r) arrays."""
     if len(cols) == 0:
-        return _block(data, rows), np.zeros((len(rows), 0))
+        return _block(data, rows), np.zeros(data.shape[:-2] + (len(rows), 0))
     ri, ci = _idx(rows), _idx(cols)
-    xs = data[ci[:, None], ci]
-    xrs = data[ri[:, None], ci]
-    ratio = np.linalg.solve(xs, xrs.T).T
-    cond = data[ri[:, None], ri] - ratio @ xrs.T
+    xrs = data[..., ri[:, None], ci]
+    ratio = _tr(np.linalg.solve(_block(data, cols), _tr(xrs)))
+    cond = _block(data, rows) - ratio @ _tr(xrs)
     return cond, ratio
 
 
@@ -352,6 +334,18 @@ def _place(store, pos, new, given, cond, ratio, x_given):
     store[..., _slots(pos, new, given)] = cross
     slots, sel = _tril(pos, new)
     store[..., slots] = (cond + cross @ _tr(ratio))[..., sel]
+
+
+def _fill(pattern, steps, parts, lead=()):
+    """Packed store (*lead, r + |E|) built along ``steps`` from one
+    (conditional block, coefficient) pair per step; a step whose part is
+    None is skipped."""
+    store = np.zeros(lead + (pattern.size,))
+    for (new, given), part in zip(steps, parts):
+        if part is not None:
+            _place(store, pattern.pos, new, given, *part,
+                   _gather(store, pattern.pos, given))
+    return store
 
 
 def _add_step_precision(store, pos, new, given, cond_inv, ratio):
@@ -390,10 +384,7 @@ def assemble_blocks(blocks):
     """Inverse of :func:`split_blocks`."""
     ordering = blocks.ordering
     pattern = ordering.graph.pattern
-    store = np.zeros(pattern.size)
-    for (new, given), (cond, ratio) in zip(ordering.steps, blocks.parts):
-        _place(store, pattern.pos, new, given, cond, ratio,
-               _gather(store, pattern.pos, given))
+    store = _fill(pattern, ordering.steps, blocks.parts)
     return IncompleteMatrix(ordering.graph, _scatter(store, pattern))
 
 

@@ -22,7 +22,6 @@ from .cones import (
     SparsePrecision,
     _block,
     _tr,
-    complete,
     phi,
     precision_of,
     trace_pair,
@@ -40,6 +39,7 @@ from .errors import (
 from .graphs import _class_tree, decompose
 from .shapes import (
     ShapeParam,
+    _log_h,
     _weights,
     admissible_walk,
     check_alignment,
@@ -298,7 +298,8 @@ def logpdf(spec, point):
 
     type1 and inv_type2 take incomplete matrices with positive definite
     clique blocks; type2 and inv_type1 take sparse positive definite
-    matrices.  Points outside the cone raise OutOfSupport.
+    matrices.  Points outside the cone raise OutOfSupport.  The point is
+    checked once; the kernels after the check take it as valid.
     """
     if spec.family in ("type1", "inv_type2"):
         if not isinstance(point, IncompleteMatrix):
@@ -330,9 +331,11 @@ def logpdf(spec, point):
     elif spec.family == "type2":
         pair = trace_pair(spec.scale, point)
     else:
-        pair = trace_pair(spec.scale, precision_of(x))
-    return log_h(spec.logpdf_shape, x, spec.ordering) \
-        - spec.log_gamma - spec.log_h_scale - pair
+        # The padded inverse sum is precision_of(x), zero off the pattern.
+        pair = float(np.sum(spec.scale.data * cones._inverse_sum(
+            x.data, spec.ordering, spec.ordering.signs)))
+    log_h_x = _log_h(spec.logpdf_shape, x.data, spec.ordering)[0]
+    return float(log_h_x) - spec.log_gamma - spec.log_h_scale - pair
 
 
 def logpdf_f(graph, shape_a, shape_b, scale, point, kind="first"):
@@ -462,20 +465,26 @@ def sample(spec, rng, n):
     return [SparsePrecision(spec.graph, b) for b in batch]
 
 
-def mean_type1(spec):
-    """Closed-form mean of a type1 member.
+def _walk_mean(pattern, steps, exponents, coords, lead=()):
+    """Packed mean of a first-side walk along ``steps`` at the scale's step
+    coordinates ``coords`` (None for an empty step).  A step's conditional
+    block has mean p T_cond and its coefficient mean T_ratio with entry
+    covariance X_given^-1 (x) T_cond / 2: the mean is the fill from the
+    pairs ((p + |given| / 2) T_cond, T_ratio)."""
+    return cones._fill(pattern, steps, [
+        None if c is None else ((p + len(given) / 2.0) * c[0], c[1])
+        for (_, given), p, c in zip(steps, exponents, coords)], lead)
 
-    Built from the completed scale: the shape-weighted sum over the
-    cliques and separators A of hat[:, A] hat_A^-1 hat[A, :], taken on
-    the pattern only.
-    """
+
+def mean_type1(spec):
+    """Closed-form mean of a type1 member: the expectation of the sampler
+    walk, built along ``spec.walk`` from the scale's step coordinates."""
     if spec.family != "type1":
         raise OutOfDomain("mean_type1 needs a type1 spec",
                           family=spec.family)
-    ordering = spec.ordering
     pattern = spec.graph.pattern
-    store = cones._outer_sum(complete(spec.scale), pattern, ordering,
-                             _weights(spec.shape, ordering))
+    store = _walk_mean(pattern, spec.walk.steps, spec.exponents,
+                       spec.step_scales)
     return IncompleteMatrix(spec.graph, cones._scatter(store, pattern))
 
 

@@ -8,16 +8,17 @@ routes is the main correctness evidence for the package.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
 
 from . import shapes
-from .cones import _outer_sum, split_blocks
+from .cones import _regress, split_blocks
 from .distributions import (
     RngStream,
     WishartSpec,
+    _walk_mean,
     log_inv_wishart_pdf,
     log_matrix_normal_pdf,
     logpdf,
@@ -34,7 +35,7 @@ from .errors import (
     WrongGraph,
 )
 from .graphs import decompose
-from .shapes import _weights, canonical_shape, size_shift, step_exponents
+from .shapes import canonical_shape, size_shift, step_exponents
 
 __all__ = [
     "McEstimate",
@@ -321,6 +322,10 @@ def check_mean426(spec, rng, n):
     Schur complements; this estimates the right-hand side by sampling
     and returns the sup-norm residual against the negated rate with
     the standard error of the worst entry.
+
+    The draws x = phi(K) come from the ``inv_type2`` twin (same steps,
+    same random numbers).  Each draw's sum is the first-side walk mean at
+    its step coordinates and the shape shifted by (size + 1) / 2.
     """
     if spec.family != "type2":
         raise OutOfDomain("identity check needs a type2 spec",
@@ -329,11 +334,12 @@ def check_mean426(spec, rng, n):
         rng = RngStream(rng)
     n = int(n)
     ordering = spec.ordering
-    m = np.linalg.inv(sample_batch(spec, rng, n))
+    x = sample_batch(replace(spec, family="inv_type2"), rng, n)
+    exps = step_exponents(spec.shape + size_shift(ordering, 0.5, 1),
+                          ordering, "first")
     pattern = spec.graph.pattern
-    per_draw = _outer_sum(
-        m, pattern, ordering,
-        _weights(spec.shape + size_shift(ordering, 0.5, 1), ordering))
+    per_draw = _walk_mean(pattern, ordering.steps, exps, [
+        _regress(x, new, given) for new, given in ordering.steps], (n,))
     target = -spec.scale.data[pattern.rows, pattern.cols]
     resid = target - per_draw.mean(axis=0)
     se = per_draw.std(axis=0, ddof=1) / math.sqrt(n)

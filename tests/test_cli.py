@@ -391,6 +391,19 @@ class TestBayesAndVerify:
 
 class TestFloatFormat:
 
+    def test_fmt_golden(self):
+        from graphwishart.cli import _fmt
+
+        value = {"none": None, "t": True, "f": False, "nb": np.bool_(False),
+                 "i": -3, "ni": np.int64(7), "x": 0.1,
+                 "nx": np.float64(-2.5e-300), "nan": math.nan,
+                 "inf": [math.inf, -math.inf],
+                 "nest": [{"a": [1, (2.0, None, np.bool_(True))]}, []]}
+        assert _fmt(value) == (
+            '{"none":null,"t":true,"f":false,"nb":false,"i":-3,"ni":7,'
+            '"x":0.10000000000000001,"nx":-2.5e-300,"nan":"nan",'
+            '"inf":["inf","-inf"],"nest":[{"a":[1,[2,null,true]]},[]]}')
+
     def test_seventeen_digit_roundtrip(self, scale_file, capsys):
         code, out = invoke(["cone", "complete", "--matrix",
                             scale_file], capsys)

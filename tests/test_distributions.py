@@ -31,6 +31,7 @@ from graphwishart import (
     sample_batch,
     sample_matrix_normal,
 )
+from graphwishart import cones, shapes
 from graphwishart.cones import require_qg
 
 from conftest import (
@@ -122,6 +123,32 @@ class TestLogpdf:
         bad = IncompleteMatrix(a4, -np.eye(4))
         with pytest.raises(OutOfSupport):
             logpdf(spec, bad)
+
+    @pytest.mark.parametrize("family", ["type1", "inv_type2"])
+    def test_point_checked_once(self, family, g0, g0_ord, monkeypatch):
+        kind, value = ("hyper", 2.5) if family == "type1" \
+            else ("gwishart", 3.0)
+        spec = WishartSpec(g0, canonical_shape(kind, g0_ord, value),
+                           project(np.eye(6), g0), family)
+        point = random_qg(g0, np.random.default_rng(4))
+        expect = logpdf(spec, point)  # fills the spec's caches
+        calls = []
+        real = cones._require_pd_cliques
+
+        def counted(data, ordering):
+            calls.append(1)
+            return real(data, ordering)
+
+        monkeypatch.setattr(cones, "_require_pd_cliques", counted)
+        monkeypatch.setattr(shapes, "_require_pd_cliques", counted)
+        assert logpdf(spec, point) == expect
+        assert len(calls) == 1
+        bad = point.data.copy()
+        bad[2, 2] = -1.0  # vertex 3 lies only in the clique {1, 2, 3}
+        with pytest.raises(OutOfSupport) as info:
+            logpdf(spec, IncompleteMatrix(g0, bad))
+        assert info.value.context["clique"] == [1, 2, 3]
+        assert len(calls) == 2
 
     def test_inadmissible_shape(self, a4):
         shape = ShapeParam((2.0, 2.0, 2.0), (1.0, 1.0))

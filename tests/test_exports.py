@@ -1,4 +1,6 @@
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,3 +14,11 @@ def test_every_export_resolves(name):
     mod = importlib.import_module(name)
     missing = [n for n in mod.__all__ if not hasattr(mod, n)]
     assert missing == []
+
+
+def test_readme_python_blocks_run():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), {})

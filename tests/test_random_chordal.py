@@ -12,11 +12,14 @@ linear algebra.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from graphwishart import (
     IncompleteMatrix,
     RngStream,
+    ShapeNotAdmissible,
+    ShapeParam,
     SparsePrecision,
     WishartSpec,
     assemble_blocks,
@@ -34,9 +37,13 @@ from graphwishart import (
     sample_batch,
     split_blocks,
 )
-from graphwishart import cones
+from graphwishart import cones, distributions, verify
+from graphwishart.shapes import size_shift
+from graphwishart.verify import check_mean426
 
 from conftest import (
+    FIG1_EDGES,
+    G0_EDGES,
     chordal_graphs,
     random_first_admissible,
     random_pg,
@@ -73,11 +80,9 @@ def _rel(a, b):
 def _per_block(data, o, weights):
     """Plain loops over ``o.blocks``, one block at a time: the reference
     for the size-grouped kernels of ``cones``."""
-    pattern = o.graph.pattern
     ld = np.zeros(data.shape[:-2])
     ok = np.ones(data.shape[:-2], dtype=bool)
     inv = np.zeros(data.shape)
-    outer = np.zeros(data.shape[:-2] + (pattern.size,))
     for a, w in zip(o.blocks, weights):
         ix = np.asarray(a) - 1
         block = data[..., ix[:, None], ix]
@@ -85,10 +90,7 @@ def _per_block(data, o, weights):
         ld += w * val
         ok &= sign > 0
         inv[..., ix[:, None], ix] += w * np.linalg.inv(block)
-        cols = data[..., :, ix]
-        full = cols @ np.linalg.solve(block, np.swapaxes(cols, -1, -2))
-        outer += w * full[..., pattern.rows, pattern.cols]
-    return ld, ok, inv, outer
+    return ld, ok, inv
 
 
 @given(spec=chordal_graphs())
@@ -148,6 +150,15 @@ def _outer(hat, block):
     return hat[:, ix] @ np.linalg.solve(hat[np.ix_(ix, ix)], hat[ix, :])
 
 
+def _weighted_outer(hat, o, shape):
+    """Dense sum of alpha_j times the term of clique j, minus beta_i
+    times the term of separator i at each of its occurrences."""
+    ref = sum(a * _outer(hat, c) for a, c in zip(shape.alpha, o.cliques))
+    for j, sep in enumerate(o.separators):
+        ref = ref - shape.beta[o.sep_index[j]] * _outer(hat, sep)
+    return ref
+
+
 @given(spec=chordal_graphs())
 @EXAMPLES
 def test_mean_type1_matches_dense(spec):
@@ -157,11 +168,79 @@ def test_mean_type1_matches_dense(spec):
     scale = random_qg(g, rng)
     shape = _first_shape(o, rng)
     hat = np.linalg.inv(precision_of(scale).data)
-    ref = sum(a * _outer(hat, c) for a, c in zip(shape.alpha, o.cliques))
-    for j, sep in enumerate(o.separators):
-        ref = ref - shape.beta[o.sep_index[j]] * _outer(hat, sep)
+    ref = _weighted_outer(hat, o, shape)
     got = mean_type1(WishartSpec(g, shape, scale, "type1")).data
     assert _rel(got, ref * g.edge_mask()) < 1e-10
+
+
+def _nested_star(hubs, leaves):
+    """Root 1 joined to every vertex, each hub joined to its leaves."""
+    edges, v = [], 2
+    for _ in range(hubs):
+        hub, v = v, v + 1
+        edges.append([1, hub])
+        for _ in range(leaves):
+            edges += [[1, v], [hub, v]]
+            v += 1
+    return {"n": v - 1, "edges": edges}
+
+
+@pytest.mark.parametrize("spec", [
+    _nested_star(3, 2), _nested_star(2, 4), _nested_star(5, 3),
+    {"n": 6, "edges": G0_EDGES}, {"n": 7, "edges": FIG1_EDGES}])
+def test_mean_type1_on_class_tree_matches_dense(spec):
+    """Shapes admissible only through the class tree: the mean is the
+    fill along the tree, the reference the clique/separator sum."""
+    g = parse_graph(spec)
+    o = decompose(g)
+    rng = np.random.default_rng(SEED)
+    scale = random_qg(g, rng)
+    hat = np.linalg.inv(precision_of(scale).data)
+    shapes = [ShapeParam((2.0,) * o.k, (1.0,) * o.k_prime)] + [
+        ShapeParam(tuple(rng.uniform(1.5, 3.0, o.k)),
+                   tuple(rng.uniform(0.3, 2.0, o.k_prime)))
+        for _ in range(30)]
+    hits = 0
+    for shape in shapes:
+        try:
+            s = WishartSpec(g, shape, scale, "type1")
+        except ShapeNotAdmissible:
+            continue
+        if s.walk is not s.hasse:
+            continue
+        hits += 1
+        ref = _weighted_outer(hat, o, shape)
+        assert _rel(mean_type1(s).data, ref * g.edge_mask()) < 1e-10
+    assert hits >= 5
+
+
+@given(spec=chordal_graphs())
+@EXAMPLES
+def test_mean426_fill_matches_dense(spec):
+    """The per-draw fill inside check_mean426 against the dense weighted
+    sum at the shifted shape, on the completions of the inverse draws."""
+    g = parse_graph(spec)
+    o = decompose(g)
+    rng = np.random.default_rng(SEED)
+    scale = random_qg(g, rng)
+    shape = random_second_admissible(o, rng)
+    s = WishartSpec(g, shape, scale, "type2")
+    fills = []
+
+    def record(*args):
+        fills.append(distributions._walk_mean(*args))
+        return fills[-1]
+
+    with mock.patch.object(verify, "_walk_mean", record):
+        check_mean426(s, RngStream(SEED, 1), DRAWS)
+    draws = sample_batch(WishartSpec(g, shape, scale, "inv_type2"),
+                         RngStream(SEED, 1), DRAWS)
+    shifted = shape + size_shift(o, 0.5, 1)
+    pattern = g.pattern
+    assert len(fills) == 1 and fills[0].shape == (DRAWS, pattern.size)
+    for got, x in zip(fills[0], draws):
+        ref = _weighted_outer(complete(IncompleteMatrix(g, x)), o, shifted)
+        assert _rel(got, ref[pattern.rows, pattern.cols]) < 1e-10
 
 
 @given(spec=chordal_graphs())
@@ -278,14 +357,11 @@ def test_kernels_match_per_block_loops(spec):
     for chunk in (cones._CHUNK_BYTES, 200, 8):
         with mock.patch.object(cones, "_CHUNK_BYTES", chunk):
             for data in (stack[0], stack):
-                ld_ref, ok_ref, inv_ref, outer_ref = _per_block(
-                    data, o, weights)
+                ld_ref, ok_ref, inv_ref = _per_block(data, o, weights)
                 ld, ok = cones._logdet_sum(data, o, weights)
                 assert np.array_equal(ok, ok_ref)
                 assert np.all(np.abs(ld - ld_ref) <=
                               1e-12 * (1 + np.abs(ld_ref)))
                 assert _rel(cones._inverse_sum(data, o, weights),
                             inv_ref) < 1e-12
-                assert _rel(cones._outer_sum(data, g.pattern, o, weights),
-                            outer_ref) < 1e-12
     assert list(ok_ref) == [True, True, False, True, True, True]
