@@ -252,7 +252,8 @@ class WishartSpec:
         self.admissible_per_order = self.walk is self.ordering
         self.exponents = step_exponents(self.shape, self.walk, side)
         self.log_gamma = steps_log_gamma(self.walk.steps, self.exponents)
-        self.log_h_scale = log_h(self.shape, self.scale, self.ordering)
+        self.log_h_scale = float(
+            _log_h(self.shape, self.scale.data, self.ordering)[0])
 
     @property
     def r(self):
@@ -507,24 +508,22 @@ def laplace(spec, t):
     with t; type2 analogously.  The shifted parameter must stay inside
     the matching cone, else OutOfDomain.
     """
-    ordering = spec.ordering
     tm = np.asarray(t, dtype=float) * spec.graph.edge_mask()
     if spec.family == "type1":
-        shifted = spec.precision.data - tm
         try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
+            x = phi(SparsePrecision(spec.graph, spec.precision.data - tm))
+        except NotInPG:
             raise OutOfDomain(
                 "shifted precision leaves the cone") from None
-        x = phi(SparsePrecision(spec.graph, shifted))
-        return log_h(spec.shape, x, ordering) - spec.log_h_scale
-    if spec.family == "type2":
-        shifted = IncompleteMatrix(spec.graph, spec.scale.data - tm)
+    elif spec.family == "type2":
+        x = IncompleteMatrix(spec.graph, spec.scale.data - tm)
         try:
-            cones.require_qg(shifted)
+            cones.require_qg(x)
         except NotInQG:
             raise OutOfDomain(
                 "shifted scale leaves the cone") from None
-        return log_h(spec.shape, shifted, ordering) - spec.log_h_scale
-    raise OutOfDomain("laplace transform implemented for type1 and "
-                      "type2 only", family=spec.family)
+    else:
+        raise OutOfDomain("laplace transform implemented for type1 and "
+                          "type2 only", family=spec.family)
+    return float(_log_h(spec.shape, x.data, spec.ordering)[0]) \
+        - spec.log_h_scale

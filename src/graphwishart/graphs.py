@@ -5,6 +5,7 @@ and chordal; everything downstream (matrix cones, densities, samplers)
 relies on those two properties.
 """
 
+import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, permutations
@@ -37,16 +38,16 @@ class DecomposableGraph:
 
     Instances are built through :func:`parse_graph`, which performs all
     validation.  ``edges`` holds each undirected edge once as an (i, j)
-    pair with i < j.  What the graph alone determines (the search order
-    of the chordality test, the clique order, the class tree and the
-    pattern index) is kept on the instance once computed; those fields
-    take no part in equality or hashing.
+    pair with i < j.  What the graph alone determines (the search of the
+    chordality test with each vertex's earlier neighbours, the clique
+    order, the class tree and the pattern index) is kept on the instance
+    once computed; those fields take no part in equality or hashing.
     """
 
     vertex_count: int
     edges: frozenset
     _adj: dict = field(compare=False, repr=False, default=None)
-    _mcs: tuple = field(compare=False, repr=False, default=None)
+    _mcs: dict = field(compare=False, repr=False, default=None)
     _pattern: object = field(default=None, init=False, compare=False,
                              repr=False)
     _ordering: object = field(default=None, init=False, compare=False,
@@ -145,36 +146,27 @@ def _build_adjacency(n, edges):
     return adj
 
 
-def _check_connected(n, adj):
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n:
-        missing = sorted(set(range(1, n + 1)) - seen)
-        raise NotConnected(
-            "graph is not connected", unreachable=missing)
-
-
 def _mcs_order(n, adj):
-    """Maximum cardinality search visit order, lowest label first on ties."""
-    weight = {i: 0 for i in range(1, n + 1)}
-    visited = set()
-    order = []
-    for _ in range(n):
-        best = min(
-            (v for v in range(1, n + 1) if v not in visited),
-            key=lambda v: (-weight[v], v),
-        )
-        order.append(best)
-        visited.add(best)
-        for w in adj[best]:
-            if w not in visited:
-                weight[w] += 1
+    """Maximum cardinality search, lowest label first on ties: a heap of
+    (-weight, vertex).  Weights only grow, so a vertex's older entries
+    come off the heap after it is visited, and are skipped.
+
+    Returns a dict mapping each vertex, in visit order, to the list of
+    its earlier-visited neighbours, in visit order; a vertex's weight is
+    the length of that list.
+    """
+    earlier = {v: [] for v in range(1, n + 1)}
+    heap = [(0, v) for v in range(1, n + 1)]
+    order = {}
+    while heap:
+        v = heapq.heappop(heap)[1]
+        if v in order:
+            continue
+        order[v] = earlier.pop(v)
+        for w in adj[v]:
+            if w in earlier:
+                earlier[w].append(v)
+                heapq.heappush(heap, (-len(earlier[w]), w))
     return order
 
 
@@ -259,18 +251,22 @@ def parse_graph(spec):
         raise NotConnected("graph is not connected: fewer than n - 1 edges",
                            n=n, edges=len(edges))
     adj = _build_adjacency(n, edges)
-    _check_connected(n, adj)
-
-    order = _mcs_order(n, adj)
-    pos = {v: idx for idx, v in enumerate(order)}
-    for v in order:
-        earlier = [w for w in adj[v] if pos[w] < pos[v]]
-        for a, b in combinations(earlier, 2):
-            if b not in adj[a]:
-                cycle = _chordless_cycle_witness(n, adj)
-                raise NotChordal("graph has a chordless cycle",
-                                 cycle=cycle)
-    return DecomposableGraph(n, frozenset(edges), adj, tuple(order))
+    mcs = _mcs_order(n, adj)
+    # The search visits all of vertex 1's component before it takes a
+    # vertex with no visited neighbour.
+    order = list(mcs)
+    lone = next((i for i, v in enumerate(order) if i and not mcs[v]), n)
+    if lone < n:
+        raise NotConnected("graph is not connected",
+                           unreachable=sorted(order[lone:]))
+    # Tarjan & Yannakakis: the reversed search order eliminates without
+    # fill iff each vertex's earlier neighbours, less the last one
+    # visited, are all adjacent to that last one.
+    for earlier in mcs.values():
+        if earlier and not adj[earlier[-1]].issuperset(earlier[:-1]):
+            raise NotChordal("graph has a chordless cycle",
+                             cycle=_chordless_cycle_witness(n, adj))
+    return DecomposableGraph(n, frozenset(edges), adj, mcs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,70 +359,58 @@ class CliqueOrdering:
 
 
 def _ordering_from_cliques(g, cliques):
-    """Build a CliqueOrdering from an ordered clique list.
+    """Build a CliqueOrdering from an ordered list of sorted clique tuples.
 
-    Returns None if the running intersection property fails.
+    Returns None if the running intersection property fails.  A
+    separator lies in an earlier clique only if that clique holds the
+    separator's least-shared vertex, so only those cliques are tried.
     """
-    k = len(cliques)
-    history = set(cliques[0])
+    holders = {}  # vertex -> indices of the cliques so far that hold it
     separators = []
-    residuals = [tuple(sorted(cliques[0]))]
-    for j in range(1, k):
-        cj = set(cliques[j])
-        sep = cj & history
-        if not any(sep <= set(cliques[i]) for i in range(j)):
-            return None
-        separators.append(tuple(sorted(sep)))
-        residuals.append(tuple(sorted(cj - history)))
-        history |= cj
-    distinct = []
-    mult = []
-    occ = []
-    sep_index = []
-    for j, sep in enumerate(separators):
-        if sep in distinct:
-            i = distinct.index(sep)
-            mult[i] += 1
-            occ[i].append(j + 1)
-        else:
-            distinct.append(sep)
-            mult.append(1)
-            occ.append([j + 1])
-            i = len(distinct) - 1
-        sep_index.append(i)
+    residuals = []
+    for j, clique in enumerate(cliques):
+        sep = tuple(v for v in clique if v in holders)
+        if sep:
+            least = holders[min(sep, key=lambda v: len(holders[v]))]
+            if not any(all(i in holders[v] for v in sep) for i in least):
+                return None
+        if j:
+            separators.append(sep)
+        residuals.append(tuple(v for v in clique if v not in holders))
+        for v in clique:
+            holders.setdefault(v, set()).add(j)
+    occurrences = {}  # distinct separator -> clique indices, first seen
+    for j, sep in enumerate(separators, 1):
+        occurrences.setdefault(sep, []).append(j)
+    index = {sep: i for i, sep in enumerate(occurrences)}
     s2 = separators[0] if separators else ()
     r1 = tuple(v for v in residuals[0] if v not in s2)
     steps = ((s2, ()), (r1, s2)) + tuple(zip(residuals[1:], separators))
     return CliqueOrdering(
         graph=g,
-        cliques=tuple(tuple(sorted(c)) for c in cliques),
+        cliques=tuple(cliques),
         separators=tuple(separators),
         residuals=tuple(residuals),
-        distinct_separators=tuple(distinct),
-        multiplicity=tuple(mult),
-        occurrences=tuple(tuple(o) for o in occ),
-        sep_index=tuple(sep_index),
+        distinct_separators=tuple(occurrences),
+        multiplicity=tuple(len(o) for o in occurrences.values()),
+        occurrences=tuple(tuple(o) for o in occurrences.values()),
+        sep_index=tuple(index[sep] for sep in separators),
         steps=steps,
     )
 
 
 def _maximal_cliques(g):
-    """Maximal cliques with the MCS rank at which each is completed."""
-    adj = g._adj
-    order = g._mcs
-    pos = {v: idx for idx, v in enumerate(order)}
-    candidates = []
-    for v in order:
-        earlier = {w for w in adj[v] if pos[w] < pos[v]}
-        candidates.append((frozenset(earlier | {v}), pos[v]))
-    cliques = []
-    for cand, rank in candidates:
-        if any(cand < other for other, _ in candidates):
-            continue
-        if cand not in (c for c, _ in cliques):
-            cliques.append((cand, rank))
-    cliques.sort(key=lambda cr: cr[1])
-    return [set(c) for c, _ in cliques]
+    """Maximal cliques, sorted, in the order the search completes them.
+
+    A vertex with its earlier neighbours is a maximal clique unless the
+    next vertex visited has more earlier neighbours (Blair & Peyton, An
+    introduction to chordal graphs and clique trees, 1993).
+    """
+    visits = list(g._mcs.items())
+    after = [len(e) for _, e in visits[1:]] + [0]
+    return [tuple(sorted(earlier + [v]))
+            for (v, earlier), nxt in zip(visits, after)
+            if nxt <= len(earlier)]
 
 
 def decompose(g):
@@ -462,7 +446,7 @@ def enumerate_perfect_orders(g, limit=8):
             "clique count exceeds enumeration limit", k=k, limit=limit)
     out = []
     for perm in permutations(base.cliques):
-        ordering = _ordering_from_cliques(g, [set(c) for c in perm])
+        ordering = _ordering_from_cliques(g, perm)
         if ordering is not None:
             out.append(ordering)
     return out
@@ -532,14 +516,20 @@ def _nodes_below(children, u):
 
 
 def _has_induced_path4(g):
-    """True if some 4 vertices induce a path a-b-c-d."""
+    """True if some 4 vertices induce a path a-b-c-d.
+
+    Each middle edge is tried one way round (the other way finds the
+    same paths reversed), building the smaller end set first.
+    """
     adj = g._adj
     for b, c in g.edges:
-        for b_, c_ in ((b, c), (c, b)):
-            for a in adj[b_] - adj[c_] - {c_}:
-                for d in adj[c_] - adj[b_] - {b_}:
-                    if a != d and d not in adj[a]:
-                        return True
+        if len(adj[b]) > len(adj[c]):
+            b, c = c, b
+        ends_b = adj[b] - adj[c] - {c}
+        if ends_b:
+            ends_c = adj[c] - adj[b] - {b}
+            if any(not ends_c <= adj[a] for a in ends_b):
+                return True
     return False
 
 
@@ -567,7 +557,7 @@ def _build_class_tree(g):
     """Class tree of g, or False (cached like a tree) when g is not
     homogeneous."""
     adj = g._adj
-    closed = {v: adj[v] | {v} for v in adj}
+    closed = {v: frozenset(nb).union((v,)) for v, nb in adj.items()}
     edge_test = all(
         closed[i] >= closed[j] or closed[j] >= closed[i]
         for i, j in g.edges
@@ -580,26 +570,23 @@ def _build_class_tree(g):
     if not edge_test:
         return False
 
-    # Vertex classes: equal closed neighborhoods.
-    classes = []
-    rep_closed = []
-    for v in range(1, g.vertex_count + 1):
-        for i, nb in enumerate(rep_closed):
-            if closed[v] == nb:
-                classes[i].append(v)
-                break
-        else:
-            classes.append([v])
-            rep_closed.append(closed[v])
+    # Vertex classes: equal closed neighborhoods.  A class's parent has
+    # the smallest strictly larger closed neighborhood; every ancestor
+    # of v is a neighbour of v, and on a homogeneous graph the ancestors
+    # form a chain, so the smallest is unique.
+    first = {}  # closed neighborhood -> class node, by lowest vertex
+    node_of = {v: first.setdefault(nb, len(first))
+               for v, nb in sorted(closed.items())}
+    classes = [[] for _ in first]
+    for v, u in node_of.items():
+        classes[u].append(v)
+    classes = [tuple(c) for c in classes]
     m = len(classes)
-    # Node u lies below node v when the closed neighborhood of u
-    # strictly contains that of v.
-    parent = [-1] * m
-    for v in range(m):
-        ancestors = [u for u in range(m)
-                     if u != v and rep_closed[u] > rep_closed[v]]
-        if ancestors:
-            parent[v] = min(ancestors, key=lambda u: len(rep_closed[u]))
+    parent = []
+    for v, *_ in classes:
+        above = [w for w in adj[v] if len(closed[w]) > len(closed[v])]
+        parent.append(node_of[min(above, key=lambda w: len(closed[w]))]
+                      if above else -1)
     roots = [v for v in range(m) if parent[v] == -1]
     if len(roots) != 1:
         raise InternalInconsistency(
@@ -614,24 +601,19 @@ def _build_class_tree(g):
             raise InternalInconsistency(
                 "class tree has a node with exactly one child", node=v)
 
+    # One pass root first, one back: ancestor vertices and weights come
+    # down from the parent, descendant weights go up to it.
     weights = [len(c) for c in classes]
-    anc_sets = []
-    vertex_sets = []
-    depth_weights = []
-    for v in range(m):
-        chain = []
-        u = v
-        while u != -1:
-            chain.append(u)
-            u = parent[u]
-        anc_sets.append(chain)
-        depth_weights.append(sum(weights[u] for u in chain) - weights[v])
-        members = sorted(x for u in chain for x in classes[u])
-        vertex_sets.append(tuple(members))
+    walk = _nodes_below(children, root)
+    vertex_sets = [classes[root]] * m
+    depth_weights = [0] * m
     subtree_weights = [0] * m
-    for v in range(m):
-        for u in anc_sets[v][1:]:
-            subtree_weights[u] += weights[v]
+    for v in walk[1:]:
+        u = parent[v]
+        vertex_sets[v] = tuple(sorted(vertex_sets[u] + classes[v]))
+        depth_weights[v] = depth_weights[u] + weights[u]
+    for v in reversed(walk[1:]):
+        subtree_weights[parent[v]] += subtree_weights[v] + weights[v]
 
     ordering = decompose(g)
     clique_map = {c: i for i, c in enumerate(ordering.cliques)}
@@ -640,7 +622,7 @@ def _build_class_tree(g):
     separator_index = [-1] * m
     for v in range(m):
         if children[v]:
-            if m > 1 and vertex_sets[v] not in sep_map:
+            if vertex_sets[v] not in sep_map:
                 raise InternalInconsistency(
                     "internal class node is not a separator",
                     node_vertices=vertex_sets[v])
@@ -659,7 +641,7 @@ def _build_class_tree(g):
 
     return HasseTree(
         graph=g,
-        classes=tuple(tuple(c) for c in classes),
+        classes=tuple(classes),
         parent=tuple(parent),
         children=tuple(tuple(c) for c in children),
         weights=tuple(weights),
@@ -669,10 +651,8 @@ def _build_class_tree(g):
         clique_index=tuple(clique_index),
         separator_index=tuple(separator_index),
         root=root,
-        steps=tuple(
-            (tuple(classes[u]),
-             tuple(v for v in vertex_sets[u] if v not in classes[u]))
-            for u in _nodes_below(children, root)),
+        steps=((classes[root], ()),) + tuple(
+            (classes[v], vertex_sets[parent[v]]) for v in walk[1:]),
     )
 
 

@@ -71,6 +71,51 @@ def chordal_graphs(draw, max_r=40):
     return {"n": r, "edges": [list(e) for e in edges]}
 
 
+@st.composite
+def homogeneous_graphs(draw, max_splits=4):
+    """Random connected homogeneous graph description.  A rooted tree
+    grows by up to ``max_splits`` splits, each giving a leaf 2 or 3
+    children, so no node has exactly one child; each node gets 1 to 3
+    vertices, and two vertices are joined when their nodes are equal or
+    one is an ancestor of the other.  The labels are then permuted."""
+    parent = [-1]
+    leaves = [0]
+    for _ in range(draw(st.integers(0, max_splits))):
+        u = leaves.pop(draw(st.integers(0, len(leaves) - 1)))
+        for _ in range(draw(st.integers(2, 3))):
+            leaves.append(len(parent))
+            parent.append(u)
+    members, r = [], 0
+    for _ in parent:
+        size = draw(st.integers(1, 3))
+        members.append(range(r, r + size))
+        r += size
+    label = draw(st.permutations(range(1, r + 1)))
+    edges = set()
+    for u in range(len(parent)):
+        line = [u]  # u and its ancestors
+        while parent[line[-1]] != -1:
+            line.append(parent[line[-1]])
+        for a in members[u]:
+            for b in (x for w in line for x in members[w]):
+                if a != b:
+                    edges.add(tuple(sorted((label[a], label[b]))))
+    return {"n": r, "edges": [list(e) for e in sorted(edges)]}
+
+
+def nested_star(hubs, leaves):
+    """Graph description: root 1 joined to every vertex, each hub joined
+    to its leaves."""
+    edges, v = [], 2
+    for _ in range(hubs):
+        hub, v = v, v + 1
+        edges.append([1, hub])
+        for _ in range(leaves):
+            edges += [[1, v], [hub, v]]
+            v += 1
+    return {"n": v - 1, "edges": edges}
+
+
 def random_qg(graph, rng, jitter=0.0):
     """Random incomplete matrix with positive definite clique blocks,
     built by projecting a dense positive definite matrix."""

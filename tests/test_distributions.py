@@ -18,6 +18,7 @@ from graphwishart import (
     complete,
     decompose,
     laplace,
+    log_h,
     logpdf,
     logpdf_f,
     mean_type1,
@@ -35,12 +36,27 @@ from graphwishart import cones, shapes
 from graphwishart.cones import require_qg
 
 from conftest import (
+    nested_star,
     random_first_admissible,
     random_qg,
     random_second_admissible,
 )
 
 K1 = parse_graph({"n": 1, "edges": []})
+
+
+def _count_clique_checks(monkeypatch):
+    """List that gets one entry per clique positive-definiteness check."""
+    calls = []
+    real = cones._require_pd_cliques
+
+    def counted(data, ordering):
+        calls.append(1)
+        return real(data, ordering)
+
+    monkeypatch.setattr(cones, "_require_pd_cliques", counted)
+    monkeypatch.setattr(shapes, "_require_pd_cliques", counted)
+    return calls
 
 
 class TestBaseWishart:
@@ -132,15 +148,7 @@ class TestLogpdf:
                            project(np.eye(6), g0), family)
         point = random_qg(g0, np.random.default_rng(4))
         expect = logpdf(spec, point)  # fills the spec's caches
-        calls = []
-        real = cones._require_pd_cliques
-
-        def counted(data, ordering):
-            calls.append(1)
-            return real(data, ordering)
-
-        monkeypatch.setattr(cones, "_require_pd_cliques", counted)
-        monkeypatch.setattr(shapes, "_require_pd_cliques", counted)
+        calls = _count_clique_checks(monkeypatch)
         assert logpdf(spec, point) == expect
         assert len(calls) == 1
         bad = point.data.copy()
@@ -149,6 +157,17 @@ class TestLogpdf:
             logpdf(spec, IncompleteMatrix(g0, bad))
         assert info.value.context["clique"] == [1, 2, 3]
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("family", ["type1", "inv_type2"])
+    def test_scale_checked_once(self, family, g0, g0_ord, monkeypatch):
+        kind, value = ("hyper", 2.5) if family == "type1" \
+            else ("gwishart", 3.0)
+        shape = canonical_shape(kind, g0_ord, value)
+        scale = random_qg(g0, np.random.default_rng(5))
+        expect = log_h(shape, scale)
+        calls = _count_clique_checks(monkeypatch)
+        assert WishartSpec(g0, shape, scale, family).log_h_scale == expect
+        assert len(calls) == 1
 
     def test_inadmissible_shape(self, a4):
         shape = ShapeParam((2.0, 2.0, 2.0), (1.0, 1.0))
@@ -383,6 +402,36 @@ class TestLaplace:
             laplace(spec, np.eye(4) * 5.0)
 
 
+    @pytest.mark.parametrize("family", ["type1", "type2"])
+    def test_one_factorisation_per_call(self, family, a4, a4_ord,
+                                        monkeypatch):
+        """type1 factors the shifted precision once (inside phi), type2
+        checks the shifted scale's cliques once, in and out of the
+        cone."""
+        kind, value = ("hyper", 1.5) if family == "type1" \
+            else ("gwishart", 3.0)
+        shape = canonical_shape(kind, a4_ord, value)
+        scale = project(np.eye(4) + 0.2 * a4.edge_mask(), a4)
+        spec = WishartSpec(a4, shape, scale, family)
+        t = 0.1 * a4.edge_mask()
+        if family == "type1":
+            point = phi(SparsePrecision(a4, spec.precision.data - t))
+        else:
+            point = IncompleteMatrix(a4, scale.data - t)
+        expect = log_h(shape, point) - log_h(shape, scale)
+        if family == "type1":
+            calls = []
+            real = np.linalg.cholesky
+            monkeypatch.setattr(np.linalg, "cholesky",
+                                lambda a: calls.append(1) or real(a))
+        else:
+            calls = _count_clique_checks(monkeypatch)
+        assert laplace(spec, t) == pytest.approx(expect, abs=1e-12)
+        assert len(calls) == 1
+        with pytest.raises(OutOfDomain):
+            laplace(spec, np.eye(4) * 5.0)
+        assert len(calls) == 2
+
 class TestFDensity:
 
     def test_scalar_reduction(self):
@@ -412,14 +461,7 @@ class TestLargeClassTreeDraws:
         rounding (about 7e-10 here, above the 1e-12 relative check on
         outside input); phi symmetrizes it, so logpdf accepts every
         draw."""
-        edges, v = [], 2
-        for _ in range(20):
-            hub, v = v, v + 1
-            edges.append([1, hub])
-            for _ in range(19):
-                edges += [[1, v], [hub, v]]
-                v += 1
-        g = parse_graph({"n": v - 1, "edges": edges})
+        g = parse_graph(nested_star(20, 19))
         o = decompose(g)
         shape = ShapeParam((2.0,) * o.k, (1.0,) * o.k_prime)
         scale = random_qg(g, np.random.default_rng(1))

@@ -1,8 +1,13 @@
+import dataclasses
+import hashlib
 import time
 import tracemalloc
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphwishart import graphs
 from graphwishart import (
@@ -21,7 +26,12 @@ from graphwishart import (
     parse_graph,
 )
 
-from conftest import G0_EDGES
+from conftest import (
+    G0_EDGES,
+    chordal_graphs,
+    homogeneous_graphs,
+    nested_star,
+)
 
 
 class TestParseGraph:
@@ -323,3 +333,210 @@ class TestRandomChordal:
                 pass
             except InternalInconsistency:  # pragma: no cover
                 pytest.fail("dual homogeneity tests disagreed")
+
+
+# Reference versions of the graph layer's search steps: plain scans, each
+# quadratic or worse, kept only to check the linear-time code.
+
+def _mcs_min_scan(g):
+    """Maximum cardinality search taking, at each step, the lowest label
+    of largest weight among all unvisited vertices."""
+    weight = dict.fromkeys(range(1, g.vertex_count + 1), 0)
+    order = []
+    while weight:
+        v = min(weight, key=lambda v: (-weight[v], v))
+        order.append(v)
+        del weight[v]
+        for w in g.neighbors(v):
+            if w in weight:
+                weight[w] += 1
+    return order
+
+
+def _cliques_all_pairs(g, order):
+    """Each vertex with its earlier neighbours, kept unless strictly
+    inside another such set, once each, in search order."""
+    pos = {v: i for i, v in enumerate(order)}
+    cands = [frozenset(w for w in g.neighbors(v) if pos[w] < pos[v]) | {v}
+             for v in order]
+    out = []
+    for c in cands:
+        if not any(c < other for other in cands) and c not in out:
+            out.append(c)
+    return tuple(tuple(sorted(c)) for c in out)
+
+
+def _order_fields_by_scan(cliques):
+    """Separators, residuals and the distinct-separator bookkeeping of a
+    clique order by list scans, or None without running intersection."""
+    history = set(cliques[0])
+    seps, res = [], [tuple(cliques[0])]
+    for j in range(1, len(cliques)):
+        sep = set(cliques[j]) & history
+        if not any(sep <= set(c) for c in cliques[:j]):
+            return None
+        seps.append(tuple(sorted(sep)))
+        res.append(tuple(sorted(set(cliques[j]) - history)))
+        history |= set(cliques[j])
+    distinct = []
+    for sep in seps:
+        if sep not in distinct:
+            distinct.append(sep)
+    occ = tuple(tuple(j + 1 for j, s in enumerate(seps) if s == d)
+                for d in distinct)
+    return (tuple(seps), tuple(res), tuple(distinct),
+            tuple(len(o) for o in occ), occ,
+            tuple(distinct.index(s) for s in seps))
+
+
+def _class_tree_by_scan(g):
+    """Classes by comparing each vertex with every class found so far;
+    each parent the smallest strictly larger closed neighbourhood among
+    all classes; the derived fields from each node's ancestor chain."""
+    reps, classes = [], []
+    for v in range(1, g.vertex_count + 1):
+        nb = g.closed_neighbors(v)
+        if nb in reps:
+            classes[reps.index(nb)].append(v)
+        else:
+            reps.append(nb)
+            classes.append([v])
+    m = len(classes)
+    parent = [min((u for u in range(m) if reps[u] > reps[v]),
+                  key=lambda u: len(reps[u]), default=-1)
+              for v in range(m)]
+    chains = []
+    for v in range(m):
+        chain = [v]
+        while parent[chain[-1]] != -1:
+            chain.append(parent[chain[-1]])
+        chains.append(chain)
+    return {
+        "classes": tuple(tuple(c) for c in classes),
+        "parent": tuple(parent),
+        "children": tuple(tuple(u for u in range(m) if parent[u] == v)
+                          for v in range(m)),
+        "vertex_sets": tuple(tuple(sorted(x for u in c for x in classes[u]))
+                             for c in chains),
+        "depth_weights": tuple(sum(len(classes[u]) for u in c[1:])
+                               for c in chains),
+        "subtree_weights": tuple(
+            sum(len(classes[w]) for w in range(m) if v in chains[w][1:])
+            for v in range(m)),
+    }
+
+
+def _has_induced_path4_brute(g):
+    """Some 4-subset spans exactly 3 edges with degrees 1, 1, 2, 2."""
+    for quad in combinations(range(1, g.vertex_count + 1), 4):
+        pairs = [(a, b) for a, b in combinations(quad, 2) if g.has_edge(a, b)]
+        degrees = sorted(sum(v in p for p in pairs) for v in quad)
+        if degrees == [1, 1, 2, 2]:
+            return True
+    return False
+
+
+SEARCH = settings(max_examples=60, deadline=None, derandomize=True)
+ANY_GRAPH = st.one_of(chordal_graphs(), homogeneous_graphs())
+
+
+class TestAgainstScans:
+    """The linear-time search steps give what the plain scans give."""
+
+    @given(spec=ANY_GRAPH)
+    @SEARCH
+    def test_search_and_cliques(self, spec):
+        g = parse_graph(spec)
+        order = _mcs_min_scan(g)
+        assert list(g._mcs) == order
+        assert decompose(g).cliques == _cliques_all_pairs(g, order)
+
+    @given(spec=st.one_of(chordal_graphs(max_r=12),
+                          homogeneous_graphs(max_splits=3)))
+    @SEARCH
+    def test_perfect_orders(self, spec):
+        g = parse_graph(spec)
+        base = decompose(g)
+        if base.k > 6:
+            return
+        expect = []
+        for perm in permutations(base.cliques):
+            fields = _order_fields_by_scan(perm)
+            if fields is not None:
+                expect.append((perm, fields))
+        got = enumerate_perfect_orders(g, limit=6)
+        assert [(o.cliques, (o.separators, o.residuals,
+                             o.distinct_separators, o.multiplicity,
+                             o.occurrences, o.sep_index)) for o in got] \
+            == expect
+
+    @given(spec=ANY_GRAPH)
+    @SEARCH
+    def test_class_tree(self, spec):
+        g = parse_graph(spec)
+        tree = graphs._class_tree(g)
+        edge_test = all(g.closed_neighbors(i) >= g.closed_neighbors(j)
+                        or g.closed_neighbors(j) >= g.closed_neighbors(i)
+                        for i, j in g.edges)
+        assert (tree is not None) == edge_test
+        if tree is not None:
+            ref = _class_tree_by_scan(g)
+            assert {k: getattr(tree, k) for k in ref} == ref
+
+    @given(spec=st.one_of(chordal_graphs(max_r=12),
+                          homogeneous_graphs(max_splits=2)))
+    @SEARCH
+    def test_induced_path4(self, spec):
+        g = parse_graph(spec)
+        assert graphs._has_induced_path4(g) == _has_induced_path4_brute(g)
+
+    @given(spec=homogeneous_graphs())
+    @SEARCH
+    def test_homogeneous_strategy(self, spec):
+        tree = homogeneous_structure(parse_graph(spec))
+        assert all(len(c) != 1 for c in tree.children)
+
+
+def _path(r):
+    return {"n": r, "edges": [[i, i + 1] for i in range(1, r)]}
+
+
+def _banded(r, w):
+    return {"n": r, "edges": [[i, j] for i in range(1, r + 1)
+                              for j in range(i + 1, min(i + w, r) + 1)]}
+
+
+def _star(r):
+    return {"n": r, "edges": [[1, j] for j in range(2, r + 1)]}
+
+
+def _structure_digest(g):
+    """SHA-256 of the search order and every field but ``graph`` of the
+    clique order and of the class tree (None when not homogeneous)."""
+    def fields(obj):
+        return None if obj is None else [
+            (f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)
+            if f.name != "graph"]
+    record = (tuple(g._mcs), fields(decompose(g)),
+              fields(graphs._class_tree(g)))
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+GOLDEN = {
+    "path-400": (_path(400),
+        "52bce72528245a85b9c6f9fe58cdd1dc62233de23687ac3c9ee3cecd62962cdb"),
+    "banded-400-4": (_banded(400, 4),
+        "8b39fe544dc42789a12669bba97830f900326c7bf847d742b522b1c7929cc959"),
+    "nested-star-20x19": (nested_star(20, 19),
+        "3c452e5816928029b487e97c9c14a3d6bfd753f20b8ee41e1570126d7610a847"),
+    "star-60": (_star(60),
+        "c4a5ffdcec62b6e6d3376279ab3bd6b85d4df4f7f94f99bb4a6e9e2fd236ee82"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_structure_digest_unchanged(name):
+    """The structure of four benchmark-sized graphs, digested field by
+    field, is what the plain-scan graph layer produced."""
+    spec, digest = GOLDEN[name]
+    assert _structure_digest(parse_graph(spec)) == digest

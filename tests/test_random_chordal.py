@@ -26,6 +26,7 @@ from graphwishart import (
     canonical_shape,
     complete,
     decompose,
+    homogeneous_structure,
     laplace,
     logdet_hat,
     logpdf,
@@ -38,13 +39,15 @@ from graphwishart import (
     split_blocks,
 )
 from graphwishart import cones, distributions, verify
-from graphwishart.shapes import size_shift
+from graphwishart.shapes import shape_class, size_shift, step_exponents
 from graphwishart.verify import check_mean426
 
 from conftest import (
     FIG1_EDGES,
     G0_EDGES,
     chordal_graphs,
+    homogeneous_graphs,
+    nested_star,
     random_first_admissible,
     random_pg,
     random_qg,
@@ -173,20 +176,8 @@ def test_mean_type1_matches_dense(spec):
     assert _rel(got, ref * g.edge_mask()) < 1e-10
 
 
-def _nested_star(hubs, leaves):
-    """Root 1 joined to every vertex, each hub joined to its leaves."""
-    edges, v = [], 2
-    for _ in range(hubs):
-        hub, v = v, v + 1
-        edges.append([1, hub])
-        for _ in range(leaves):
-            edges += [[1, v], [hub, v]]
-            v += 1
-    return {"n": v - 1, "edges": edges}
-
-
 @pytest.mark.parametrize("spec", [
-    _nested_star(3, 2), _nested_star(2, 4), _nested_star(5, 3),
+    nested_star(3, 2), nested_star(2, 4), nested_star(5, 3),
     {"n": 6, "edges": G0_EDGES}, {"n": 7, "edges": FIG1_EDGES}])
 def test_mean_type1_on_class_tree_matches_dense(spec):
     """Shapes admissible only through the class tree: the mean is the
@@ -213,6 +204,38 @@ def test_mean_type1_on_class_tree_matches_dense(spec):
         assert _rel(mean_type1(s).data, ref * g.edge_mask()) < 1e-10
     assert hits >= 5
 
+
+
+@given(spec=homogeneous_graphs())
+@EXAMPLES
+def test_mean_type1_order_and_tree_agree(spec):
+    """On a homogeneous graph, for shapes admissible both along the
+    clique order and on the class tree, the closed-form mean (taken
+    along the order) is the walk mean along the tree's steps."""
+    g = parse_graph(spec)
+    o = decompose(g)
+    tree = homogeneous_structure(g)
+    rng = np.random.default_rng(SEED)
+    scale = random_qg(g, rng)
+    lo = max(o.clique_sizes) / 2.0
+    shapes = [canonical_shape("hyper", o, lo + 1.0)] + [
+        random_first_admissible(o, rng, lo=lo, hi=lo + 2.5)
+        for _ in range(10)]
+    hits = 0
+    for shape in shapes:
+        cls = shape_class(shape, o, tree)
+        if not (cls.in_a_p and cls.in_a_hom):
+            continue
+        hits += 1
+        s = WishartSpec(g, shape, scale, "type1")
+        coords = [cones._regress(scale.data, new, given) if new else None
+                  for new, given in tree.steps]
+        got = distributions._walk_mean(
+            g.pattern, tree.steps, step_exponents(shape, tree, "first"),
+            coords)
+        ref = mean_type1(s).data[g.pattern.rows, g.pattern.cols]
+        assert s.walk is o and _rel(got, ref) < 1e-10
+    assert hits >= 1
 
 @given(spec=chordal_graphs())
 @EXAMPLES
