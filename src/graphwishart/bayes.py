@@ -11,15 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import IncompleteMatrix, precision_of, project
-from .distributions import WishartSpec, mean_type2, sample_batch
+from .cones import IncompleteMatrix, SparsePrecision, precision_of, project
+from .distributions import WishartSpec, _mc_draws, mean_type2, sample_batch
 from .errors import (
     ColumnMismatch,
     NonNumeric,
     OutOfDomain,
     PosteriorShapeInadmissible,
+    ShapeNotAdmissible,
 )
-from .shapes import ShapeParam, shape_class
+from .shapes import ShapeParam
 
 __all__ = [
     "GaussianSample",
@@ -108,14 +109,14 @@ def posterior_update(prior, sample):
     shape = ShapeParam(
         tuple(a - half_n for a in prior.shape.alpha),
         tuple(b - half_n for b in prior.shape.beta))
-    cls = shape_class(shape, prior.ordering, prior.hasse)
-    if not (cls.in_b_p or cls.in_b_hom):
-        raise PosteriorShapeInadmissible(
-            "updated shape leaves the admissible set", n=sample.n)
     scale = IncompleteMatrix(
         prior.graph, prior.scale.data + sample.projected.data)
-    return WishartSpec(prior.graph, shape, scale, "inv_type2",
-                       ordering=prior.ordering)
+    try:
+        return WishartSpec(prior.graph, shape, scale, "inv_type2",
+                           ordering=prior.ordering)
+    except ShapeNotAdmissible:
+        raise PosteriorShapeInadmissible(
+            "updated shape leaves the admissible set", n=sample.n) from None
 
 
 def log_likelihood(sigma2, sample):
@@ -154,9 +155,12 @@ def posterior_summaries(post, rng=None, n_draws=4000):
     out = {
         "shape": post.shape,
         "scale": post.scale,
-        "precision_mean": _twice(prec_mean),
+        # The parameter is twice the covariance: its inverse is half the
+        # covariance precision.
+        "precision_mean": SparsePrecision(post.graph, 2.0 * prec_mean.data),
     }
     if rng is not None:
+        n_draws = _mc_draws(n_draws, "n_draws")
         draws = sample_batch(post, rng, n_draws) / 2.0
         out["sigma_mean"] = IncompleteMatrix(
             post.graph, draws.mean(axis=0))
@@ -164,11 +168,3 @@ def posterior_summaries(post, rng=None, n_draws=4000):
             np.sqrt(n_draws)
         out["n_draws"] = n_draws
     return out
-
-
-def _twice(prec_mean):
-    """Precision mean of the covariance itself: the parameter is twice
-    the covariance, so its inverse is half the covariance precision."""
-    from .cones import SparsePrecision
-
-    return SparsePrecision(prec_mean.graph, 2.0 * prec_mean.data)

@@ -314,7 +314,7 @@ def _cmd_bayes_fit(args):
     sample_stats = ingest(table, graph)
     post = posterior_update(prior, sample_stats)
     rng = RngStream(args.seed)
-    summ = posterior_summaries(post, rng, n_draws=args.n or 4000)
+    summ = posterior_summaries(post, rng, n_draws=args.n)
     _emit({
         "seed": args.seed,
         "n_obs": sample_stats.n,
@@ -339,8 +339,7 @@ def _cmd_verify_normalizer(args):
     scale = IncompleteMatrix(graph, data)
     kind = args.kind
     rng = RngStream(args.seed)
-    est = mc_normalizer(kind, graph, ordering, shape, scale, rng,
-                        args.n or 100000)
+    est = mc_normalizer(kind, graph, ordering, shape, scale, rng, args.n)
     closed = None
     try:
         if kind == "I":
@@ -381,7 +380,7 @@ def _cmd_verify_mellin(args):
         raise OutOfDomain("rate matrix must be 2x2",
                           n=graph.vertex_count)
     closed, est = mellin_2x2(args.p, args.a1, args.a2, data,
-                             RngStream(args.seed), args.n or 100000)
+                             RngStream(args.seed), args.n)
     verdict = abs(closed - est.value) <= 3.0 * est.std_error \
         if est.std_error > 0 else None
     _emit({
@@ -395,7 +394,9 @@ def _cmd_verify_mellin(args):
 def _cmd_verify_factorization(args):
     spec = _spec_from_args(args, family="inv_type2")
     rng = RngStream(args.seed)
-    npts = args.n or 50
+    npts = args.n
+    if npts < 1:
+        raise OutOfDomain("need at least one point", n=npts)
     batch = sample_batch(spec, rng, npts)
     worst = 0.0
     for i in range(npts):
@@ -410,7 +411,7 @@ def _cmd_verify_factorization(args):
 
 def _cmd_verify_mean426(args):
     spec = _spec_from_args(args, family="type2")
-    est = check_mean426(spec, RngStream(args.seed), args.n or 100000)
+    est = check_mean426(spec, RngStream(args.seed), args.n)
     verdict = est.value <= 4.0 * est.std_error \
         if est.std_error > 0 else None
     _emit({
@@ -446,11 +447,11 @@ def _build_parser():
         description="Wishart families on decomposable graph cones")
     sub = parser.add_subparsers(dest="group", required=True)
 
-    def add(group_parser, name, fn, flags):
+    def add(group_parser, name, fn, flags, **defaults):
         p = group_parser.add_parser(name)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, **defaults)
 
     graph = sub.add_parser("graph").add_subparsers(
         dest="cmd", required=True)
@@ -471,41 +472,38 @@ def _build_parser():
          "--output"])
     add(dist, "sample", _cmd_dist_sample,
         ["--family", "--shape", "--scale", "--graph", "--n", "--seed",
-         "--output"])
+         "--output"], n=1)
     add(dist, "mean", _cmd_dist_mean,
         ["--family", "--shape", "--scale", "--graph", "--output"])
 
     bayes = sub.add_parser("bayes").add_subparsers(
         dest="cmd", required=True)
     add(bayes, "fit", _cmd_bayes_fit,
-        ["--graph", "--data", "--prior", "--n", "--seed", "--output"])
+        ["--graph", "--data", "--prior", "--n", "--seed", "--output"],
+        n=4000)
 
     verify = sub.add_parser("verify").add_subparsers(
         dest="cmd", required=True)
     add(verify, "normalizer", _cmd_verify_normalizer,
         ["--graph", "--shape", "--scale", "--kind", "--n", "--seed",
-         "--output"])
+         "--output"], n=100000)
     add(verify, "a4", _cmd_verify_a4,
         ["--graph", "--shape", "--scale", "--kind", "--output"])
     add(verify, "mellin", _cmd_verify_mellin,
         ["--matrix", "--graph", "--p", "--a1", "--a2", "--n",
-         "--seed", "--output"])
+         "--seed", "--output"], n=100000)
     add(verify, "factorization", _cmd_verify_factorization,
         ["--shape", "--scale", "--graph", "--n", "--seed",
-         "--output"])
+         "--output"], n=50)
     add(verify, "mean426", _cmd_verify_mean426,
         ["--shape", "--scale", "--graph", "--n", "--seed",
-         "--output"])
+         "--output"], n=100000)
     return parser
 
 
 def run(argv):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # sampling defaults for dist sample
-    if getattr(args, "n", None) is None and \
-            getattr(args, "fn", None) is _cmd_dist_sample:
-        args.n = 1
     try:
         return args.fn(args)
     except GraphWishartError as exc:

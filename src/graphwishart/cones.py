@@ -64,38 +64,32 @@ def _as_matrix(data, r):
     return arr
 
 
-@dataclass(frozen=True)
-class IncompleteMatrix:
+@dataclass(frozen=True, eq=False)
+class _PatternMatrix:
+    """Dense (r, r) ``data`` on a graph, masked to its pattern.  Two
+    instances compare equal only when they are the same object."""
+
+    graph: object
+    data: np.ndarray
+
+    def __post_init__(self):
+        arr = _as_matrix(self.data, self.graph.vertex_count)
+        object.__setattr__(self, "data", arr * self.graph.edge_mask())
+
+    def submatrix(self, vertices):
+        return _block(self.data, vertices)
+
+
+class IncompleteMatrix(_PatternMatrix):
     """Symmetric matrix known only on the diagonal and edge entries.
 
     ``data`` is stored dense with exact zeros at the unknown positions,
     which keeps all the linear algebra plain numpy.
     """
 
-    graph: object
-    data: np.ndarray
 
-    def __post_init__(self):
-        arr = _as_matrix(self.data, self.graph.vertex_count)
-        object.__setattr__(self, "data", arr * self.graph.edge_mask())
-
-    def submatrix(self, vertices):
-        return _block(self.data, vertices)
-
-
-@dataclass(frozen=True)
-class SparsePrecision:
+class SparsePrecision(_PatternMatrix):
     """Positive definite matrix vanishing off the diagonal and edges."""
-
-    graph: object
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_matrix(self.data, self.graph.vertex_count)
-        object.__setattr__(self, "data", arr * self.graph.edge_mask())
-
-    def submatrix(self, vertices):
-        return _block(self.data, vertices)
 
 
 def _check_symmetric(arr, tol=1e-12):

@@ -39,17 +39,15 @@ from .errors import (
 from .graphs import _class_tree, decompose
 from .shapes import (
     ShapeParam,
+    _admissible_walk,
     _log_h,
     _weights,
-    admissible_walk,
     check_alignment,
     log_gamma_I,
     log_gamma_II,
     log_h,
     log_multigamma,
-    shape_class,
     size_shift,
-    step_exponents,
     steps_log_gamma,
 )
 
@@ -201,7 +199,7 @@ def log_matrix_normal_pdf(d, mean, row_cov, col_prec_mate):
                  - b / 2.0 * ldu + a / 2.0 * ldv)
 
 
-@dataclass
+@dataclass(eq=False)
 class WishartSpec:
     """A fully validated member of one of the four families.
 
@@ -239,18 +237,16 @@ class WishartSpec:
         if self.scale.graph != self.graph:
             raise GraphMismatch("scale lives on a different graph")
         cones.require_qg(self.scale)
-        self.shape_info = shape_class(self.shape, self.ordering,
-                                      self.hasse)
         side = "first" if self.family in ("type1", "inv_type1") \
             else "second"
-        self.walk = admissible_walk(self.shape_info, self.ordering,
-                                    self.hasse, side)
-        if self.walk is None:
+        try:
+            self.walk, self.exponents = _admissible_walk(
+                self.shape, self.ordering, self.hasse, side)
+        except ShapeNotAdmissible:
             raise ShapeNotAdmissible(
                 "shape is not admissible for this family",
-                family=self.family)
+                family=self.family) from None
         self.admissible_per_order = self.walk is self.ordering
-        self.exponents = step_exponents(self.shape, self.walk, side)
         self.log_gamma = steps_log_gamma(self.walk.steps, self.exponents)
         self.log_h_scale = float(
             _log_h(self.shape, self.scale.data, self.ordering)[0])
@@ -438,6 +434,15 @@ def _walk(spec, rng, n):
     return k if precision else x
 
 
+def _mc_draws(n, field="n"):
+    """``n`` as an int, at least 2: a standard error needs two draws."""
+    n = int(n)
+    if n < 2:
+        raise OutOfDomain("a Monte Carlo estimate needs at least 2 draws",
+                          **{field: n})
+    return n
+
+
 def sample_batch(spec, rng, size):
     """Dense (n, r, r) array of draws.
 
@@ -506,9 +511,12 @@ def laplace(spec, t):
 
     For type1 this is the log expectation of exp of the pattern pairing
     with t; type2 analogously.  The shifted parameter must stay inside
-    the matching cone, else OutOfDomain.
+    the matching cone, else OutOfDomain.  A t of the wrong shape raises
+    DimensionMismatch, an asymmetric one MalformedInput.
     """
-    tm = np.asarray(t, dtype=float) * spec.graph.edge_mask()
+    tm = cones._as_matrix(t, spec.r)
+    cones._check_symmetric(tm)
+    tm = tm * spec.graph.edge_mask()
     if spec.family == "type1":
         try:
             x = phi(SparsePrecision(spec.graph, spec.precision.data - tm))

@@ -323,11 +323,11 @@ class CliqueOrdering:
     def k_prime(self):
         return len(self.distinct_separators)
 
-    @property
+    @cached_property
     def blocks(self):
         return self.cliques + self.distinct_separators
 
-    @property
+    @cached_property
     def signs(self):
         return (1,) * self.k + tuple(-m for m in self.multiplicity)
 
@@ -349,11 +349,11 @@ class CliqueOrdering:
                                   int(np.sum(members < self.k))))
         return tuple(out)
 
-    @property
+    @cached_property
     def clique_sizes(self):
         return tuple(len(c) for c in self.cliques)
 
-    @property
+    @cached_property
     def separator_sizes(self):
         return tuple(len(s) for s in self.separators)
 
@@ -661,7 +661,8 @@ def hasse_exponents(tree, shape):
 
     For each node u, ``rho[u]`` accumulates the clique weights of the
     leaves in the subtree of u minus the (multiplicity times) separator
-    weights of the internal nodes in that subtree.  ``lam[u]`` shifts
+    weights of the internal nodes in that subtree, in one pass from the
+    leaves up: u's own term plus its children's rho.  ``lam[u]`` shifts
     rho by half the weight of the strict descendants minus half the
     weight of the strict ancestors.
     """
@@ -673,14 +674,13 @@ def hasse_exponents(tree, shape):
             "shape length does not match clique/separator counts",
             alpha=len(shape.alpha), beta=len(shape.beta),
             k=k, k_prime=m - k)
-    rho = [0.0] * m
-    for u in range(m):
-        for v in tree.nodes_below(u):
-            if tree.is_leaf(v):
-                rho[u] += shape.alpha[tree.clique_index[v]]
-            else:
-                nu = len(tree.children[v]) - 1
-                rho[u] -= nu * shape.beta[tree.separator_index[v]]
+    rho = [shape.alpha[tree.clique_index[u]] if tree.is_leaf(u) else
+           -(len(tree.children[u]) - 1) * shape.beta[tree.separator_index[u]]
+           for u in range(m)]
+    # Backwards, every node comes after its descendants.
+    for u in reversed(tree.nodes_below(tree.root)):
+        if u != tree.root:
+            rho[tree.parent[u]] += rho[u]
     lam = [
         rho[u] + 0.5 * tree.subtree_weights[u]
         - 0.5 * tree.depth_weights[u]

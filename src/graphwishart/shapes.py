@@ -198,19 +198,48 @@ class ShapeClass:
     gamma2: object
 
 
-def _delta2(shape, ordering):
-    # sep_index[:1] is S2's index, or nothing for a single clique.
-    return sum(sum(shape.alpha[j] for j in ordering.occurrences[i]) -
-               ordering.multiplicity[i] * shape.beta[i]
-               for i in ordering.sep_index[:1])
+def _slacks(shape, ordering, side):
+    """Slack of each distinct separator's equality on one side.
+
+    First side: the clique exponents at the occurrences of S_i less
+    ``multiplicity[i] * beta[i]``.  Second side: the sum over those
+    occurrences of ``alpha_j - beta_i + (|C_j| - |S_i|) / 2``.  Every
+    separator but the first, S2, must have zero slack; S2's slack enters
+    the exponent of the first step instead.
+    """
+    alpha, csize = shape.alpha, ordering.clique_sizes
+    if side == "first":
+        return tuple(sum(alpha[j] for j in occ) - m * b for occ, m, b in
+                     zip(ordering.occurrences, ordering.multiplicity,
+                         shape.beta))
+    return tuple(sum(alpha[j] - b + (csize[j] - len(s)) / 2.0 for j in occ)
+                 for occ, b, s in zip(ordering.occurrences, shape.beta,
+                                      ordering.distinct_separators))
 
 
-def _gamma2(shape, ordering):
-    s2 = len(ordering.steps[0][0])
-    return sum(sum(shape.alpha[j] - shape.beta[i] +
-                   (ordering.clique_sizes[j] - s2) / 2.0
-                   for j in ordering.occurrences[i])
-               for i in ordering.sep_index[:1])
+def _exponents(shape, walk, side):
+    """Step exponents of ``walk`` on one side, and whether every separator
+    equality but S2's holds within tolerance (a class tree has none)."""
+    if isinstance(walk, HasseTree):
+        rho, _ = hasse_exponents(walk, shape)
+        nodes = walk.nodes_below(walk.root)
+        if side == "first":
+            return tuple(rho[u] - walk.depth_weights[u] / 2.0
+                         for u in nodes), True
+        return tuple(-rho[u] - walk.subtree_weights[u] / 2.0
+                     for u in nodes), True
+    check_alignment(shape, walk)
+    slack = list(_slacks(shape, walk, side))
+    head = slack.pop(walk.sep_index[0]) if walk.separators else 0
+    holds = all(abs(d) <= _TOL for d in slack)
+    alpha = shape.alpha
+    if side == "first":
+        return (alpha[0] + head,) + tuple(
+            a - len(given) / 2.0
+            for a, (_, given) in zip(alpha, walk.steps[1:])), holds
+    s2 = len(walk.steps[0][0])
+    return (-alpha[0] - (walk.clique_sizes[0] - s2) / 2.0 - head,) + \
+        tuple(-a for a in alpha), holds
 
 
 def step_exponents(shape, walk, side):
@@ -220,36 +249,38 @@ def step_exponents(shape, walk, side):
     side a step's conditional block is Wishart with shape p; on the
     ``"second"`` side it is the inverse of a Wishart with shape p.
     """
-    if isinstance(walk, HasseTree):
-        rho, _ = hasse_exponents(walk, shape)
-        if side == "first":
-            return tuple(rho[u] - walk.depth_weights[u] / 2.0
-                         for u in walk.nodes_below(walk.root))
-        return tuple(-rho[u] - walk.subtree_weights[u] / 2.0
-                     for u in walk.nodes_below(walk.root))
-    check_alignment(shape, walk)
-    alpha = shape.alpha
-    if side == "first":
-        head = alpha[0] + _delta2(shape, walk)
-        return (head,) + tuple(a - len(given) / 2.0 for a, (_, given)
-                               in zip(alpha, walk.steps[1:]))
-    s2 = len(walk.steps[0][0])
-    head = -alpha[0] - (walk.clique_sizes[0] - s2) / 2.0 - \
-        _gamma2(shape, walk)
-    return (head,) + tuple(-a for a in alpha)
+    return _exponents(shape, walk, side)[0]
 
 
-def _steps_admissible(walk, exponents, tol):
-    """Every non-empty step needs p > (|new| - 1) / 2."""
-    return all(p > (len(new) - 1) / 2.0 + tol
-               for (new, _), p in zip(walk.steps, exponents) if new)
+def _admitted(shape, walk, side):
+    """Step exponents of ``walk`` on one side, or None when the walk does
+    not admit the shape: a separator equality fails, or a non-empty step
+    has p <= (|new| - 1) / 2 up to the tolerance."""
+    exps, holds = _exponents(shape, walk, side)
+    if holds and all(p > (len(new) - 1) / 2.0 + _TOL
+                     for (new, _), p in zip(walk.steps, exps) if new):
+        return exps
+    return None
 
 
-def shape_class(shape, ordering, hasse=None, tol=_TOL):
+def _admissible_walk(shape, ordering, hasse, side):
+    """The walk a shape is admissible on for one side, with its step
+    exponents: the clique order, else the class tree when one is given.
+    Raises ShapeNotAdmissible when neither walk admits the shape."""
+    check_alignment(shape, ordering)
+    for walk in (ordering, hasse):
+        exps = None if walk is None else _admitted(shape, walk, side)
+        if exps is not None:
+            return walk, exps
+    raise ShapeNotAdmissible(
+        "shape outside the admissible set for this cone")
+
+
+def shape_class(shape, ordering, hasse=None):
     """Classify a shape against every admissibility system.
 
-    All inequalities are tested strictly up to ``tol``; equality
-    constraints must hold within ``tol``.
+    All inequalities are tested strictly up to a tolerance of 1e-12;
+    equality constraints must hold within it.
     """
     check_alignment(shape, ordering)
     alpha, beta = shape.alpha, shape.beta
@@ -257,54 +288,27 @@ def shape_class(shape, ordering, hasse=None, tol=_TOL):
 
     in_a1 = len(set(alpha)) == 1 and set(beta) <= set(alpha) and \
         (not beta or len(set(beta)) == 1) and \
-        alpha[0] > (max(csize) - 1) / 2.0 + tol
+        alpha[0] > (max(csize) - 1) / 2.0 + _TOL
     if in_a1 and beta:
-        in_a1 = abs(beta[0] - alpha[0]) <= tol
+        in_a1 = abs(beta[0] - alpha[0]) <= _TOL
 
     in_b1 = False
     deltas = [-2.0 * a - c + 1.0 for a, c in zip(alpha, csize)]
-    if max(deltas) - min(deltas) <= tol and deltas[0] > tol:
+    if max(deltas) - min(deltas) <= _TOL and deltas[0] > _TOL:
         in_b1 = all(
-            abs(-2.0 * beta[i] - len(s) + 1.0 - deltas[0]) <= tol
+            abs(-2.0 * beta[i] - len(s) + 1.0 - deltas[0]) <= _TOL
             for i, s in enumerate(ordering.distinct_separators))
 
-    ssize = (0,) + ordering.separator_sizes
-    others = [i for i in range(ordering.k_prime)
-              if i not in ordering.sep_index[:1]]
-    in_a_p = all(
-        abs(sum(alpha[j] for j in ordering.occurrences[i]) -
-            ordering.multiplicity[i] * beta[i]) <= tol
-        for i in others) and _steps_admissible(
-            ordering, step_exponents(shape, ordering, "first"), tol)
-    in_b_p = all(
-        abs(sum(alpha[j] + (csize[j] - ssize[j]) / 2.0
-                for j in ordering.occurrences[i]) -
-            ordering.multiplicity[i] * beta[i]) <= tol
-        for i in others) and _steps_admissible(
-            ordering, step_exponents(shape, ordering, "second"), tol)
     d2 = g2 = None
     if ordering.separators:
-        d2, g2 = _delta2(shape, ordering), _gamma2(shape, ordering)
+        first = ordering.sep_index[0]
+        d2 = _slacks(shape, ordering, "first")[first]
+        g2 = _slacks(shape, ordering, "second")[first]
 
-    in_a_hom = in_b_hom = None
-    if hasse is not None:
-        in_a_hom = _steps_admissible(
-            hasse, step_exponents(shape, hasse, "first"), tol)
-        in_b_hom = _steps_admissible(
-            hasse, step_exponents(shape, hasse, "second"), tol)
-
-    return ShapeClass(in_a1, in_b1, in_a_p, in_b_p,
-                      in_a_hom, in_b_hom, d2, g2)
-
-
-def admissible_walk(cls, ordering, hasse, side):
-    """The step list a classified shape is admissible on for one side:
-    the clique order, else the class tree, else None."""
-    if cls.in_a_p if side == "first" else cls.in_b_p:
-        return ordering
-    if cls.in_a_hom if side == "first" else cls.in_b_hom:
-        return hasse
-    return None
+    flags = [None if walk is None else
+             _admitted(shape, walk, side) is not None
+             for walk in (ordering, hasse) for side in ("first", "second")]
+    return ShapeClass(in_a1, in_b1, *flags, d2, g2)
 
 
 def steps_log_gamma(steps, exponents):
@@ -318,13 +322,8 @@ def steps_log_gamma(steps, exponents):
 
 
 def _log_gamma(shape, ordering, hasse, side):
-    check_alignment(shape, ordering)
-    walk = admissible_walk(shape_class(shape, ordering, hasse),
-                           ordering, hasse, side)
-    if walk is None:
-        raise ShapeNotAdmissible(
-            "shape outside the admissible set for this cone")
-    return steps_log_gamma(walk.steps, step_exponents(shape, walk, side))
+    walk, exps = _admissible_walk(shape, ordering, hasse, side)
+    return steps_log_gamma(walk.steps, exps)
 
 
 def log_gamma_I(shape, ordering, hasse=None):

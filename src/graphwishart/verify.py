@@ -18,6 +18,7 @@ from .cones import _regress, split_blocks
 from .distributions import (
     RngStream,
     WishartSpec,
+    _mc_draws,
     _walk_mean,
     log_inv_wishart_pdf,
     log_matrix_normal_pdf,
@@ -206,7 +207,7 @@ def mc_normalizer(kind, graph, ordering, shape, scale, rng, n,
     """
     if not isinstance(rng, RngStream):
         rng = RngStream(rng)
-    n = int(n)
+    n = _mc_draws(n)
     ordering = ordering or decompose(graph)
     if kind == "I":
         family = "type1"
@@ -265,6 +266,7 @@ def mellin_2x2(p, a1, a2, c, rng, n):
     returns (closed_form, McEstimate of E[X11^a1 X22^a2]).
     """
     c = np.asarray(c, dtype=float)
+    n = _mc_draws(n)
     if p < 0.5:
         raise OutOfDomain("shape parameter below one half", p=p)
     if a1 <= -p or a2 <= -p:
@@ -281,11 +283,11 @@ def mellin_2x2(p, a1, a2, c, rng, n):
     ) * gauss_2f1(a1 + p, a2 + p, p, z)
     if not isinstance(rng, RngStream):
         rng = RngStream(rng)
-    draws = sample_base_wishart(2, p, np.linalg.inv(c), rng, int(n))
+    draws = sample_base_wishart(2, p, np.linalg.inv(c), rng, n)
     vals = draws[:, 0, 0] ** a1 * draws[:, 1, 1] ** a2
     est = McEstimate(float(vals.mean()),
                      float(vals.std(ddof=1) / math.sqrt(n)),
-                     int(n), rng.seed, rng.substream)
+                     n, rng.seed, rng.substream)
     return closed, est
 
 
@@ -332,7 +334,7 @@ def check_mean426(spec, rng, n):
                           family=spec.family)
     if not isinstance(rng, RngStream):
         rng = RngStream(rng)
-    n = int(n)
+    n = _mc_draws(n)
     ordering = spec.ordering
     x = sample_batch(replace(spec, family="inv_type2"), rng, n)
     exps = step_exponents(spec.shape + size_shift(ordering, 0.5, 1),

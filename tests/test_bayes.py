@@ -8,7 +8,10 @@ from graphwishart import (
     IncompleteMatrix,
     NonNumeric,
     NotInQG,
+    OutOfDomain,
+    PosteriorShapeInadmissible,
     RngStream,
+    ShapeNotAdmissible,
     ShapeParam,
     WishartSpec,
     decompose,
@@ -194,6 +197,29 @@ class TestPosteriorSummaries:
         mask = a4.edge_mask()
         assert np.all(np.abs(out["precision_mean"].data
                              - emp)[mask] < 4 * se[mask])
+
+
+    @pytest.mark.parametrize("n_draws", [0, 1])
+    def test_needs_two_draws(self, a4, n_draws):
+        with pytest.raises(OutOfDomain) as info:
+            posterior_summaries(a4_prior(a4), RngStream(4), n_draws=n_draws)
+        assert info.value.context == {"n_draws": n_draws}
+
+
+def test_inadmissible_posterior_shape_is_named(a4, monkeypatch):
+    """posterior_update leaves admissibility to the spec build and
+    reports its failure with the sample count."""
+    import graphwishart.bayes as bayes
+
+    prior = a4_prior(a4)
+
+    def refuse(*args, **kwargs):
+        raise ShapeNotAdmissible("refused")
+
+    monkeypatch.setattr(bayes, "WishartSpec", refuse)
+    with pytest.raises(PosteriorShapeInadmissible) as info:
+        posterior_update(prior, ingest(np.ones((3, 4)), a4))
+    assert info.value.context == {"n": 3}
 
 
 class TestHyperWishartLink:

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from graphwishart import cli
 from graphwishart.cli import run
 
 
@@ -387,6 +388,52 @@ class TestBayesAndVerify:
                             "--n", "20000", "--seed", "2"], capsys)
         assert code == 0
         assert json.loads(out)["within_4_se"] is True
+
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_bayes_fit_too_few_draws(self, tmp_path, a4_file, capsys, n):
+        csv = tmp_path / "d.csv"
+        csv.write_text("1,2,3,4\n0.5,0.1,-1,2\n")
+        prior = write_json(tmp_path / "prior.json", {
+            "shape": {"alpha": [-1.0, -1.0, -1.0], "beta": [1.0, -0.5]},
+            "scale": np.eye(4).tolist()})
+        code, out = invoke(["bayes", "fit", "--graph", a4_file,
+                            "--data", str(csv), "--prior", prior,
+                            "--n", n], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["code"] == "out_of_domain"
+        assert doc["context"] == {"n_draws": int(n)}
+
+    def test_verify_normalizer_one_draw(self, shape_file, scale_file,
+                                        capsys):
+        code, out = invoke(["verify", "normalizer", "--shape", shape_file,
+                            "--scale", scale_file, "--n", "1"], capsys)
+        assert code == 1
+        assert json.loads(out)["code"] == "out_of_domain"
+
+    def test_verify_factorization_no_points(self, tmp_path, scale_file,
+                                            capsys):
+        shape = write_json(tmp_path / "bshape.json", {
+            "alpha": [-3.0, -3.0, -3.0], "beta": [-1.0, -2.5]})
+        code, out = invoke(["verify", "factorization", "--shape", shape,
+                            "--scale", scale_file, "--n", "0"], capsys)
+        assert code == 1
+        assert json.loads(out)["code"] == "out_of_domain"
+
+    @pytest.mark.parametrize("argv, n", [
+        (["dist", "sample", "--family", "type1", "--shape", "s",
+          "--scale", "x"], 1),
+        (["bayes", "fit", "--data", "d", "--prior", "p"], 4000),
+        (["verify", "normalizer", "--shape", "s", "--scale", "x"], 100000),
+        (["verify", "mellin", "--matrix", "m", "--p", "1", "--a1", "0",
+          "--a2", "0"], 100000),
+        (["verify", "factorization", "--shape", "s", "--scale", "x"], 50),
+        (["verify", "mean426", "--shape", "s", "--scale", "x"], 100000),
+    ], ids=["sample", "fit", "normalizer", "mellin", "factorization",
+            "mean426"])
+    def test_draw_count_defaults(self, argv, n):
+        assert cli._build_parser().parse_args(argv).n == n
 
 
 class TestFloatFormat:

@@ -5,7 +5,10 @@ import pytest
 from scipy import stats
 
 from graphwishart import (
+    CliqueOrdering,
+    DimensionMismatch,
     IncompleteMatrix,
+    MalformedInput,
     NotPositiveDefinite,
     OutOfDomain,
     OutOfSupport,
@@ -45,17 +48,24 @@ from conftest import (
 K1 = parse_graph({"n": 1, "edges": []})
 
 
+def _count_calls(monkeypatch, owner, name):
+    """List that gets one entry per call of ``owner.name``."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def _count_clique_checks(monkeypatch):
     """List that gets one entry per clique positive-definiteness check."""
-    calls = []
-    real = cones._require_pd_cliques
-
-    def counted(data, ordering):
-        calls.append(1)
-        return real(data, ordering)
-
-    monkeypatch.setattr(cones, "_require_pd_cliques", counted)
-    monkeypatch.setattr(shapes, "_require_pd_cliques", counted)
+    calls = _count_calls(monkeypatch, cones, "_require_pd_cliques")
+    monkeypatch.setattr(shapes, "_require_pd_cliques",
+                        cones._require_pd_cliques)
     return calls
 
 
@@ -394,6 +404,18 @@ class TestLaplace:
             assert vals[0] + vals[1] == pytest.approx(vals[2],
                                                       abs=1e-12)
 
+    def test_t_of_wrong_shape(self, a4, a4_ord):
+        spec = WishartSpec(a4, canonical_shape("hyper", a4_ord, 1.5),
+                           project(np.eye(4), a4), "type1")
+        with pytest.raises(DimensionMismatch):
+            laplace(spec, np.zeros((3, 3)))
+
+    def test_asymmetric_t(self, a4, a4_ord):
+        spec = WishartSpec(a4, canonical_shape("hyper", a4_ord, 1.5),
+                           project(np.eye(4), a4), "type1")
+        with pytest.raises(MalformedInput):
+            laplace(spec, np.triu(np.full((4, 4), 0.01), 1))
+
     def test_shift_outside_cone(self, a4, a4_ord):
         shape = canonical_shape("hyper", a4_ord, 1.5)
         spec = WishartSpec(a4, shape, project(np.eye(4), a4), "type1",
@@ -472,3 +494,41 @@ class TestLargeClassTreeDraws:
             x = phi(point)
             assert np.array_equal(x.data, x.data.T)
             assert np.isfinite(logpdf(spec, point))
+
+
+class TestSpecBuild:
+
+    @pytest.mark.parametrize("family", ["type1", "inv_type2"])
+    def test_one_walk_search_per_build(self, family, monkeypatch):
+        """On the nested star 20x19, alpha = 2 / beta = 1 walks the class
+        tree on the first side and the G-Wishart shape walks the clique
+        order on the second.  From a fresh graph, the shape and one spec
+        build make at most one class-tree exponent pass, no shape_class
+        call and one clique_sizes build."""
+        tree_passes = _count_calls(monkeypatch, shapes, "hasse_exponents")
+        classified = _count_calls(monkeypatch, shapes, "shape_class")
+        sizes = _count_calls(
+            monkeypatch, CliqueOrdering.__dict__["clique_sizes"], "func")
+        g = parse_graph(nested_star(20, 19))
+        o = decompose(g)
+        shape = ShapeParam((2.0,) * o.k, (1.0,) * o.k_prime) \
+            if family == "type1" else canonical_shape("gwishart", o, 3.0)
+        spec = WishartSpec(g, shape, random_qg(g, np.random.default_rng(2)),
+                           family)
+        assert spec.walk is (spec.hasse if family == "type1" else o)
+        assert len(tree_passes) <= 1 and not classified
+        assert len(sizes) == 1
+
+    def test_equality_is_identity(self, a4, a4_ord):
+        """Cone matrices and specs compare by identity and hash, so
+        ``==`` never compares arrays."""
+        x, y = project(np.eye(4), a4), project(np.eye(4), a4)
+        k = SparsePrecision(a4, np.eye(4))
+        assert x == x and x != y and not (x == k)
+        assert len({x, y, k}) == 3
+        assert not isinstance(x, SparsePrecision)
+        assert not isinstance(k, IncompleteMatrix)
+        shape = canonical_shape("hyper", a4_ord, 1.5)
+        s1, s2 = (WishartSpec(a4, shape, x, "type1") for _ in range(2))
+        assert s1 == s1 and s1 != s2 and len({s1, s2}) == 2
+

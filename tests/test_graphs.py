@@ -294,6 +294,41 @@ class TestHasseExponents:
         rho, lam = hasse_exponents(tree, shape)
         assert tuple(rho) == (2.5,) and tuple(lam) == (2.5,)
 
+    @given(spec=homogeneous_graphs(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_bottom_up_matches_node_scan(self, spec, seed):
+        """The one-pass rho and lam against the sum over each node's
+        subtree, node by node: within 1e-12 of the terms' magnitude for
+        random shapes, and exact for dyadic ones, whose sums round
+        nowhere."""
+        tree = homogeneous_structure(parse_graph(spec))
+        o = decompose(tree.graph)
+        rng = np.random.default_rng(seed)
+
+        def own(shape, v):
+            if tree.is_leaf(v):
+                return shape.alpha[tree.clique_index[v]]
+            return -(len(tree.children[v]) - 1) * \
+                shape.beta[tree.separator_index[v]]
+
+        shapes = [ShapeParam(tuple(rng.uniform(-5, 5, o.k)),
+                             tuple(rng.uniform(-5, 5, o.k_prime)))
+                  for _ in range(3)]
+        dyadic = ShapeParam(tuple(rng.integers(-40, 40, o.k) / 8.0),
+                            tuple(rng.integers(-40, 40, o.k_prime) / 8.0))
+        for shape in shapes + [dyadic]:
+            rho, lam = hasse_exponents(tree, shape)
+            for u in range(tree.node_count):
+                terms = [own(shape, v) for v in tree.nodes_below(u)]
+                ref = sum(terms)
+                ref_lam = ref + 0.5 * tree.subtree_weights[u] \
+                    - 0.5 * tree.depth_weights[u]
+                if shape is dyadic:
+                    assert (rho[u], lam[u]) == (ref, ref_lam)
+                bound = 1e-12 * (1.0 + sum(map(abs, terms)))
+                assert abs(rho[u] - ref) <= bound
+                assert abs(lam[u] - ref_lam) <= bound
+
 
 class TestRandomChordal:
 

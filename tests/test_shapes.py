@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from graphwishart import (
@@ -27,7 +29,11 @@ from graphwishart.shapes import (
     steps_log_gamma,
 )
 
-from conftest import random_first_admissible, random_second_admissible
+from conftest import (
+    chordal_graphs,
+    random_first_admissible,
+    random_second_admissible,
+)
 
 LOG_PI = math.log(math.pi)
 
@@ -55,6 +61,40 @@ def _cross_formula_gaps(graphs, draw, log_gamma, side, seed):
             gaps.append(abs(log_gamma(shape, ordering) - tree_sum))
             hits += 1
     return gaps
+
+
+def _per_order_reference(shape, o, tol=1e-12):
+    """Per-order flags, S2 slacks and step exponents of a shape, written
+    out one separator at a time: delta2 and gamma2 from S2's
+    occurrences, every other separator's equality on its own."""
+    alpha, beta, cs = shape.alpha, shape.beta, o.clique_sizes
+    first = o.sep_index[:1]
+    s2 = len(o.steps[0][0])
+    d2 = sum(sum(alpha[j] for j in o.occurrences[i]) -
+             o.multiplicity[i] * beta[i] for i in first)
+    g2 = sum(sum(alpha[j] - beta[i] + (cs[j] - s2) / 2.0
+                 for j in o.occurrences[i]) for i in first)
+    ss = (0,) + o.separator_sizes
+    others = [i for i in range(o.k_prime) if i not in first]
+    eq_a = all(abs(sum(alpha[j] for j in o.occurrences[i]) -
+                   o.multiplicity[i] * beta[i]) <= tol for i in others)
+    eq_b = all(abs(sum(alpha[j] + (cs[j] - ss[j]) / 2.0
+                       for j in o.occurrences[i]) -
+                   o.multiplicity[i] * beta[i]) <= tol for i in others)
+    exps_a = (alpha[0] + d2,) + tuple(
+        a - len(given) / 2.0 for a, (_, given) in zip(alpha, o.steps[1:]))
+    exps_b = (-alpha[0] - (cs[0] - s2) / 2.0 - g2,) + \
+        tuple(-a for a in alpha)
+
+    def steps_ok(exps):
+        return all(p > (len(new) - 1) / 2.0 + tol
+                   for (new, _), p in zip(o.steps, exps) if new)
+
+    return {"in_a_p": eq_a and steps_ok(exps_a),
+            "in_b_p": eq_b and steps_ok(exps_b),
+            "delta2": d2 if o.separators else None,
+            "gamma2": g2 if o.separators else None,
+            "first": exps_a, "second": exps_b}
 
 
 def _star(n):
@@ -162,6 +202,37 @@ class TestShapeClass:
             for o in enumerate_perfect_orders(a4):
                 s2 = realign_shape(s, a4_ord, o)
                 assert shape_class(s2, o).in_a_p
+
+    @given(spec=chordal_graphs(max_r=25), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_per_order_flags_match_reference(self, spec, seed):
+        """shape_class and step_exponents against the per-separator
+        formulas: the same flags, and bit for bit the same S2 slacks and
+        clique-order exponents, on admissible shapes, shapes that break
+        one equality by 1e-9 or keep it within 1e-14, and free ones."""
+        o = decompose(parse_graph(spec))
+        rng = np.random.default_rng(seed)
+        shapes = [canonical_shape("hyper", o, max(o.clique_sizes)),
+                  canonical_shape("gwishart", o, 3.0)]
+        for draw in (random_first_admissible, random_second_admissible):
+            base = draw(o, rng)
+            shapes.append(base)
+            for eps in (1e-9, 1e-14):
+                beta = list(base.beta)
+                if beta:
+                    beta[int(rng.integers(len(beta)))] += eps
+                shapes.append(ShapeParam(base.alpha, tuple(beta)))
+        shapes += [ShapeParam(tuple(rng.uniform(-4, 4, o.k)),
+                              tuple(rng.uniform(-4, 4, o.k_prime)))
+                   for _ in range(4)]
+        for shape in shapes:
+            ref = _per_order_reference(shape, o)
+            info = shape_class(shape, o)
+            assert (info.in_a_p, info.in_b_p, info.delta2, info.gamma2) \
+                == (ref["in_a_p"], ref["in_b_p"], ref["delta2"],
+                    ref["gamma2"])
+            for side in ("first", "second"):
+                assert step_exponents(shape, o, side) == ref[side]
 
     def test_gwishart_grid_inside_every_order(self, a4, a4_ord):
         for d in (0.5, 1.0, 2.0, 3.5, 5.0):

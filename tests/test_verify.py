@@ -292,3 +292,25 @@ class TestMean426:
                            "type2", ordering=ordering)
         est = check_mean426(spec, RngStream(13), 100000)
         assert est.value < 4 * est.std_error
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_monte_carlo_needs_two_draws(n, k2):
+    """Below two draws no standard error exists: OutOfDomain, not a nan
+    with RuntimeWarnings."""
+    ordering = decompose(k2)
+    shape = canonical_shape("gwishart", ordering, 6.0)
+    scale = project(np.eye(2), k2)
+    type2 = WishartSpec(k2, shape, scale, "type2", ordering=ordering)
+    hyper = canonical_shape("hyper", ordering, 2.0)
+    calls = [
+        lambda: mc_normalizer("I", k2, ordering, hyper, scale,
+                              RngStream(1), n),
+        lambda: check_mean426(type2, RngStream(2), n),
+        lambda: mellin_2x2(1.5, 0.5, 0.5, np.eye(2), RngStream(3), n),
+    ]
+    for call in calls:
+        with pytest.raises(OutOfDomain) as info:
+            call()
+        assert info.value.context == {"n": n}
+
