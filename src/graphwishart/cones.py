@@ -51,7 +51,7 @@ def _block(arr, vertices):
 
 
 def _tr(a):
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def _as_matrix(data, r):
@@ -302,57 +302,36 @@ def _regress(data, rows, cols):
     return cond, ratio
 
 
-def _slots(pos, rows, cols):
-    """Packed slots of the block rows x cols (1-based vertex tuples);
-    ``pos`` is the slot table of a graph's pattern index."""
-    return pos[_idx(rows)[:, None], _idx(cols)]
-
-
-def _tril(pos, vertices):
-    """Packed slots of the lower triangle of the block on ``vertices``,
-    and the boolean selector of that triangle inside the block."""
-    sel = np.tri(len(vertices), dtype=bool)
-    return _slots(pos, vertices, vertices)[sel], sel
-
-
-def _gather(store, pos, vertices):
-    """Block on ``vertices`` of a packed store (..., r + |E|); the block
-    must lie on the pattern."""
-    return store[..., _slots(pos, vertices, vertices)]
-
-
-def _place(store, pos, new, given, cond, ratio, x_given):
+def _place(store, slots, cond, ratio, x_given):
     """Write one step into a packed store whose block on ``given`` is
-    ``x_given``: the regression cross terms and the new block."""
+    ``x_given``: the regression cross terms and the new block.  ``slots``
+    is the step's :class:`~graphwishart.graphs.StepSlots`."""
     cross = ratio @ x_given
-    store[..., _slots(pos, new, given)] = cross
-    slots, sel = _tril(pos, new)
-    store[..., slots] = (cond + cross @ _tr(ratio))[..., sel]
+    store[..., slots.cross] = cross
+    store[..., slots.new] = (cond + cross @ _tr(ratio))[..., slots.new_sel]
 
 
-def _fill(pattern, steps, parts, lead=()):
-    """Packed store (*lead, r + |E|) built along ``steps`` from one
+def _fill(walk, parts, lead=()):
+    """Packed store (*lead, r + |E|) built along ``walk.steps`` from one
     (conditional block, coefficient) pair per step; a step whose part is
     None is skipped."""
-    store = np.zeros(lead + (pattern.size,))
-    for (new, given), part in zip(steps, parts):
+    store = np.zeros(lead + (walk.graph.pattern.size,))
+    for slots, part in zip(walk.step_slots, parts):
         if part is not None:
-            _place(store, pattern.pos, new, given, *part,
-                   _gather(store, pattern.pos, given))
+            _place(store, slots, *part, store[..., slots.given])
     return store
 
 
-def _add_step_precision(store, pos, new, given, cond_inv, ratio):
+def _add_step_precision(store, slots, cond_inv, ratio):
     """Add one step's term E^T cond^-1 E, with E = [I_new, -ratio] on
     (new, given), to a packed store.  Summed over the steps of a walk
     these terms give the inverse of the completion (Vandenberghe and
     Andersen, Chordal Graphs and Semidefinite Optimization, 2015)."""
     lead = cond_inv @ ratio
-    slots, sel = _tril(pos, new)
-    store[..., slots] += cond_inv[..., sel]
-    store[..., _slots(pos, new, given)] -= lead
-    slots, sel = _tril(pos, given)
-    store[..., slots] += (_tr(ratio) @ lead)[..., sel]
+    store[..., slots.new] += cond_inv[..., slots.new_sel]
+    store[..., slots.cross] -= lead
+    given, sel = slots.given_tril
+    store[..., given] += (_tr(ratio) @ lead)[..., sel]
 
 
 def _scatter(store, pattern):
@@ -377,9 +356,9 @@ def split_blocks(x, ordering=None):
 def assemble_blocks(blocks):
     """Inverse of :func:`split_blocks`."""
     ordering = blocks.ordering
-    pattern = ordering.graph.pattern
-    store = _fill(pattern, ordering.steps, blocks.parts)
-    return IncompleteMatrix(ordering.graph, _scatter(store, pattern))
+    store = _fill(ordering, blocks.parts)
+    return IncompleteMatrix(ordering.graph,
+                            _scatter(store, ordering.graph.pattern))
 
 
 def schur_pad(m, vertices):

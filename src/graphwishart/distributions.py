@@ -91,12 +91,61 @@ def _as_stream(rng):
     return RngStream(rng)
 
 
+def _draw_count(size):
+    """``size`` as an int; OutOfDomain unless it is a non-negative
+    integer (0 gives no draws)."""
+    try:
+        n = int(size)
+        valid = n == size and n >= 0
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise OutOfDomain("draw count must be a non-negative integer",
+                          size=repr(size))
+    return n
+
+
+def _cholesky(a, what):
+    """Lower Cholesky factor of a matrix or stack; NotPositiveDefinite,
+    naming ``what``, when one is not positive definite."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(
+            what + " is not positive definite") from None
+
+
+def _bartlett(left, p, rng, n):
+    """n Wishart draws (n, r, r) of shape p whose scale has the lower
+    Cholesky factor ``left``: left T T^T left^T with T the Bartlett
+    factor, sqrt Gamma(p - i/2) on the diagonal and N(0, 1/2) below."""
+    r = left.shape[0]
+    t = np.zeros((n, r, r))
+    for i in range(r):
+        t[:, i, i] = np.sqrt(rng.gen.gamma(p - i / 2.0, 1.0, size=n))
+    if r > 1:
+        rows, cols = np.tril_indices(r, -1)
+        t[:, rows, cols] = rng.gen.normal(
+            0.0, math.sqrt(0.5), size=(n, len(rows)))
+    lt = left @ t
+    return lt @ _tr(lt)
+
+
+def _matrix_normal(mean, lu, lv, rng, n):
+    """n matrix normal draws (n, a, b) around ``mean`` (a, b) from the
+    lower Cholesky factors ``lu`` of the row matrix and ``lv`` of the
+    column matrix; either may be a stack with one factor per draw."""
+    z = rng.gen.normal(0.0, math.sqrt(0.5), size=(n,) + mean.shape)
+    return mean + lu @ _tr(np.linalg.solve(_tr(lv), _tr(z)))
+
+
 def sample_base_wishart(r, p, scale, rng, size=None):
     """Wishart draws with density proportional to
     det(x)^(p - (r+1)/2) exp(-tr(scale^{-1} x)); the mean is p * scale.
 
     Returns an (n, r, r) array when size is given, one (r, r) matrix
-    otherwise.
+    otherwise.  ``size`` must be a non-negative integer (0 gives an
+    empty stack), else OutOfDomain.
     """
     rng = _as_stream(rng)
     scale = np.asarray(scale, dtype=float)
@@ -106,20 +155,11 @@ def sample_base_wishart(r, p, scale, rng, size=None):
     if p <= (r - 1) / 2.0:
         raise OutOfDomain("shape parameter too small for dimension",
                           p=p, r=r)
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else _draw_count(size)
     if r == 0:
         out = np.zeros((n, 0, 0))
-        return out if size is not None else out[0]
-    left = np.linalg.cholesky(scale)
-    t = np.zeros((n, r, r))
-    for i in range(r):
-        t[:, i, i] = np.sqrt(rng.gen.gamma(p - i / 2.0, 1.0, size=n))
-    if r > 1:
-        rows, colidx = np.tril_indices(r, -1)
-        t[:, rows, colidx] = rng.gen.normal(
-            0.0, math.sqrt(0.5), size=(n, len(rows)))
-    lt = left @ t
-    out = lt @ _tr(lt)
+    else:
+        out = _bartlett(_cholesky(scale, "scale"), p, rng, n)
     return out if size is not None else out[0]
 
 
@@ -130,24 +170,21 @@ def sample_matrix_normal(mean, row_cov, col_prec_mate, rng, size=None):
     The columns are coupled through ``col_prec_mate``: large values
     there mean small spread.  Entrywise the covariance of the deltas is
     0.5 * col_prec_mate^{-1} (x) row_cov.  Either matrix may also be a
-    stack (n, ., .) with one matrix per draw.
+    stack (n, ., .) with one matrix per draw.  ``size`` must be a
+    non-negative integer (0 gives an empty stack), else OutOfDomain.
     """
     rng = _as_stream(rng)
     mean = np.asarray(mean, dtype=float)
     a, b = mean.shape
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else _draw_count(size)
     if a == 0 or b == 0:
         out = np.broadcast_to(mean, (n, a, b)).copy()
-        return out if size is not None else out[0]
-    try:
-        lu = np.linalg.cholesky(np.asarray(row_cov, dtype=float))
-        lv = np.linalg.cholesky(np.asarray(col_prec_mate, dtype=float))
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(
-            "row or column matrix is not positive definite") from None
-    z = rng.gen.normal(0.0, math.sqrt(0.5), size=(n, a, b))
-    delta = mean + lu @ _tr(np.linalg.solve(_tr(lv), _tr(z)))
-    return delta if size is not None else delta[0]
+    else:
+        lu = _cholesky(np.asarray(row_cov, dtype=float), "row matrix")
+        lv = _cholesky(np.asarray(col_prec_mate, dtype=float),
+                       "column matrix")
+        out = _matrix_normal(mean, lu, lv, rng, n)
+    return out if size is not None else out[0]
 
 
 def log_wishart_pdf(x, p, scale):
@@ -270,11 +307,16 @@ class WishartSpec:
         return self.shape + size_shift(self.ordering, shift, 1)
 
     @cached_property
-    def step_scales(self):
-        """Per step of ``walk.steps``, None for an empty new block, else
-        the scale's regression ``(t_cond, t_ratio)`` on the step's blocks
-        and the scale of the step's Wishart draw: t_cond on the first
-        side, its inverse on the second.  The arrays are read-only."""
+    def plan(self):
+        """The sampler walk's step plan, built on first use: per step of
+        ``walk.steps``, None for an empty new block, else ``(t_cond,
+        t_ratio, wishart, side)``.  ``(t_cond, t_ratio)`` is the scale's
+        regression on the step's blocks; ``wishart`` is the lower
+        Cholesky factor of the scale of the step's Wishart draw (t_cond
+        on the first side, its inverse on the second) and ``side`` that
+        of the matrix-normal matrix the scale fixes (the row matrix
+        t_cond on the first side, the column matrix T[given] on the
+        second).  The arrays are read-only."""
         first = self.family in ("type1", "inv_type1")
         out = []
         for new, given in self.walk.steps:
@@ -282,8 +324,12 @@ class WishartSpec:
                 out.append(None)
                 continue
             t_cond, t_ratio = cones._regress(self.scale.data, new, given)
-            step = (t_cond, t_ratio,
-                    t_cond if first else np.linalg.inv(t_cond))
+            if first:
+                wishart = side = np.linalg.cholesky(t_cond)
+            else:
+                wishart = np.linalg.cholesky(np.linalg.inv(t_cond))
+                side = np.linalg.cholesky(_block(self.scale.data, given))
+            step = (t_cond, t_ratio, wishart, side)
             for a in step:
                 a.setflags(write=False)
             out.append(step)
@@ -393,44 +439,44 @@ def _walk(spec, rng, n):
     """Draws on the incomplete cone, one ``(new, given)`` step at a time,
     in a packed store (n, r + |E|) laid out by ``spec.graph.pattern``.
 
-    Each step regresses the scale T on its blocks, draws the
-    conditional block and then the regression coefficient, and places
-    both.  First side: the conditional block is Wishart(p, T_cond) and
-    the coefficient is matrix normal around T_ratio with row matrix
-    T_cond and column matrix the block X[given] drawn so far.  Second
-    side: the conditional block is the inverse of Wishart(p, T_cond^-1)
-    and the coefficient has the drawn block as row matrix and T[given]
-    as column matrix.
+    Each step draws the conditional block and then the regression
+    coefficient of the draw on its blocks, and places both.  First
+    side: the conditional block is Wishart(p, T_cond) and the
+    coefficient is matrix normal around T_ratio with row matrix T_cond
+    and column matrix the block X[given] drawn so far.  Second side: the
+    conditional block is the inverse of Wishart(p, T_cond^-1) and the
+    coefficient has the drawn block as row matrix and T[given] as column
+    matrix.
 
-    The scale's side of every step comes from ``spec.step_scales``.
-    Returns the packed draws for type1 and inv_type2.  For type2 and
-    inv_type1 it returns the packed inverses of their completions,
-    summed from the drawn (conditional block, coefficient) pairs.
+    The scale's side of every step, factors included, comes from
+    ``spec.plan`` and the packed slots from ``spec.walk.step_slots``, so
+    a step factors only what it drew: X[given] on the first side, the
+    conditional block on the second.  Returns the packed draws for type1
+    and inv_type2.  For type2 and inv_type1 it returns the packed
+    inverses of their completions, summed from the drawn (conditional
+    block, coefficient) pairs.
     """
     first = spec.family in ("type1", "inv_type1")
     precision = spec.family in ("type2", "inv_type1")
-    pos = spec.graph.pattern.pos
-    scale = spec.scale.data
     x = np.zeros((n, spec.graph.pattern.size))
     k = np.zeros_like(x) if precision else None
-    for (new, given), p, step in zip(spec.walk.steps, spec.exponents,
-                                     spec.step_scales):
-        if not new:
+    for slots, p, step in zip(spec.walk.step_slots, spec.exponents,
+                              spec.plan):
+        if step is None:
             continue
-        t_cond, t_ratio, w_scale = step
-        x_given = cones._gather(x, pos, given)
-        wishart = sample_base_wishart(len(new), p, w_scale, rng, n)
-        if first:
-            cond = wishart
-            row, col = t_cond, x_given
-        else:
-            cond = np.linalg.inv(wishart)
-            row, col = cond, _block(scale, given)
-        ratio = sample_matrix_normal(t_ratio, row, col, rng, n)
-        cones._place(x, pos, new, given, cond, ratio, x_given)
+        _, t_ratio, w_left, side = step
+        x_given = x[:, slots.given]
+        wishart = _bartlett(w_left, p, rng, n)
+        cond = wishart if first else np.linalg.inv(wishart)
+        ratio = t_ratio
+        if t_ratio.size:
+            drawn = _cholesky(x_given if first else cond, "drawn block")
+            lu, lv = (side, drawn) if first else (drawn, side)
+            ratio = _matrix_normal(t_ratio, lu, lv, rng, n)
+        cones._place(x, slots, cond, ratio, x_given)
         if precision:
             cond_inv = np.linalg.inv(cond) if first else wishart
-            cones._add_step_precision(k, pos, new, given, cond_inv, ratio)
+            cones._add_step_precision(k, slots, cond_inv, ratio)
     return k if precision else x
 
 
@@ -452,34 +498,37 @@ def sample_batch(spec, rng, size):
     pattern.  For type1 and inv_type2 the entries are those of the
     incomplete draw; for type2 and inv_type1 they are the sparse matrix
     itself, the inverse of the completion, which the walk sums from the
-    drawn step coordinates.
+    drawn step coordinates.  ``size`` must be a non-negative integer (0
+    gives an empty array), else OutOfDomain.
     """
     if spec.family in ("type2", "inv_type2") and \
             not spec.admissible_per_order:
         raise ShapeNotAdmissible(
             "sampling on the second side needs per-order admissibility",
             family=spec.family)
-    store = _walk(spec, _as_stream(rng), int(size))
+    store = _walk(spec, _as_stream(rng), _draw_count(size))
     return cones._scatter(store, spec.graph.pattern)
 
 
 def sample(spec, rng, n):
-    """List of n draws wrapped in the cone type matching the family."""
+    """List of n draws wrapped in the cone type matching the family; n
+    must be a non-negative integer, else OutOfDomain."""
     batch = sample_batch(spec, rng, n)
     if spec.family in ("type1", "inv_type2"):
         return [IncompleteMatrix(spec.graph, b) for b in batch]
     return [SparsePrecision(spec.graph, b) for b in batch]
 
 
-def _walk_mean(pattern, steps, exponents, coords, lead=()):
-    """Packed mean of a first-side walk along ``steps`` at the scale's step
-    coordinates ``coords`` (None for an empty step).  A step's conditional
-    block has mean p T_cond and its coefficient mean T_ratio with entry
+def _walk_mean(walk, exponents, coords, lead=()):
+    """Packed mean of a first-side walk along ``walk.steps`` at the
+    scale's step coordinates ``coords`` (None for an empty step, else a
+    tuple that starts with T_cond, T_ratio).  A step's conditional block
+    has mean p T_cond and its coefficient mean T_ratio with entry
     covariance X_given^-1 (x) T_cond / 2: the mean is the fill from the
     pairs ((p + |given| / 2) T_cond, T_ratio)."""
-    return cones._fill(pattern, steps, [
+    return cones._fill(walk, [
         None if c is None else ((p + len(given) / 2.0) * c[0], c[1])
-        for (_, given), p, c in zip(steps, exponents, coords)], lead)
+        for (_, given), p, c in zip(walk.steps, exponents, coords)], lead)
 
 
 def mean_type1(spec):
@@ -488,10 +537,9 @@ def mean_type1(spec):
     if spec.family != "type1":
         raise OutOfDomain("mean_type1 needs a type1 spec",
                           family=spec.family)
-    pattern = spec.graph.pattern
-    store = _walk_mean(pattern, spec.walk.steps, spec.exponents,
-                       spec.step_scales)
-    return IncompleteMatrix(spec.graph, cones._scatter(store, pattern))
+    store = _walk_mean(spec.walk, spec.exponents, spec.plan)
+    return IncompleteMatrix(spec.graph,
+                            cones._scatter(store, spec.graph.pattern))
 
 
 def mean_type2(spec):

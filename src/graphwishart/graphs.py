@@ -138,6 +138,57 @@ def _pattern_index(g):
     return PatternIndex(mask, rows, cols)
 
 
+class StepSlots:
+    """Packed slots of one ``(new, given)`` step, laid out by the graph's
+    :class:`PatternIndex`.
+
+    ``given`` holds the slots of the block on ``given`` and ``cross``
+    those of the block new x given.  ``new`` holds the slots of the lower
+    triangle of the block on ``new`` (row-major) and ``new_sel`` the
+    boolean selector of that triangle inside the block.  ``given_tril``
+    is the same pair for the block on ``given``, built on first use.
+    A plain class: a dataclass would cost code generation at import.
+    """
+
+    def __init__(self, given, cross, new, new_sel):
+        self.given, self.cross = given, cross
+        self.new, self.new_sel = new, new_sel
+
+    @cached_property
+    def given_tril(self):
+        import numpy as np
+
+        sel = np.tri(len(self.given), dtype=bool)
+        return self.given[sel], sel
+
+
+def _step_slots(pattern, steps):
+    """One :class:`StepSlots` per ``(new, given)`` step; read-only."""
+    import numpy as np
+
+    out = []
+    for new, given in steps:
+        ni = np.asarray(new, dtype=int) - 1
+        gi = np.asarray(given, dtype=int) - 1
+        sel = np.tri(len(ni), dtype=bool)
+        parts = (pattern.pos[gi[:, None], gi], pattern.pos[ni[:, None], gi],
+                 pattern.pos[ni[:, None], ni][sel], sel)
+        for a in parts:
+            a.setflags(write=False)
+        out.append(StepSlots(*parts))
+    return tuple(out)
+
+
+class _Walk:
+    """A step list on a graph: ``steps`` of ``(new, given)`` blocks."""
+
+    @cached_property
+    def step_slots(self):
+        """One :class:`StepSlots` per step, built on first use and shared
+        by everything that walks these steps."""
+        return _step_slots(self.graph.pattern, self.steps)
+
+
 def _build_adjacency(n, edges):
     adj = {i: set() for i in range(1, n + 1)}
     for i, j in edges:
@@ -285,7 +336,7 @@ class BlockGroup:
 
 
 @dataclass(frozen=True)
-class CliqueOrdering:
+class CliqueOrdering(_Walk):
     """A perfect order of the cliques with its derived structure.
 
     ``cliques[j]`` is a sorted vertex tuple.  ``separators[j - 1]`` is
@@ -466,7 +517,7 @@ def order_signature(ordering):
 
 
 @dataclass(frozen=True)
-class HasseTree:
+class HasseTree(_Walk):
     """Rooted class tree of a graph whose vertex classes nest by
     closed neighborhood.
 

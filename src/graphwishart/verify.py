@@ -340,7 +340,7 @@ def check_mean426(spec, rng, n):
     exps = step_exponents(spec.shape + size_shift(ordering, 0.5, 1),
                           ordering, "first")
     pattern = spec.graph.pattern
-    per_draw = _walk_mean(pattern, ordering.steps, exps, [
+    per_draw = _walk_mean(ordering, exps, [
         _regress(x, new, given) for new, given in ordering.steps], (n,))
     target = -spec.scale.data[pattern.rows, pattern.cols]
     resid = target - per_draw.mean(axis=0)

@@ -204,6 +204,17 @@ class TestDistCommands:
         assert code == 1
         assert json.loads(out)["code"] == "non_numeric"
 
+    def test_sample_negative_count_is_domain_error(self, shape_file,
+                                                   scale_file, capsys):
+        code, out = invoke(["dist", "sample", "--family", "type1",
+                            "--shape", shape_file,
+                            "--scale", scale_file,
+                            "--n", "-1", "--seed", "1"], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["code"] == "out_of_domain"
+        assert doc["context"] == {"size": "-1"}
+
     def test_sample_roundtrip_into_logpdf(self, tmp_path, shape_file,
                                           scale_file, capsys):
         code, out = invoke(["dist", "sample", "--family", "type1",

@@ -35,7 +35,7 @@ from graphwishart import (
     sample_batch,
     sample_matrix_normal,
 )
-from graphwishart import cones, shapes
+from graphwishart import cones, graphs, shapes
 from graphwishart.cones import require_qg
 
 from conftest import (
@@ -46,6 +46,19 @@ from conftest import (
 )
 
 K1 = parse_graph({"n": 1, "edges": []})
+FAMILIES = ("type1", "inv_type1", "type2", "inv_type2")
+BAD_SIZES = [-1, 2.5, "3"]
+
+
+def _spec(g, family):
+    """Spec on g with a random per-order shape for the family's side and
+    a random scale."""
+    o = decompose(g)
+    rng = np.random.default_rng(1)
+    shape = random_first_admissible(o, rng) \
+        if family in ("type1", "inv_type1") \
+        else random_second_admissible(o, rng)
+    return WishartSpec(g, shape, random_qg(g, rng), family)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -97,6 +110,20 @@ class TestBaseWishart:
         for d in draws:
             np.linalg.cholesky(d)
 
+    def test_indefinite_scale_rejected(self):
+        with pytest.raises(NotPositiveDefinite):
+            sample_base_wishart(2, 1.5, -np.eye(2), RngStream(3))
+
+    @pytest.mark.parametrize("size", BAD_SIZES)
+    def test_bad_draw_count(self, size):
+        with pytest.raises(OutOfDomain) as err:
+            sample_base_wishart(2, 1.5, np.eye(2), RngStream(3), size=size)
+        assert err.value.context == {"size": repr(size)}
+
+    def test_zero_draws(self):
+        out = sample_base_wishart(2, 1.5, np.eye(2), RngStream(3), size=0)
+        assert out.shape == (0, 2, 2)
+
 
 class TestMatrixNormal:
 
@@ -128,6 +155,18 @@ class TestMatrixNormal:
         with pytest.raises(NotPositiveDefinite):
             sample_matrix_normal(np.zeros((2, 2)), -np.eye(2),
                                  np.eye(2), RngStream(8))
+
+    @pytest.mark.parametrize("size", BAD_SIZES)
+    def test_bad_draw_count(self, size):
+        with pytest.raises(OutOfDomain) as err:
+            sample_matrix_normal(np.zeros((2, 1)), np.eye(2), np.eye(1),
+                                 RngStream(8), size=size)
+        assert err.value.context == {"size": repr(size)}
+
+    def test_zero_draws(self):
+        out = sample_matrix_normal(np.zeros((2, 1)), np.eye(2), np.eye(1),
+                                   RngStream(8), size=0)
+        assert out.shape == (0, 2, 1)
 
 
 class TestLogpdf:
@@ -264,6 +303,20 @@ class TestSampling:
         b1 = sample_batch(spec, RngStream(77), 5)
         b2 = sample_batch(spec, RngStream(77), 5)
         assert np.array_equal(b1, b2)
+
+    @pytest.mark.parametrize("size", BAD_SIZES + [None])
+    def test_bad_draw_count(self, a4, size):
+        spec = _spec(a4, "type1")
+        for draw in (sample_batch, sample):
+            with pytest.raises(OutOfDomain) as err:
+                draw(spec, RngStream(12), size)
+            assert err.value.context == {"size": repr(size)}
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_zero_draws(self, g0, family):
+        spec = _spec(g0, family)
+        assert sample_batch(spec, RngStream(12), 0).shape == (0, 6, 6)
+        assert sample(spec, RngStream(12), 0) == []
 
     def test_homogeneous_sampler_matches_density(self, g0, g0_ord):
         # draw from the tree-structured path and validate the first
@@ -494,6 +547,42 @@ class TestLargeClassTreeDraws:
             x = phi(point)
             assert np.array_equal(x.data, x.data.T)
             assert np.isfinite(logpdf(spec, point))
+
+
+class TestStepPlan:
+    """The walk's scale side and slot tables are built once: per spec for
+    the step plan, per walk for the slot tables."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_second_batch_factors_only_draws(self, family, g0,
+                                             monkeypatch):
+        """A second sample_batch builds no plan and no slot table, and
+        makes one Cholesky factorization per step with a non-empty given
+        block: X[given] on the first side, the conditional block on the
+        second."""
+        spec = _spec(g0, family)
+        sample_batch(spec, RngStream(14), 3)
+        plans = _count_calls(monkeypatch, WishartSpec.__dict__["plan"],
+                             "func")
+        tables = _count_calls(monkeypatch, graphs, "_step_slots")
+        factors = _count_calls(monkeypatch, np.linalg, "cholesky")
+        sample_batch(spec, RngStream(14), 3)
+        assert not plans and not tables
+        given = sum(1 for new, g in spec.walk.steps if new and g)
+        assert given > 0 and len(factors) == given
+
+    def test_walk_shares_slot_tables(self, monkeypatch):
+        """Specs on one walk share its slot tables, and so does the
+        type-I mean once the walk has been sampled."""
+        g = parse_graph(nested_star(3, 2))
+        spec = _spec(g, "type1")
+        sample_batch(spec, RngStream(15), 2)
+        tables = _count_calls(monkeypatch, graphs, "_step_slots")
+        mean_type1(spec)
+        twin = _spec(g, "inv_type1")
+        assert twin.walk is spec.walk
+        sample_batch(twin, RngStream(15), 2)
+        assert not tables
 
 
 class TestSpecBuild:

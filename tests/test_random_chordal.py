@@ -35,7 +35,9 @@ from graphwishart import (
     parse_graph,
     phi,
     precision_of,
+    sample_base_wishart,
     sample_batch,
+    sample_matrix_normal,
     split_blocks,
 )
 from graphwishart import cones, distributions, verify
@@ -94,6 +96,103 @@ def _per_block(data, o, weights):
         ok &= sign > 0
         inv[..., ix[:, None], ix] += w * np.linalg.inv(block)
     return ld, ok, inv
+
+
+def _reference_walk(spec, rng, n):
+    """The sampler walk written out one step at a time with the public
+    samplers and the scale's regression on each step: the draws that
+    ``sample_batch`` must give bit for bit (same random numbers in the
+    same order, same factorizations of the same matrices)."""
+    first = spec.family in ("type1", "inv_type1")
+    precision = spec.family in ("type2", "inv_type1")
+    pattern = spec.graph.pattern
+    scale = spec.scale.data
+
+    def slots(rows, cols):
+        ri = np.asarray(rows, dtype=int) - 1
+        return pattern.pos[ri[:, None], np.asarray(cols, dtype=int) - 1]
+
+    def tril(vertices):
+        sel = np.tri(len(vertices), dtype=bool)
+        return slots(vertices, vertices)[sel], sel
+
+    x = np.zeros((n, pattern.size))
+    k = np.zeros_like(x)
+    for (new, given), p in zip(spec.walk.steps, spec.exponents):
+        if not new:
+            continue
+        t_cond, t_ratio = cones._regress(scale, new, given)
+        x_given = x[:, slots(given, given)]
+        wishart = sample_base_wishart(
+            len(new), p, t_cond if first else np.linalg.inv(t_cond), rng, n)
+        if first:
+            cond, row, col = wishart, t_cond, x_given
+        else:
+            gi = np.asarray(given, dtype=int) - 1
+            cond = np.linalg.inv(wishart)
+            row, col = cond, scale[np.ix_(gi, gi)]
+        ratio = sample_matrix_normal(t_ratio, row, col, rng, n)
+        cross = ratio @ x_given
+        x[:, slots(new, given)] = cross
+        new_slots, sel = tril(new)
+        x[:, new_slots] = (cond + cross @ ratio.swapaxes(-1, -2))[:, sel]
+        if precision:
+            cond_inv = np.linalg.inv(cond) if first else wishart
+            lead = cond_inv @ ratio
+            k[:, new_slots] += cond_inv[:, sel]
+            k[:, slots(new, given)] -= lead
+            given_slots, sel = tril(given)
+            k[:, given_slots] += (ratio.swapaxes(-1, -2) @ lead)[:, sel]
+    return cones._scatter(k if precision else x, pattern)
+
+
+def _assert_walk_is_reference(spec):
+    """``sample_batch`` equals the reference walk exactly, for one draw
+    and for five (the second call runs on the cached step plan)."""
+    for n in (1, 5):
+        got = sample_batch(spec, RngStream(SEED, n), n)
+        assert np.array_equal(got, _reference_walk(spec, RngStream(SEED, n),
+                                                   n))
+
+
+@given(spec=chordal_graphs())
+@EXAMPLES
+def test_walk_matches_reference_walk(spec):
+    """All four families along the clique order, at random per-order
+    shapes."""
+    g = parse_graph(spec)
+    o = decompose(g)
+    rng = np.random.default_rng(SEED)
+    scale = random_qg(g, rng)
+    lo = max(o.clique_sizes) / 2.0
+    shapes = {"first": random_first_admissible(o, rng, lo=lo, hi=lo + 2.5),
+              "second": random_second_admissible(o, rng)}
+    for family in ("type1", "inv_type1", "type2", "inv_type2"):
+        side = "first" if family in ("type1", "inv_type1") else "second"
+        _assert_walk_is_reference(WishartSpec(g, shapes[side], scale, family))
+
+
+@given(spec=homogeneous_graphs())
+@EXAMPLES
+def test_class_tree_walk_matches_reference_walk(spec):
+    """The first side along the class tree: a uniform shape with the
+    separator exponents (1) far below the clique exponents (r + 2) fails
+    the clique order's separator equalities whenever the graph has two
+    distinct separators, and is admissible on the tree.  The second side
+    (sampled only along the clique order) runs on the same graphs."""
+    g = parse_graph(spec)
+    o = decompose(g)
+    rng = np.random.default_rng(SEED)
+    scale = random_qg(g, rng)
+    tree_shape = ShapeParam((g.vertex_count + 2.0,) * o.k,
+                            (1.0,) * o.k_prime)
+    for family in ("type1", "inv_type1"):
+        s = WishartSpec(g, tree_shape, scale, family)
+        assert s.walk is (s.hasse if o.k_prime > 1 else o)
+        _assert_walk_is_reference(s)
+    shape = random_second_admissible(o, rng)
+    for family in ("type2", "inv_type2"):
+        _assert_walk_is_reference(WishartSpec(g, shape, scale, family))
 
 
 @given(spec=chordal_graphs())
@@ -231,8 +330,7 @@ def test_mean_type1_order_and_tree_agree(spec):
         coords = [cones._regress(scale.data, new, given) if new else None
                   for new, given in tree.steps]
         got = distributions._walk_mean(
-            g.pattern, tree.steps, step_exponents(shape, tree, "first"),
-            coords)
+            tree, step_exponents(shape, tree, "first"), coords)
         ref = mean_type1(s).data[g.pattern.rows, g.pattern.cols]
         assert s.walk is o and _rel(got, ref) < 1e-10
     assert hits >= 1
