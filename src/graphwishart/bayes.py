@@ -7,11 +7,19 @@ an inverse-type prior, and updating with data is a pure shift of shape
 and scale.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import IncompleteMatrix, SparsePrecision, precision_of, project
+from .cones import (
+    IncompleteMatrix,
+    SparsePrecision,
+    logdet_hat,
+    precision_of,
+    project,
+    trace_pair,
+)
 from .distributions import WishartSpec, _mc_draws, mean_type2, sample_batch
 from .errors import (
     ColumnMismatch,
@@ -87,7 +95,7 @@ def mle(sample):
     if sample.n < 1:
         raise OutOfDomain("need at least one observation", n=sample.n)
     g = sample.projected.graph
-    sigma = IncompleteMatrix(g, sample.projected.data / sample.n)
+    sigma = IncompleteMatrix._of(g, sample.projected.values / sample.n)
     return sigma, precision_of(sigma)
 
 
@@ -109,8 +117,8 @@ def posterior_update(prior, sample):
     shape = ShapeParam(
         tuple(a - half_n for a in prior.shape.alpha),
         tuple(b - half_n for b in prior.shape.beta))
-    scale = IncompleteMatrix(
-        prior.graph, prior.scale.data + sample.projected.data)
+    scale = IncompleteMatrix._of(
+        prior.graph, prior.scale.values + sample.projected.values)
     try:
         return WishartSpec(prior.graph, shape, scale, "inv_type2",
                            ordering=prior.ordering)
@@ -126,10 +134,6 @@ def log_likelihood(sigma2, sample):
     precision is then 2 * (completion of x)^{-1}, which is sparse, so
     the likelihood needs only pattern entries of the scatter.
     """
-    import math
-
-    from .cones import logdet_hat, trace_pair
-
     x = sigma2
     n, r = sample.n, sample.r
     prec = precision_of(x)
@@ -151,13 +155,13 @@ def posterior_summaries(post, rng=None, n_draws=4000):
                           family=post.family)
     type2 = WishartSpec(post.graph, post.shape, post.scale, "type2",
                         ordering=post.ordering)
-    prec_mean = mean_type2(type2)
+    prec_mean = mean_type2(type2).values
     out = {
         "shape": post.shape,
         "scale": post.scale,
         # The parameter is twice the covariance: its inverse is half the
         # covariance precision.
-        "precision_mean": SparsePrecision(post.graph, 2.0 * prec_mean.data),
+        "precision_mean": SparsePrecision._of(post.graph, 2.0 * prec_mean),
     }
     if rng is not None:
         n_draws = _mc_draws(n_draws, "n_draws")

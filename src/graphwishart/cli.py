@@ -32,6 +32,7 @@ from .distributions import (
     logpdf,
     mean_type1,
     mean_type2,
+    sample,
     sample_batch,
 )
 from .errors import (
@@ -152,7 +153,7 @@ def _pattern_rows(rows, graph, key, path):
                                      row=i + 1, col=j + 1)
         out.append(vals)
     data = np.array(out, dtype=float)
-    _check_symmetric(data)
+    _check_symmetric(data, data.T)
     return data
 
 
@@ -397,11 +398,8 @@ def _cmd_verify_factorization(args):
     npts = args.n
     if npts < 1:
         raise OutOfDomain("need at least one point", n=npts)
-    batch = sample_batch(spec, rng, npts)
-    worst = 0.0
-    for i in range(npts):
-        point = IncompleteMatrix(spec.graph, batch[i])
-        worst = max(worst, check_factorization(spec, point))
+    worst = max(check_factorization(spec, point)
+                for point in sample(spec, rng, npts))
     _emit({
         "seed": args.seed, "points": npts, "max_residual": worst,
         "within_tolerance": worst < 1e-10,

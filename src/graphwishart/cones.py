@@ -8,7 +8,7 @@ matrix has a unique positive definite completion whose inverse lands in
 the sparse cone, and inversion maps one cone onto the other.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,38 +64,61 @@ def _as_matrix(data, r):
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class _PatternMatrix:
-    """Dense (r, r) ``data`` on a graph, masked to its pattern.  Two
-    instances compare equal only when they are the same object."""
+    """The diagonal and edge entries of a graph, packed as the read-only
+    ``values`` (r + |E|,) in the slot order of ``graph.pattern``; built
+    from a dense (r, r) array symmetric on the pattern and ignored off
+    it.  ``data`` is the dense view.  Two instances compare equal only
+    when they are the same object."""
 
     graph: object
-    data: np.ndarray
+    values: np.ndarray
+    _dense: object = field(default=None, repr=False)
 
-    def __post_init__(self):
-        arr = _as_matrix(self.data, self.graph.vertex_count)
-        object.__setattr__(self, "data", arr * self.graph.edge_mask())
+    def __init__(self, graph, data):
+        arr = _as_matrix(data, graph.vertex_count)
+        p = graph.pattern
+        values = arr[p.rows, p.cols]
+        _check_symmetric(values, arr[p.cols, p.rows])
+        _PatternMatrix._of(graph, values, self)
+
+    @classmethod
+    def _of(cls, graph, values, out=None):
+        """Wrap a packed (r + |E|,) array laid out by ``graph.pattern``
+        in ``out``, by default a new instance; the array is made
+        read-only, not copied."""
+        out = object.__new__(cls) if out is None else out
+        values.setflags(write=False)
+        out.__dict__.update(graph=graph, values=values)
+        return out
+
+    @property
+    def data(self):
+        """Dense read-only (r, r) view, built on first use: exactly
+        symmetric and exactly zero off the pattern."""
+        if self._dense is None:
+            self.__dict__["_dense"] = _scatter(self.values, self.graph.pattern)
+            self._dense.setflags(write=False)
+        return self._dense
 
     def submatrix(self, vertices):
         return _block(self.data, vertices)
 
 
 class IncompleteMatrix(_PatternMatrix):
-    """Symmetric matrix known only on the diagonal and edge entries.
-
-    ``data`` is stored dense with exact zeros at the unknown positions,
-    which keeps all the linear algebra plain numpy.
-    """
+    """Symmetric matrix known only on the diagonal and edge entries."""
 
 
 class SparsePrecision(_PatternMatrix):
     """Positive definite matrix vanishing off the diagonal and edges."""
 
 
-def _check_symmetric(arr, tol=1e-12):
-    """Reject an asymmetry above ``tol`` times the largest entry."""
-    gap = float(np.max(np.abs(arr - arr.T), initial=0.0))
-    if gap > tol * float(np.max(np.abs(arr), initial=0.0)):
+def _check_symmetric(a, b, tol=1e-12):
+    """Reject a gap between ``a`` and its mirror ``b`` (the transpose, or
+    the other triangle) above ``tol`` times the largest entry of a."""
+    gap = float(np.max(np.abs(a - b), initial=0.0))
+    if gap > tol * float(np.max(np.abs(a), initial=0.0)):
         raise MalformedInput("matrix is not symmetric", asymmetry=gap)
 
 
@@ -110,37 +133,29 @@ def _is_pd(block):
 def project(full, graph):
     """Restrict a dense symmetric matrix to the pattern of the graph."""
     arr = _as_matrix(full, graph.vertex_count)
-    _check_symmetric(arr)
-    sym = 0.5 * (arr + arr.T)
-    return IncompleteMatrix(graph, sym)
+    _check_symmetric(arr, arr.T)
+    return IncompleteMatrix(graph, 0.5 * (arr + arr.T))
 
 
-def _require_pd_cliques(data, ordering):
-    """Raise NotInQG unless every clique block of the (r, r) array is
-    positive definite: one batched Cholesky per clique size.  The error
-    names the first failing clique of the order."""
-    failed = []
+def _require_pd_cliques(values, ordering):
+    """Raise NotInQG unless every clique block of the packed (r + |E|,)
+    array is positive definite: one batched Cholesky per clique size.
+    The error names the first failing clique of the order."""
     for g in ordering.plan:
         for _, part in _chunks(1, g.cliques, 8 * g.size ** 2):
-            try:
-                np.linalg.cholesky(
-                    _blocks_of(data, ..., g.index[:g.cliques][part]))
-            except np.linalg.LinAlgError:
-                failed.extend(g.members[:g.cliques][part])
-    if failed:
-        failed.sort()
-        j = next((j for j in failed
-                  if not _is_pd(_block(data, ordering.cliques[j]))),
-                 failed[0])
-        raise NotInQG("clique submatrix is not positive definite",
-                      clique=list(ordering.cliques[j]))
+            if not _is_pd(values[g.slots[:g.cliques][part]]):
+                pos = ordering.graph.pattern.pos
+                j = next(j for j, c in enumerate(ordering.cliques)
+                         if not _is_pd(values[_block(pos, c)]))
+                raise NotInQG("clique submatrix is not positive definite",
+                              clique=list(ordering.cliques[j]))
 
 
 def require_qg(x):
     """Check positive definiteness of every clique submatrix; returns the
     graph's clique order."""
     ordering = decompose(x.graph)
-    _require_pd_cliques(x.data, ordering)
+    _require_pd_cliques(x.values, ordering)
     return ordering
 
 
@@ -153,8 +168,7 @@ def trace_pair(x, y):
     """
     if x.graph != y.graph:
         raise GraphMismatch("operands live on different graphs")
-    mask = x.graph.edge_mask()
-    return float(np.sum(x.data * y.data * mask))
+    return float(np.sum(x.values * y.values * x.graph.pattern.weight))
 
 
 def complete(x):
@@ -168,12 +182,9 @@ def complete(x):
     hist = np.zeros(0, dtype=int)
     for new, given in ordering.steps:
         ni, gi = _idx(new), _idx(given)
-        if len(gi):
-            ratio = np.linalg.solve(_block(x.data, given),
-                                    x.data[ni[:, None], gi].T).T
-            cross = ratio @ out[gi[:, None], hist]
-            out[ni[:, None], hist] = cross
-            out[hist[:, None], ni] = cross.T
+        cross = _regress(x.data, new, given)[1] @ out[gi[:, None], hist]
+        out[ni[:, None], hist] = cross
+        out[hist[:, None], ni] = cross.T
         out[ni[:, None], ni] = _block(x.data, new)
         hist = np.concatenate([hist, ni])
     return 0.5 * (out + out.T)
@@ -197,51 +208,44 @@ def _chunks(n, m, item):
             for a in range(n) for b in range(0, m, per)]
 
 
-def _stack(data):
-    """(n, r, r) view of a (..., r, r) array."""
-    return data.reshape((-1,) + data.shape[-2:])
-
-
-def _blocks_of(flat, rows, ix):
-    """Blocks (..., m, k, k) of the ``rows`` of a stack on the 0-based
-    index rows of ``ix`` (m, k)."""
-    return flat[rows, ix[:, :, None], ix[:, None, :]]
-
-
-def _logdet_sum(data, ordering, weights):
-    """Sum of w * log det data_A over ``ordering.blocks`` A of (..., r, r)
-    arrays, one batched ``slogdet`` per block size (and chunk).
+def _logdet_sum(values, ordering, weights):
+    """Sum of w * log det x_A over ``ordering.blocks`` A of packed
+    (..., r + |E|) arrays, one batched ``slogdet`` per block size (and
+    chunk).
 
     Returns the value and whether every block determinant is positive.
     """
-    flat = _stack(data)
+    flat = values.reshape(-1, values.shape[-1])
     w = np.asarray(weights, dtype=float)
     total = np.zeros(len(flat))
     ok = np.ones(len(flat), dtype=bool)
     for g in ordering.plan:
         for rows, part in _chunks(len(flat), len(g.members), 8 * g.size ** 2):
-            sign, ld = np.linalg.slogdet(_blocks_of(flat, rows, g.index[part]))
+            sign, ld = np.linalg.slogdet(flat[rows, g.slots[part]])
             total[rows] += ld @ w[g.members[part]]
             ok[rows] &= np.all(sign > 0, axis=-1)
-    lead = data.shape[:-2]
+    lead = values.shape[:-1]
     return total.reshape(lead)[()], ok.reshape(lead)[()]
 
 
-def _inverse_sum(data, ordering, weights):
-    """Sum of w * (data_A)^-1 over ``ordering.blocks`` A, each zero padded
-    to the full size: one batched ``inv`` per block size (and chunk)."""
-    flat = _stack(data)
-    n, r = flat.shape[:2]
+def _inverse_sum(values, ordering, weights):
+    """Packed sum of w * (x_A)^-1 over ``ordering.blocks`` A of packed
+    (..., r + |E|) arrays, each block inverse zero padded to the
+    pattern: one batched ``inv`` per block size (and chunk).  Each
+    inverse adds its lower triangle only, so the sum is symmetric by
+    construction."""
+    flat = values.reshape(-1, values.shape[-1])
     w = np.asarray(weights, dtype=float)
-    out = np.zeros((n, r * r))
+    out = np.zeros(flat.shape)
     for g in ordering.plan:
-        for rows, part in _chunks(n, len(g.members), 8 * g.size ** 2):
-            ix = g.index[part]
-            inv = np.linalg.inv(_blocks_of(flat, rows, ix)) * \
+        tril = np.tri(g.size, dtype=bool)
+        for rows, part in _chunks(len(flat), len(g.members), 8 * g.size ** 2):
+            slots = g.slots[part]
+            inv = np.linalg.inv(flat[rows, slots]) * \
                 w[g.members[part], None, None]
-            slots = (ix[:, :, None] * r + ix[:, None, :]).ravel()
-            np.add.at(out, (rows, slots), inv.reshape(len(inv), -1))
-    return out.reshape(data.shape)
+            np.add.at(out, (rows, slots[:, tril].ravel()),
+                      inv[..., tril].reshape(len(inv), -1))
+    return out.reshape(values.shape)
 
 
 def precision_of(x):
@@ -251,8 +255,8 @@ def precision_of(x):
     clique inverses minus padded separator inverses.
     """
     ordering = require_qg(x)
-    out = _inverse_sum(x.data, ordering, ordering.signs)
-    return SparsePrecision(x.graph, 0.5 * (out + out.T))
+    return SparsePrecision._of(
+        x.graph, _inverse_sum(x.values, ordering, ordering.signs))
 
 
 def phi(y):
@@ -261,12 +265,12 @@ def phi(y):
     The inverse is symmetrized rather than checked: its rounding
     asymmetry grows with the size and conditioning of y.
     """
-    try:
-        np.linalg.cholesky(y.data)
-    except np.linalg.LinAlgError:
-        raise NotInPG("matrix is not positive definite") from None
+    if not _is_pd(y.data):
+        raise NotInPG("matrix is not positive definite")
     inv = np.linalg.inv(y.data)
-    return IncompleteMatrix(y.graph, 0.5 * (inv + inv.T))
+    p = y.graph.pattern
+    return IncompleteMatrix._of(
+        y.graph, 0.5 * (inv[p.rows, p.cols] + inv[p.cols, p.rows]))
 
 
 def logdet_hat(x):
@@ -277,7 +281,7 @@ def logdet_hat(x):
     clique, when a clique block is not positive definite.
     """
     ordering = require_qg(x)
-    return float(_logdet_sum(x.data, ordering, ordering.signs)[0])
+    return float(_logdet_sum(x.values, ordering, ordering.signs)[0])
 
 
 @dataclass(frozen=True)
@@ -356,9 +360,8 @@ def split_blocks(x, ordering=None):
 def assemble_blocks(blocks):
     """Inverse of :func:`split_blocks`."""
     ordering = blocks.ordering
-    store = _fill(ordering, blocks.parts)
-    return IncompleteMatrix(ordering.graph,
-                            _scatter(store, ordering.graph.pattern))
+    return IncompleteMatrix._of(ordering.graph,
+                                _fill(ordering, blocks.parts))
 
 
 def schur_pad(m, vertices):

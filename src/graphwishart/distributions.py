@@ -91,12 +91,12 @@ def _as_stream(rng):
     return RngStream(rng)
 
 
-def _draw_count(size):
-    """``size`` as an int; OutOfDomain unless it is a non-negative
-    integer (0 gives no draws)."""
+def _draw_count(size, least=0):
+    """``size`` as an int; OutOfDomain unless it is an integer of at
+    least ``least`` (by default 0, which gives no draws)."""
     try:
         n = int(size)
-        valid = n == size and n >= 0
+        valid = n == size and n >= least
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
@@ -266,8 +266,8 @@ class WishartSpec:
         check_alignment(self.shape, self.ordering)
         self.hasse = _class_tree(self.graph)
         if isinstance(self.scale, SparsePrecision):
-            self.scale = IncompleteMatrix(self.scale.graph,
-                                          self.scale.data)
+            self.scale = IncompleteMatrix._of(self.scale.graph,
+                                              self.scale.values)
         if not isinstance(self.scale, IncompleteMatrix):
             raise OutOfDomain("scale must be an incomplete matrix",
                               family=self.family)
@@ -286,7 +286,7 @@ class WishartSpec:
         self.admissible_per_order = self.walk is self.ordering
         self.log_gamma = steps_log_gamma(self.walk.steps, self.exponents)
         self.log_h_scale = float(
-            _log_h(self.shape, self.scale.data, self.ordering)[0])
+            _log_h(self.shape, self.scale.values, self.ordering)[0])
 
     @property
     def r(self):
@@ -294,11 +294,8 @@ class WishartSpec:
 
     @cached_property
     def precision(self):
-        """``precision_of(scale)``: the sparse inverse of the completed
-        scale, read-only."""
-        out = precision_of(self.scale)
-        out.data.setflags(write=False)
-        return out
+        """``precision_of(scale)``, the inverse of the completed scale."""
+        return precision_of(self.scale)
 
     @cached_property
     def logpdf_shape(self):
@@ -344,12 +341,15 @@ def logpdf(spec, point):
     matrices.  Points outside the cone raise OutOfSupport.  The point is
     checked once; the kernels after the check take it as valid.
     """
-    if spec.family in ("type1", "inv_type2"):
-        if not isinstance(point, IncompleteMatrix):
-            raise OutOfSupport("point must be an incomplete matrix",
-                               family=spec.family)
-        if point.graph != spec.graph:
-            raise GraphMismatch("point lives on a different graph")
+    incomplete = spec.family in ("type1", "inv_type2")
+    if not isinstance(point, IncompleteMatrix if incomplete
+                      else SparsePrecision):
+        raise OutOfSupport("point must be " + (
+            "an incomplete matrix" if incomplete else "a sparse precision"),
+            family=spec.family)
+    if point.graph != spec.graph:
+        raise GraphMismatch("point lives on a different graph")
+    if incomplete:
         try:
             cones.require_qg(point)
         except NotInQG as exc:
@@ -358,11 +358,6 @@ def logpdf(spec, point):
                 **exc.context) from None
         x = point
     else:
-        if not isinstance(point, SparsePrecision):
-            raise OutOfSupport("point must be a sparse precision",
-                               family=spec.family)
-        if point.graph != spec.graph:
-            raise GraphMismatch("point lives on a different graph")
         try:
             x = phi(point)
         except NotInPG:
@@ -374,10 +369,11 @@ def logpdf(spec, point):
     elif spec.family == "type2":
         pair = trace_pair(spec.scale, point)
     else:
-        # The padded inverse sum is precision_of(x), zero off the pattern.
-        pair = float(np.sum(spec.scale.data * cones._inverse_sum(
-            x.data, spec.ordering, spec.ordering.signs)))
-    log_h_x = _log_h(spec.logpdf_shape, x.data, spec.ordering)[0]
+        # The packed inverse sum is precision_of(x).
+        pair = trace_pair(spec.scale, SparsePrecision._of(
+            spec.graph, cones._inverse_sum(x.values, spec.ordering,
+                                           spec.ordering.signs)))
+    log_h_x = _log_h(spec.logpdf_shape, x.values, spec.ordering)[0]
     return float(log_h_x) - spec.log_gamma - spec.log_h_scale - pair
 
 
@@ -408,7 +404,7 @@ def logpdf_f(graph, shape_a, shape_b, scale, point, kind="first"):
         lg = log_gamma_II(shape_b - shape_a, ordering, hasse) \
             - log_gamma_I(shape_a, ordering, hasse) \
             - log_gamma_II(shape_b, ordering, hasse)
-        shifted = IncompleteMatrix(graph, scale.data + point.data)
+        shifted = IncompleteMatrix._of(graph, scale.values + point.values)
         return lg - log_h(shape_b, scale, ordering) \
             + log_h(shape_b - shape_a, shifted, ordering) \
             + log_h(shape_a + size_shift(ordering, -0.5, 1), point,
@@ -428,7 +424,7 @@ def logpdf_f(graph, shape_a, shape_b, scale, point, kind="first"):
         lg = log_gamma_I(shape_a - shape_b, ordering, hasse) \
             - log_gamma_I(shape_a, ordering, hasse) \
             - log_gamma_II(shape_b, ordering, hasse)
-        shifted = SparsePrecision(graph, scale.data + point.data)
+        shifted = SparsePrecision._of(graph, scale.values + point.values)
         return lg - log_h(shape_a, phi(scale), ordering) \
             + log_h(shape_a - shape_b, phi(shifted), ordering) \
             + log_h(shape_b + size_shift(ordering, 0.5, 1), x, ordering)
@@ -454,9 +450,14 @@ def _walk(spec, rng, n):
     conditional block on the second.  Returns the packed draws for type1
     and inv_type2.  For type2 and inv_type1 it returns the packed
     inverses of their completions, summed from the drawn (conditional
-    block, coefficient) pairs.
+    block, coefficient) pairs.  The second side needs per-order
+    admissibility, else ShapeNotAdmissible.
     """
     first = spec.family in ("type1", "inv_type1")
+    if not first and not spec.admissible_per_order:
+        raise ShapeNotAdmissible(
+            "sampling on the second side needs per-order admissibility",
+            family=spec.family)
     precision = spec.family in ("type2", "inv_type1")
     x = np.zeros((n, spec.graph.pattern.size))
     k = np.zeros_like(x) if precision else None
@@ -481,42 +482,34 @@ def _walk(spec, rng, n):
 
 
 def _mc_draws(n, field="n"):
-    """``n`` as an int, at least 2: a standard error needs two draws."""
-    n = int(n)
-    if n < 2:
-        raise OutOfDomain("a Monte Carlo estimate needs at least 2 draws",
-                          **{field: n})
-    return n
+    """``n`` as an int; OutOfDomain naming ``field`` unless it is an
+    integer of at least 2, since a standard error needs two draws."""
+    try:
+        return _draw_count(n, 2)
+    except OutOfDomain:
+        raise OutOfDomain("a Monte Carlo estimate needs an integer count "
+                          "of at least 2 draws", **{field: n}) from None
 
 
 def sample_batch(spec, rng, size):
-    """Dense (n, r, r) array of draws.
-
-    The walk works on a packed (n, r + |E|) store, one slot per entry
-    on the diagonal and on the edges, and the dense array is written
-    from it once: it is exactly symmetric and exactly zero off the
-    pattern.  For type1 and inv_type2 the entries are those of the
-    incomplete draw; for type2 and inv_type1 they are the sparse matrix
-    itself, the inverse of the completion, which the walk sums from the
-    drawn step coordinates.  ``size`` must be a non-negative integer (0
-    gives an empty array), else OutOfDomain.
+    """Dense (n, r, r) array of draws, written once from the packed store
+    of :func:`_walk`: exactly symmetric and exactly zero off the
+    pattern.  For type2 and inv_type1 the entries are the sparse matrix
+    itself, the inverse of the completion.  ``size`` must be a
+    non-negative integer (0 gives an empty array), else OutOfDomain.
     """
-    if spec.family in ("type2", "inv_type2") and \
-            not spec.admissible_per_order:
-        raise ShapeNotAdmissible(
-            "sampling on the second side needs per-order admissibility",
-            family=spec.family)
     store = _walk(spec, _as_stream(rng), _draw_count(size))
     return cones._scatter(store, spec.graph.pattern)
 
 
 def sample(spec, rng, n):
-    """List of n draws wrapped in the cone type matching the family; n
-    must be a non-negative integer, else OutOfDomain."""
-    batch = sample_batch(spec, rng, n)
-    if spec.family in ("type1", "inv_type2"):
-        return [IncompleteMatrix(spec.graph, b) for b in batch]
-    return [SparsePrecision(spec.graph, b) for b in batch]
+    """List of n draws wrapped in the cone type matching the family, each
+    holding its row of the walk's packed store; n must be a
+    non-negative integer, else OutOfDomain."""
+    store = _walk(spec, _as_stream(rng), _draw_count(n))
+    cls = IncompleteMatrix if spec.family in ("type1", "inv_type2") \
+        else SparsePrecision
+    return [cls._of(spec.graph, row) for row in store]
 
 
 def _walk_mean(walk, exponents, coords, lead=()):
@@ -537,9 +530,8 @@ def mean_type1(spec):
     if spec.family != "type1":
         raise OutOfDomain("mean_type1 needs a type1 spec",
                           family=spec.family)
-    store = _walk_mean(spec.walk, spec.exponents, spec.plan)
-    return IncompleteMatrix(spec.graph,
-                            cones._scatter(store, spec.graph.pattern))
+    return IncompleteMatrix._of(
+        spec.graph, _walk_mean(spec.walk, spec.exponents, spec.plan))
 
 
 def mean_type2(spec):
@@ -549,9 +541,8 @@ def mean_type2(spec):
         raise OutOfDomain("mean_type2 needs a type2 spec",
                           family=spec.family)
     ordering = spec.ordering
-    total = cones._inverse_sum(spec.scale.data, ordering,
-                               _weights(-spec.shape, ordering))
-    return SparsePrecision(spec.graph, 0.5 * (total + total.T))
+    return SparsePrecision._of(spec.graph, cones._inverse_sum(
+        spec.scale.values, ordering, _weights(-spec.shape, ordering)))
 
 
 def laplace(spec, t):
@@ -562,17 +553,16 @@ def laplace(spec, t):
     the matching cone, else OutOfDomain.  A t of the wrong shape raises
     DimensionMismatch, an asymmetric one MalformedInput.
     """
-    tm = cones._as_matrix(t, spec.r)
-    cones._check_symmetric(tm)
-    tm = tm * spec.graph.edge_mask()
+    tv = cones.project(t, spec.graph).values
     if spec.family == "type1":
         try:
-            x = phi(SparsePrecision(spec.graph, spec.precision.data - tm))
+            x = phi(SparsePrecision._of(spec.graph,
+                                        spec.precision.values - tv))
         except NotInPG:
             raise OutOfDomain(
                 "shifted precision leaves the cone") from None
     elif spec.family == "type2":
-        x = IncompleteMatrix(spec.graph, spec.scale.data - tm)
+        x = IncompleteMatrix._of(spec.graph, spec.scale.values - tv)
         try:
             cones.require_qg(x)
         except NotInQG:
@@ -581,5 +571,5 @@ def laplace(spec, t):
     else:
         raise OutOfDomain("laplace transform implemented for type1 and "
                           "type2 only", family=spec.family)
-    return float(_log_h(spec.shape, x.data, spec.ordering)[0]) \
+    return float(_log_h(spec.shape, x.values, spec.ordering)[0]) \
         - spec.log_h_scale

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, permutations
 
+import numpy as np
+
 from .errors import (
     InternalInconsistency,
     MalformedInput,
@@ -101,12 +103,14 @@ class PatternIndex:
     row-major).  ``mask`` is the read-only boolean pattern.  ``pos[i, j]``
     and ``pos[j, i]`` both give the slot of (i, j) and are -1 off the
     pattern; the table is built on first use, so a graph that is never
-    sampled does not hold it.
+    sampled does not hold it.  ``weight`` counts each slot's entries in
+    the full matrix: 1 on the diagonal, 2 off it.  All are read-only.
     """
 
     mask: object
     rows: object
     cols: object
+    weight: object
 
     @property
     def size(self):
@@ -114,8 +118,6 @@ class PatternIndex:
 
     @cached_property
     def pos(self):
-        import numpy as np
-
         r = self.mask.shape[0]
         pos = np.full((r, r), -1, dtype=np.intp)
         pos[self.rows, self.cols] = pos[self.cols, self.rows] = \
@@ -125,17 +127,16 @@ class PatternIndex:
 
 
 def _pattern_index(g):
-    import numpy as np
-
     r = g.vertex_count
     mask = np.eye(r, dtype=bool)
     for i, j in g.edges:
         mask[i - 1, j - 1] = True
         mask[j - 1, i - 1] = True
     rows, cols = np.nonzero(np.tril(mask))
-    for a in (mask, rows, cols):
+    weight = np.where(rows == cols, 1.0, 2.0)
+    for a in (mask, rows, cols, weight):
         a.setflags(write=False)
-    return PatternIndex(mask, rows, cols)
+    return PatternIndex(mask, rows, cols, weight)
 
 
 class StepSlots:
@@ -156,16 +157,12 @@ class StepSlots:
 
     @cached_property
     def given_tril(self):
-        import numpy as np
-
         sel = np.tri(len(self.given), dtype=bool)
         return self.given[sel], sel
 
 
 def _step_slots(pattern, steps):
     """One :class:`StepSlots` per ``(new, given)`` step; read-only."""
-    import numpy as np
-
     out = []
     for new, given in steps:
         ni = np.asarray(new, dtype=int) - 1
@@ -324,13 +321,14 @@ def parse_graph(spec):
 class BlockGroup:
     """The blocks of one size of a clique order.
 
-    ``index[g]`` holds the 0-based vertices of block ``members[g]`` of
-    ``CliqueOrdering.blocks``; ``members`` is increasing, so its first
+    ``slots[g]`` is the (size, size) table of the pattern slots of block
+    ``members[g]`` of ``CliqueOrdering.blocks``: a packed array indexed
+    by it gives the block.  ``members`` is increasing, so its first
     ``cliques`` entries are cliques and the rest distinct separators.
     """
 
     size: int
-    index: object
+    slots: object
     members: object
     cliques: int
 
@@ -386,17 +384,16 @@ class CliqueOrdering(_Walk):
     def plan(self):
         """``blocks`` grouped by size, as a tuple of :class:`BlockGroup`
         in increasing size; built on first use."""
-        import numpy as np
-
         blocks = self.blocks
         sizes = [len(b) for b in blocks]
         out = []
         for size in sorted(set(sizes) - {0}):
             members = np.array([i for i, s in enumerate(sizes) if s == size])
             index = np.array([blocks[i] for i in members]) - 1
-            for a in (members, index):
+            slots = self.graph.pattern.pos[index[:, :, None], index[:, None]]
+            for a in (members, slots):
                 a.setflags(write=False)
-            out.append(BlockGroup(size, index, members,
+            out.append(BlockGroup(size, slots, members,
                                   int(np.sum(members < self.k))))
         return tuple(out)
 

@@ -132,12 +132,13 @@ def _weights(shape, ordering):
                  zip(ordering.signs, shape.alpha + shape.beta))
 
 
-def _log_h(shape, data, ordering):
-    """Batch-first log h over (..., r, r) arrays.
+def _log_h(shape, values, ordering):
+    """Batch-first log h over packed (..., r + |E|) arrays laid out by
+    the graph's pattern.
 
     Returns the value and whether every block determinant is positive.
     """
-    return _logdet_sum(data, ordering, _weights(shape, ordering))
+    return _logdet_sum(values, ordering, _weights(shape, ordering))
 
 
 def log_h(shape, x, ordering=None):
@@ -149,8 +150,8 @@ def log_h(shape, x, ordering=None):
     """
     ordering = ordering or decompose(x.graph)
     check_alignment(shape, ordering)
-    _require_pd_cliques(x.data, ordering)
-    return float(_log_h(shape, x.data, ordering)[0])
+    _require_pd_cliques(x.values, ordering)
+    return float(_log_h(shape, x.values, ordering)[0])
 
 
 def canonical_shape(kind, ordering, value):

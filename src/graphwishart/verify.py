@@ -16,9 +16,10 @@ from scipy.special import gammaln
 from . import shapes
 from .cones import _regress, split_blocks
 from .distributions import (
-    RngStream,
     WishartSpec,
+    _as_stream,
     _mc_draws,
+    _walk,
     _walk_mean,
     log_inv_wishart_pdf,
     log_matrix_normal_pdf,
@@ -171,7 +172,8 @@ def a4_closed_form(kind, shape, scale):
 
 
 def _log_h_batch(shape, batch, ordering):
-    """Vectorized determinant power product over a draw batch."""
+    """Vectorized determinant power product over a packed draw batch
+    (n, r + |E|)."""
     return shapes._log_h(shape, batch, ordering)[0]
 
 
@@ -205,8 +207,7 @@ def mc_normalizer(kind, graph, ordering, shape, scale, rng, n,
     pilot run.  Weights that collapse on every candidate raise
     DegenerateWeights.
     """
-    if not isinstance(rng, RngStream):
-        rng = RngStream(rng)
+    rng = _as_stream(rng)
     n = _mc_draws(n)
     ordering = ordering or decompose(graph)
     if kind == "I":
@@ -229,7 +230,7 @@ def mc_normalizer(kind, graph, ordering, shape, scale, rng, n,
                                ordering=ordering)
         except GraphWishartError:
             continue
-        pilot = sample_batch(spec, rng.spawn(10_000 + i), n_pilot)
+        pilot = _walk(spec, rng.spawn(10_000 + i), n_pilot)
         logw = _log_h_batch(shape - prop, pilot, ordering)
         if not np.all(np.isfinite(logw)):
             continue
@@ -244,7 +245,7 @@ def mc_normalizer(kind, graph, ordering, shape, scale, rng, n,
             pilot=n_pilot)
     _, v, prop, spec = best
 
-    draws = sample_batch(spec, rng, n)
+    draws = _walk(spec, rng, n)
     logw = _log_h_batch(shape - prop, draws, ordering)
     if not np.all(np.isfinite(logw)):
         raise DegenerateWeights(
@@ -281,8 +282,7 @@ def mellin_2x2(p, a1, a2, c, rng, n):
         p * ldc - (a1 + p) * math.log(c11) - (a2 + p) * math.log(c22)
         + float(gammaln(a1 + p) + gammaln(a2 + p) - 2.0 * gammaln(p))
     ) * gauss_2f1(a1 + p, a2 + p, p, z)
-    if not isinstance(rng, RngStream):
-        rng = RngStream(rng)
+    rng = _as_stream(rng)
     draws = sample_base_wishart(2, p, np.linalg.inv(c), rng, n)
     vals = draws[:, 0, 0] ** a1 * draws[:, 1, 1] ** a2
     est = McEstimate(float(vals.mean()),
@@ -332,18 +332,15 @@ def check_mean426(spec, rng, n):
     if spec.family != "type2":
         raise OutOfDomain("identity check needs a type2 spec",
                           family=spec.family)
-    if not isinstance(rng, RngStream):
-        rng = RngStream(rng)
+    rng = _as_stream(rng)
     n = _mc_draws(n)
     ordering = spec.ordering
     x = sample_batch(replace(spec, family="inv_type2"), rng, n)
     exps = step_exponents(spec.shape + size_shift(ordering, 0.5, 1),
                           ordering, "first")
-    pattern = spec.graph.pattern
     per_draw = _walk_mean(ordering, exps, [
         _regress(x, new, given) for new, given in ordering.steps], (n,))
-    target = -spec.scale.data[pattern.rows, pattern.cols]
-    resid = target - per_draw.mean(axis=0)
+    resid = -spec.scale.values - per_draw.mean(axis=0)
     se = per_draw.std(axis=0, ddof=1) / math.sqrt(n)
     worst = np.argmax(np.abs(resid))
     return McEstimate(float(np.abs(resid).max()),

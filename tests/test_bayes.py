@@ -199,7 +199,7 @@ class TestPosteriorSummaries:
                              - emp)[mask] < 4 * se[mask])
 
 
-    @pytest.mark.parametrize("n_draws", [0, 1])
+    @pytest.mark.parametrize("n_draws", [0, 1, 2.5, "3"])
     def test_needs_two_draws(self, a4, n_draws):
         with pytest.raises(OutOfDomain) as info:
             posterior_summaries(a4_prior(a4), RngStream(4), n_draws=n_draws)

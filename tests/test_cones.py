@@ -67,6 +67,24 @@ class TestProject:
             with pytest.raises(NonNumeric):
                 SparsePrecision(path3, m)
 
+    def test_asymmetric_pattern_entries_rejected(self, path3):
+        # The lower and upper triangles disagree at (1, 2): neither the
+        # dense kernels' lower triangle nor the pairing's two triangles
+        # would be right, so the constructors refuse it.
+        bad = [[2, 1.9, 0], [0, 2, .5], [0, .5, 2]]
+        for cls in (IncompleteMatrix, SparsePrecision):
+            with pytest.raises(MalformedInput) as info:
+                cls(path3, bad)
+            assert set(info.value.context) == {"asymmetry"}
+
+    def test_rounding_asymmetry_accepted(self, path3):
+        m = np.array([[2, .3, 0], [.3, 2, .5], [0, .5, 2]])
+        m[1, 0] *= 1 + 1e-13
+        for cls in (IncompleteMatrix, SparsePrecision):
+            x = cls(path3, m)
+            p = path3.pattern
+            assert np.array_equal(x.values, m[p.rows, p.cols])
+
     def test_asymmetry_tolerance_is_relative(self, k3):
         # A weighted scatter with entries near 3e9 is asymmetric by
         # rounding only: 6e-8 absolute, 2e-17 relative.

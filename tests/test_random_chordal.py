@@ -35,6 +35,7 @@ from graphwishart import (
     parse_graph,
     phi,
     precision_of,
+    sample,
     sample_base_wishart,
     sample_batch,
     sample_matrix_normal,
@@ -61,8 +62,8 @@ DRAWS = 4
 EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True)
 
 
-def _draws(spec):
-    """Draws of all four families at one fixed seed: hyper shape on the
+def _specs(spec):
+    """Specs of all four families at one fixed scale: hyper shape on the
     first side, G-Wishart (delta = 3) on the second."""
     g = parse_graph(spec)
     o = decompose(g)
@@ -73,9 +74,15 @@ def _draws(spec):
     out = {}
     for family in ("type1", "inv_type1", "type2", "inv_type2"):
         side = "first" if family in ("type1", "inv_type1") else "second"
-        s = WishartSpec(g, shapes[side], scale, family, ordering=o)
-        out[family] = sample_batch(s, RngStream(SEED, 1), DRAWS)
+        out[family] = WishartSpec(g, shapes[side], scale, family, ordering=o)
     return g, o, out
+
+
+def _draws(spec):
+    """Draws of all four families of :func:`_specs` at one fixed seed."""
+    g, o, specs = _specs(spec)
+    return g, o, {family: sample_batch(s, RngStream(SEED, 1), DRAWS)
+                  for family, s in specs.items()}
 
 
 def _rel(a, b):
@@ -214,6 +221,42 @@ def test_draws_symmetric_and_zero_off_pattern(spec):
     for batch in draws.values():
         assert np.array_equal(batch, np.swapaxes(batch, 1, 2))
         assert not np.any(batch[:, off])
+
+
+@given(spec=chordal_graphs())
+@EXAMPLES
+def test_packed_layout(spec):
+    """A pattern matrix keeps its pattern entries as ``values``.  Its
+    dense view is read-only, exactly symmetric and zero off the pattern,
+    and building from it gives the same values.  The blockwise inverses
+    are exactly symmetric."""
+    g, o, specs = _specs(spec)
+    x = specs["type1"].scale
+    off = ~g.edge_mask()
+    for y in (x, precision_of(x), mean_type2(specs["type2"])):
+        d = y.data
+        assert np.array_equal(type(y)(g, d).values, y.values)
+        assert not d.flags.writeable and not y.values.flags.writeable
+        assert np.array_equal(d, d.T)
+        assert np.all(d[off] == 0.0)
+
+
+@given(spec=chordal_graphs())
+@EXAMPLES
+def test_sample_rows_are_sample_batch_entries(spec):
+    """``sample`` wraps the walk's packed rows: bit for bit the pattern
+    entries of ``sample_batch`` at the same seed, in the family's cone
+    type."""
+    g, o, specs = _specs(spec)
+    p = g.pattern
+    for family, s in specs.items():
+        batch = sample_batch(s, RngStream(SEED, 1), DRAWS)
+        draws = sample(s, RngStream(SEED, 1), DRAWS)
+        cls = IncompleteMatrix if family in ("type1", "inv_type2") \
+            else SparsePrecision
+        assert all(type(d) is cls for d in draws)
+        assert np.array_equal([d.values for d in draws],
+                              batch[:, p.rows, p.cols])
 
 
 @given(spec=chordal_graphs())
@@ -459,12 +502,14 @@ def test_logpdf_matches_dense(spec):
 @given(spec=chordal_graphs())
 @EXAMPLES
 def test_kernels_match_per_block_loops(spec):
-    """The size-grouped kernels against per-block loops, with random
-    weights, on one matrix and on a stack of six.  They run at the
-    module's chunk size, at 200 bytes (a few draws or a few blocks per
-    chunk) and at 8 bytes (one block of one draw per chunk)."""
+    """The size-grouped kernels, on packed inputs, against per-block
+    loops on the dense matrices, with random weights, on one matrix and
+    on a stack of six.  They run at the module's chunk size, at 200
+    bytes (a few draws or a few blocks per chunk) and at 8 bytes (one
+    block of one draw per chunk)."""
     g = parse_graph(spec)
     o = decompose(g)
+    p = g.pattern
     rng = np.random.default_rng(SEED)
     r = g.vertex_count
     a = rng.standard_normal((6, r, r + 2))
@@ -479,10 +524,11 @@ def test_kernels_match_per_block_loops(spec):
         with mock.patch.object(cones, "_CHUNK_BYTES", chunk):
             for data in (stack[0], stack):
                 ld_ref, ok_ref, inv_ref = _per_block(data, o, weights)
-                ld, ok = cones._logdet_sum(data, o, weights)
+                packed = data[..., p.rows, p.cols]
+                ld, ok = cones._logdet_sum(packed, o, weights)
                 assert np.array_equal(ok, ok_ref)
                 assert np.all(np.abs(ld - ld_ref) <=
                               1e-12 * (1 + np.abs(ld_ref)))
-                assert _rel(cones._inverse_sum(data, o, weights),
-                            inv_ref) < 1e-12
+                assert _rel(cones._inverse_sum(packed, o, weights),
+                            inv_ref[..., p.rows, p.cols]) < 1e-12
     assert list(ok_ref) == [True, True, False, True, True, True]

@@ -193,11 +193,11 @@ class TestMcNormalizer:
 
 
 def test_log_h_batch_memory_is_chunked():
-    """``_log_h_batch`` on 20000 draws of a banded r=20 graph walks each
-    block size in chunks: it allocates at most twice the chunk bound
-    (the gathered blocks and the LAPACK outputs of one chunk) plus
-    O(n) for its outputs, not one (n, m, k, k) gather per size (about
-    40 MB here)."""
+    """``_log_h_batch`` on 20000 packed draws of a banded r=20 graph
+    walks each block size in chunks: it allocates at most twice the
+    chunk bound (the gathered blocks and the LAPACK outputs of one
+    chunk) plus O(n) for its outputs, not one (n, m, k, k) gather per
+    size (about 40 MB here)."""
     import tracemalloc
 
     from graphwishart import cones, verify
@@ -208,8 +208,9 @@ def test_log_h_batch_memory_is_chunked():
                                                       + 1)]})
     o = decompose(g)
     shape = canonical_shape("hyper", o, 3.0)
-    batch = np.empty((n, r, r))
-    batch[:] = np.eye(r) + 0.1 * g.edge_mask()
+    p = g.pattern
+    batch = np.empty((n, p.size))
+    batch[:] = (np.eye(r) + 0.1 * g.edge_mask())[p.rows, p.cols]
     expect = verify._log_h_batch(shape, batch[:1], o)[0]
     tracemalloc.start()
     try:
@@ -220,6 +221,36 @@ def test_log_h_batch_memory_is_chunked():
     assert np.allclose(out, expect, rtol=1e-13)
     assert cones._CHUNK_BYTES <= 8 << 20
     assert peak <= 2 * cones._CHUNK_BYTES + 16 * n
+
+
+def test_mc_normalizer_reads_the_walk_store(monkeypatch):
+    """``mc_normalizer`` takes log h from the walk's packed draws: on a
+    banded r=20 graph with 20000 draws it calls no ``sample_batch``, and
+    its allocation peak stays below the 64 MB of one dense (n, r, r)
+    batch."""
+    import tracemalloc
+
+    from graphwishart import distributions, verify
+
+    r, n = 20, 20000
+    g = parse_graph({"n": r, "edges": [[i, j] for i in range(1, r + 1)
+                                       for j in range(i + 1, min(r, i + 3)
+                                                      + 1)]})
+    o = decompose(g)
+    scale = project(np.eye(r) + 0.1 * g.edge_mask(), g)
+    calls = []
+    for owner in (distributions, verify):
+        monkeypatch.setattr(owner, "sample_batch",
+                            lambda *args: calls.append(args))
+    tracemalloc.start()
+    try:
+        est = mc_normalizer("I", g, o, canonical_shape("hyper", o, 3.0),
+                            scale, RngStream(6), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and est.n_draws == n
+    assert peak < n * r * r * 8
 
 
 class TestMellin:
@@ -294,10 +325,11 @@ class TestMean426:
         assert est.value < 4 * est.std_error
 
 
-@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("n", [0, 1, 2.5, "3"])
 def test_monte_carlo_needs_two_draws(n, k2):
     """Below two draws no standard error exists: OutOfDomain, not a nan
-    with RuntimeWarnings."""
+    with RuntimeWarnings.  A count that is not an integer is OutOfDomain
+    too, not truncated."""
     ordering = decompose(k2)
     shape = canonical_shape("gwishart", ordering, 6.0)
     scale = project(np.eye(2), k2)
