@@ -34,6 +34,7 @@ from .shapes import (
     log_gamma_II,
     log_h,
     log_multigamma,
+    realign_shape,
     shape_class,
 )
 from .distributions import (
@@ -83,7 +84,7 @@ __all__ = [
     "IncompleteMatrix", "SparsePrecision",
     "project", "trace_pair", "complete", "precision_of", "phi",
     "logdet_hat", "split_blocks", "assemble_blocks", "schur_pad",
-    "ShapeParam", "canonical_shape", "shape_class",
+    "ShapeParam", "canonical_shape", "realign_shape", "shape_class",
     "log_multigamma", "log_h", "log_gamma_I", "log_gamma_II",
     "RngStream", "WishartSpec",
     "logpdf", "logpdf_f", "sample",

@@ -15,12 +15,14 @@ import numpy as np
 from .cones import (
     IncompleteMatrix,
     SparsePrecision,
+    _scatter,
     logdet_hat,
     precision_of,
     project,
     trace_pair,
 )
-from .distributions import WishartSpec, _mc_draws, mean_type2, sample_batch
+from .distributions import (WishartSpec, _as_stream, _mc_draws, _walk,
+                            mean_type2)
 from .errors import (
     ColumnMismatch,
     NonNumeric,
@@ -145,10 +147,11 @@ def log_likelihood(sigma2, sample):
 def posterior_summaries(post, rng=None, n_draws=4000):
     """Posterior summaries of the covariance and precision.
 
-    The precision mean is closed form; the covariance mean is Monte
-    Carlo (it is not linear in the data).  The returned record reports
-    everything on the covariance scale, halving the draws of the
-    underlying parameter.
+    The precision mean is closed form; the covariance mean (not linear in
+    the data) and its standard error are Monte Carlo over the walk's
+    packed draws.  The record is on the covariance scale, halving the
+    draws of the underlying parameter; ``sigma_se`` is dense, zero off
+    the pattern.
     """
     if post.family != "inv_type2":
         raise OutOfDomain("posterior must be an inv_type2 spec",
@@ -165,10 +168,10 @@ def posterior_summaries(post, rng=None, n_draws=4000):
     }
     if rng is not None:
         n_draws = _mc_draws(n_draws, "n_draws")
-        draws = sample_batch(post, rng, n_draws) / 2.0
-        out["sigma_mean"] = IncompleteMatrix(
+        draws = _walk(post, _as_stream(rng), n_draws) / 2.0
+        out["sigma_mean"] = IncompleteMatrix._of(
             post.graph, draws.mean(axis=0))
-        out["sigma_se"] = draws.std(axis=0, ddof=1) / \
-            np.sqrt(n_draws)
+        out["sigma_se"] = _scatter(
+            draws.std(axis=0, ddof=1) / np.sqrt(n_draws), post.graph.pattern)
         out["n_draws"] = n_draws
     return out

@@ -33,7 +33,6 @@ from .distributions import (
     mean_type1,
     mean_type2,
     sample,
-    sample_batch,
 )
 from .errors import (
     GraphWishartError,
@@ -66,6 +65,10 @@ from .verify import (
 __all__ = ["main", "run"]
 
 
+class _Json(str):
+    """Text that is already JSON; :func:`_fmt` writes it as it is."""
+
+
 def _fmt(value):
     # None and plain floats first: they are nearly every matrix entry.
     if value is None:
@@ -83,7 +86,7 @@ def _fmt(value):
     if isinstance(value, np.floating):
         return _fmt(float(value))
     if isinstance(value, str):
-        return json.dumps(value)
+        return value if type(value) is _Json else json.dumps(value)
     if isinstance(value, dict):
         inner = ",".join(
             "%s:%s" % (json.dumps(str(k)), _fmt(v))
@@ -173,12 +176,24 @@ def _graph_json(graph):
             "edges": [list(e) for e in sorted(graph.edges)]}
 
 
-def _matrix_json(graph, data, full=False):
-    rows = data.tolist()
-    if not full:
-        rows = [[v if on else None for v, on in zip(row, mask)]
-                for row, mask in zip(rows, graph.edge_mask().tolist())]
-    return {"graph": _graph_json(graph), "matrix": rows}
+class _MatrixWriter:
+    """Matrix JSON on one graph from packed values: the graph's JSON and
+    a row template (``%s`` at each pattern entry, null elsewhere) are
+    formatted once, and ``order`` lists the slots of the pattern entries
+    in dense row-major order, so a matrix formats only those entries."""
+
+    def __init__(self, graph):
+        p = graph.pattern
+        self.graph = _Json(_fmt(_graph_json(graph)))
+        self.order = p.pos[p.mask]
+        self.template = "[%s]" % ",".join(
+            "[%s]" % ",".join("%s" if on else "null" for on in row)
+            for row in p.mask.tolist())
+
+    def __call__(self, values):
+        """{"graph", "matrix"} object of a packed (r + |E|,) array."""
+        return {"graph": self.graph, "matrix": _Json(self.template % tuple(
+            map(_fmt, values[self.order].tolist())))}
 
 
 def _spec_from_args(args, family=None):
@@ -205,8 +220,7 @@ def _cmd_graph_analyze(args):
                               order=args.order, count=len(orders))
         ordering = orders[args.order]
     _emit({
-        "n": graph.vertex_count,
-        "edges": [list(e) for e in sorted(graph.edges)],
+        **_graph_json(graph),
         "cliques": [list(c) for c in ordering.cliques],
         "separators": [list(s) for s in ordering.separators],
         "distinct_separators": [list(s) for s in
@@ -243,7 +257,8 @@ def _cmd_cone_complete(args):
     graph = _load_graph(args.graph) if args.graph else None
     graph, data = _load_matrix(args.matrix, graph)
     hat = complete(IncompleteMatrix(graph, data))
-    _emit(_matrix_json(graph, hat, full=True), args.output)
+    _emit({"graph": _graph_json(graph), "matrix": hat.tolist()},
+          args.output)
     return 0
 
 
@@ -251,7 +266,7 @@ def _cmd_cone_phi(args):
     graph = _load_graph(args.graph) if args.graph else None
     graph, data = _load_matrix(args.matrix, graph)
     x = phi(SparsePrecision(graph, data))
-    _emit(_matrix_json(graph, x.data), args.output)
+    _emit(_MatrixWriter(graph)(x.values), args.output)
     return 0
 
 
@@ -269,26 +284,20 @@ def _cmd_dist_logpdf(args):
 
 def _cmd_dist_sample(args):
     spec = _spec_from_args(args)
-    rng = RngStream(args.seed)
-    batch = sample_batch(spec, rng, args.n)
-    for i in range(args.n):
-        obj = _matrix_json(spec.graph, batch[i])
-        obj["seed"] = args.seed
-        obj["index"] = i
-        _emit(obj, args.output)
+    writer = _MatrixWriter(spec.graph)
+    for i, x in enumerate(sample(spec, RngStream(args.seed), args.n)):
+        _emit(dict(writer(x.values), seed=args.seed, index=i), args.output)
     return 0
 
 
 def _cmd_dist_mean(args):
     spec = _spec_from_args(args)
-    if spec.family == "type1":
-        mean = mean_type1(spec).data
-    elif spec.family == "type2":
-        mean = mean_type2(spec).data
-    else:
+    means = {"type1": mean_type1, "type2": mean_type2}
+    if spec.family not in means:
         raise OutOfDomain("closed-form mean available for type1 and "
                           "type2 only", family=spec.family)
-    _emit(_matrix_json(spec.graph, mean), args.output)
+    _emit(_MatrixWriter(spec.graph)(means[spec.family](spec).values),
+          args.output)
     return 0
 
 
@@ -306,26 +315,24 @@ def _cmd_bayes_fit(args):
     prior = WishartSpec(graph, shape, IncompleteMatrix(graph, data),
                         "inv_type2")
     with open(args.data) as fh:
-        rows = [[cell for cell in row] for row in csv.reader(fh)
-                if row]
+        rows = [row for row in csv.reader(fh) if row]
     try:
         table = [[float(c) for c in row] for row in rows]
     except ValueError as exc:
         raise NonNumeric("data file has non-numeric cells") from exc
     sample_stats = ingest(table, graph)
     post = posterior_update(prior, sample_stats)
-    rng = RngStream(args.seed)
-    summ = posterior_summaries(post, rng, n_draws=args.n)
+    summ = posterior_summaries(post, RngStream(args.seed), n_draws=args.n)
+    writer, p = _MatrixWriter(graph), graph.pattern
     _emit({
         "seed": args.seed,
         "n_obs": sample_stats.n,
         "posterior_shape": {"alpha": list(post.shape.alpha),
                             "beta": list(post.shape.beta)},
-        "posterior_scale": _matrix_json(graph, post.scale.data),
-        "precision_mean": _matrix_json(
-            graph, summ["precision_mean"].data),
-        "sigma_mean": _matrix_json(graph, summ["sigma_mean"].data),
-        "sigma_se": _matrix_json(graph, summ["sigma_se"]),
+        "posterior_scale": writer(post.scale.values),
+        "precision_mean": writer(summ["precision_mean"].values),
+        "sigma_mean": writer(summ["sigma_mean"].values),
+        "sigma_se": writer(summ["sigma_se"][p.rows, p.cols]),
         "convention": "prior on twice the covariance pattern; "
                       "summaries are on the covariance scale",
     }, args.output)
@@ -341,14 +348,10 @@ def _cmd_verify_normalizer(args):
     kind = args.kind
     rng = RngStream(args.seed)
     est = mc_normalizer(kind, graph, ordering, shape, scale, rng, args.n)
-    closed = None
+    log_gamma = log_gamma_I if kind == "I" else log_gamma_II
     try:
-        if kind == "I":
-            closed = math.exp(log_gamma_I(shape, ordering)
-                              + log_h(shape, scale, ordering))
-        else:
-            closed = math.exp(log_gamma_II(shape, ordering)
-                              + log_h(shape, scale, ordering))
+        closed = math.exp(log_gamma(shape, ordering)
+                          + log_h(shape, scale, ordering))
     except GraphWishartError:
         closed = None
     verdict = None

@@ -178,14 +178,16 @@ def complete(x):
     onto its given block, and through it onto the history so far.
     """
     ordering = require_qg(x)
-    out = np.zeros(x.data.shape)
+    pos = x.graph.pattern.pos
+    out = np.zeros(pos.shape)
     hist = np.zeros(0, dtype=int)
     for new, given in ordering.steps:
         ni, gi = _idx(new), _idx(given)
-        cross = _regress(x.data, new, given)[1] @ out[gi[:, None], hist]
+        cross = _regress(x.values, pos, new, given)[1] @ \
+            out[gi[:, None], hist]
         out[ni[:, None], hist] = cross
         out[hist[:, None], ni] = cross.T
-        out[ni[:, None], ni] = _block(x.data, new)
+        out[ni[:, None], ni] = x.values[_block(pos, new)]
         hist = np.concatenate([hist, ni])
     return 0.5 * (out + out.T)
 
@@ -294,15 +296,17 @@ class Blocks:
     parts: tuple
 
 
-def _regress(data, rows, cols):
-    """Return (conditional block, coefficient) of data[rows] onto
-    data[cols], for (..., r, r) arrays."""
+def _regress(values, pos, rows, cols):
+    """Return (conditional block, coefficient) of x[rows] onto x[cols],
+    for the packed (..., r + |E|) values of x; ``pos`` is the slot table
+    of their pattern, on which the blocks must lie."""
+    ri, ci = _idx(rows)[:, None], _idx(cols)
+    x_rows = values[..., pos[ri, ri.T]]
     if len(cols) == 0:
-        return _block(data, rows), np.zeros(data.shape[:-2] + (len(rows), 0))
-    ri, ci = _idx(rows), _idx(cols)
-    xrs = data[..., ri[:, None], ci]
-    ratio = _tr(np.linalg.solve(_block(data, cols), _tr(xrs)))
-    cond = _block(data, rows) - ratio @ _tr(xrs)
+        return x_rows, np.zeros(values.shape[:-1] + (len(rows), 0))
+    xrs = values[..., pos[ri, ci]]
+    ratio = _tr(np.linalg.solve(values[..., pos[ci[:, None], ci]], _tr(xrs)))
+    cond = x_rows - ratio @ _tr(xrs)
     return cond, ratio
 
 
@@ -353,7 +357,8 @@ def split_blocks(x, ordering=None):
     ``ordering`` (default: the graph's clique order)."""
     require_qg(x)
     ordering = ordering or decompose(x.graph)
-    return Blocks(ordering, tuple(_regress(x.data, new, given)
+    pos = x.graph.pattern.pos
+    return Blocks(ordering, tuple(_regress(x.values, pos, new, given)
                                   for new, given in ordering.steps))
 
 

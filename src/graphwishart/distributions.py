@@ -315,17 +315,18 @@ class WishartSpec:
         t_cond on the first side, the column matrix T[given] on the
         second).  The arrays are read-only."""
         first = self.family in ("type1", "inv_type1")
+        values, pos = self.scale.values, self.graph.pattern.pos
         out = []
         for new, given in self.walk.steps:
             if not new:
                 out.append(None)
                 continue
-            t_cond, t_ratio = cones._regress(self.scale.data, new, given)
+            t_cond, t_ratio = cones._regress(values, pos, new, given)
             if first:
                 wishart = side = np.linalg.cholesky(t_cond)
             else:
                 wishart = np.linalg.cholesky(np.linalg.inv(t_cond))
-                side = np.linalg.cholesky(_block(self.scale.data, given))
+                side = np.linalg.cholesky(values[_block(pos, given)])
             step = (t_cond, t_ratio, wishart, side)
             for a in step:
                 a.setflags(write=False)

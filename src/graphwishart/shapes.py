@@ -27,6 +27,7 @@ __all__ = [
     "log_multigamma",
     "log_h",
     "canonical_shape",
+    "realign_shape",
     "shape_class",
     "log_gamma_I",
     "log_gamma_II",

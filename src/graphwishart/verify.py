@@ -25,7 +25,7 @@ from .distributions import (
     log_matrix_normal_pdf,
     logpdf,
     sample_base_wishart,
-    sample_batch,
+    sample_batch,  # noqa: F401  (unused; tests/test_verify.py patches it)
 )
 from .errors import (
     DegenerateWeights,
@@ -325,9 +325,10 @@ def check_mean426(spec, rng, n):
     and returns the sup-norm residual against the negated rate with
     the standard error of the worst entry.
 
-    The draws x = phi(K) come from the ``inv_type2`` twin (same steps,
-    same random numbers).  Each draw's sum is the first-side walk mean at
-    its step coordinates and the shape shifted by (size + 1) / 2.
+    The draws x = phi(K) are the packed walk store of the ``inv_type2``
+    twin (same steps, same random numbers).  Each draw's sum is the
+    first-side walk mean at its step coordinates and the shape shifted
+    by (size + 1) / 2.
     """
     if spec.family != "type2":
         raise OutOfDomain("identity check needs a type2 spec",
@@ -335,11 +336,13 @@ def check_mean426(spec, rng, n):
     rng = _as_stream(rng)
     n = _mc_draws(n)
     ordering = spec.ordering
-    x = sample_batch(replace(spec, family="inv_type2"), rng, n)
+    x = _walk(replace(spec, family="inv_type2"), rng, n)
+    pos = spec.graph.pattern.pos
     exps = step_exponents(spec.shape + size_shift(ordering, 0.5, 1),
                           ordering, "first")
     per_draw = _walk_mean(ordering, exps, [
-        _regress(x, new, given) for new, given in ordering.steps], (n,))
+        _regress(x, pos, new, given) for new, given in ordering.steps],
+        (n,))
     resid = -spec.scale.values - per_draw.mean(axis=0)
     se = per_draw.std(axis=0, ddof=1) / math.sqrt(n)
     worst = np.argmax(np.abs(resid))

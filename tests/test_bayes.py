@@ -14,6 +14,7 @@ from graphwishart import (
     ShapeNotAdmissible,
     ShapeParam,
     WishartSpec,
+    canonical_shape,
     decompose,
     ingest,
     log_likelihood,
@@ -186,6 +187,24 @@ class TestPosteriorSummaries:
         batch = sample_batch(spec, RngStream(8), 20000) / 2.0
         assert np.allclose(out["sigma_mean"].data, batch.mean(axis=0),
                            atol=1e-8)
+
+    @pytest.mark.parametrize("graph", ["a4", "fig1"])
+    def test_packed_moments_equal_dense_moments(self, graph, request):
+        """The Monte Carlo moments on the packed draws equal, bit for bit,
+        the mean and standard error over the dense batch of the same
+        seed, halved; the standard error is zero off the pattern."""
+        g = request.getfixturevalue(graph)
+        o = decompose(g)
+        prior = WishartSpec(g, canonical_shape("gwishart", o, 3.0),
+                            random_qg(g, np.random.default_rng(2)),
+                            "inv_type2")
+        out = posterior_summaries(prior, RngStream(12), n_draws=300)
+        batch = sample_batch(prior, RngStream(12), 300) / 2.0
+        p = g.pattern
+        assert np.array_equal(out["sigma_mean"].values,
+                              batch.mean(axis=0)[p.rows, p.cols])
+        assert np.array_equal(out["sigma_se"],
+                              batch.std(axis=0, ddof=1) / np.sqrt(300))
 
     def test_precision_mean_against_sampling(self, a4):
         prior = a4_prior(a4)

@@ -5,9 +5,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphwishart import cli
 from graphwishart.cli import run
+
+from conftest import chordal_graphs
 
 
 def invoke(argv, capsys):
@@ -469,3 +473,139 @@ class TestFloatFormat:
         m = np.array(doc["matrix"], dtype=float)
         # parse back and re-emit: values survive the text roundtrip
         assert float("%.17g" % m[0, 1]) == m[0, 1]
+
+
+def _dense_json(graph, dense):
+    """Matrix JSON formatted entry by entry from a dense array, None off
+    the pattern: the formatting the per-graph writer must reproduce."""
+    rows = [[v if on else None for v, on in zip(row, mask)]
+            for row, mask in zip(dense.tolist(),
+                                 graph.edge_mask().tolist())]
+    return {"graph": {"n": graph.vertex_count,
+                      "edges": [list(e) for e in sorted(graph.edges)]},
+            "matrix": rows}
+
+
+def _scatter(graph, values):
+    p = graph.pattern
+    out = np.zeros((graph.vertex_count,) * 2)
+    out[p.rows, p.cols] = values
+    out[p.cols, p.rows] = values
+    return out
+
+
+SPECIAL = [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]
+
+
+class TestPatternWriter:
+
+    @given(spec=chordal_graphs(), data=st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_writer_matches_dense_formatting(self, spec, data):
+        from graphwishart import parse_graph
+
+        g = parse_graph(spec)
+        values = np.array(data.draw(st.lists(
+            st.sampled_from(SPECIAL) | st.floats(),
+            min_size=g.pattern.size, max_size=g.pattern.size)))
+        assert cli._fmt(cli._MatrixWriter(g)(values)) == \
+            cli._fmt(_dense_json(g, _scatter(g, values)))
+
+    @pytest.mark.parametrize("spec", [
+        {"n": 1, "edges": []},
+        {"n": 2, "edges": [[1, 2]]},
+        {"n": 4, "edges": [[1, 2], [2, 3], [3, 4]]},
+    ], ids=["one-vertex", "edge", "path4"])
+    def test_special_values(self, spec):
+        """-0, the smallest subnormal, a huge value, nan and both
+        infinities on every pattern entry; the one-vertex graph is the
+        connected graph with no edges."""
+        from graphwishart import parse_graph
+
+        g = parse_graph(spec)
+        writer = cli._MatrixWriter(g)
+        for shift in range(len(SPECIAL)):
+            values = np.array([SPECIAL[(s + shift) % len(SPECIAL)]
+                               for s in range(g.pattern.size)])
+            assert cli._fmt(writer(values)) == \
+                cli._fmt(_dense_json(g, _scatter(g, values)))
+
+    @pytest.mark.parametrize("family", ["type1", "type2", "inv_type1",
+                                        "inv_type2"])
+    def test_sample_matches_dense_batch(self, tmp_path, capsys, family):
+        """``dist sample`` prints, line by line, the dense formatting of
+        ``sample_batch`` at the same seed."""
+        from graphwishart import (IncompleteMatrix, RngStream, WishartSpec,
+                                  canonical_shape, decompose, parse_graph,
+                                  sample_batch)
+
+        spec = {"n": 12, "edges": [[1, j] for j in range(2, 13)]
+                + [[2, 3], [2, 4], [3, 4], [5, 6]]}
+        g = parse_graph(spec)
+        o = decompose(g)
+        shape = canonical_shape("hyper", o, 3.0) \
+            if family in ("type1", "inv_type1") \
+            else canonical_shape("gwishart", o, 3.0)
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((12, 14))
+        dense = (a @ a.T / 14 + 0.5 * np.eye(12)) * g.edge_mask()
+        scale = write_json(tmp_path / "scale.json",
+                           {"graph": spec, "matrix": [
+                               [v if on else None for v, on in zip(row, m)]
+                               for row, m in zip(dense.tolist(),
+                                                 g.edge_mask().tolist())]})
+        shape_file = write_json(tmp_path / "shape.json",
+                                {"alpha": list(shape.alpha),
+                                 "beta": list(shape.beta)})
+        code, out = invoke(["dist", "sample", "--family", family,
+                            "--shape", shape_file, "--scale", scale,
+                            "--n", "4", "--seed", "11"], capsys)
+        assert code == 0
+        batch = sample_batch(
+            WishartSpec(g, shape, IncompleteMatrix(g, dense), family),
+            RngStream(11), 4)
+        assert out == "".join(
+            cli._fmt(dict(_dense_json(g, b), seed=11, index=i)) + "\n"
+            for i, b in enumerate(batch))
+
+    def test_bayes_fit_builds_no_dense_batch(self, tmp_path, capsys,
+                                             monkeypatch):
+        """``bayes fit --n 500`` on banded r=100 calls no
+        ``sample_batch``, and its allocation peak stays below the 40 MB
+        of one dense (n, r, r) batch."""
+        import tracemalloc
+
+        from graphwishart import (bayes, canonical_shape, decompose,
+                                  distributions, parse_graph)
+
+        r, n = 100, 500
+        spec = {"n": r, "edges": [[i, j] for i in range(1, r + 1)
+                                  for j in range(i + 1, min(r, i + 3) + 1)]}
+        g = parse_graph(spec)
+        shape = canonical_shape("gwishart", decompose(g), 3.0)
+        graph = write_json(tmp_path / "graph.json", spec)
+        prior = write_json(tmp_path / "prior.json", {
+            "shape": {"alpha": list(shape.alpha), "beta": list(shape.beta)},
+            "scale": [[1.0 if i == j else (0.1 if on else None)
+                       for j, on in enumerate(row)]
+                      for i, row in enumerate(g.edge_mask().tolist())]})
+        data = tmp_path / "data.csv"
+        rows = np.random.default_rng(3).standard_normal((r + 10, r))
+        data.write_text("\n".join(",".join(map(repr, row))
+                                  for row in rows.tolist()))
+        calls = []
+        for owner in (distributions, bayes, cli):
+            monkeypatch.setattr(owner, "sample_batch",
+                                lambda *args: calls.append(args),
+                                raising=False)
+        tracemalloc.start()
+        try:
+            code, out = invoke(["bayes", "fit", "--graph", graph,
+                                "--data", str(data), "--prior", prior,
+                                "--n", str(n), "--seed", "2"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and calls == []
+        assert json.loads(out)["n_obs"] == r + 10
+        assert peak < n * r * r * 8

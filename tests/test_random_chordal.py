@@ -128,7 +128,8 @@ def _reference_walk(spec, rng, n):
     for (new, given), p in zip(spec.walk.steps, spec.exponents):
         if not new:
             continue
-        t_cond, t_ratio = cones._regress(scale, new, given)
+        t_cond, t_ratio = cones._regress(spec.scale.values, pattern.pos,
+                                         new, given)
         x_given = x[:, slots(given, given)]
         wishart = sample_base_wishart(
             len(new), p, t_cond if first else np.linalg.inv(t_cond), rng, n)
@@ -370,8 +371,8 @@ def test_mean_type1_order_and_tree_agree(spec):
             continue
         hits += 1
         s = WishartSpec(g, shape, scale, "type1")
-        coords = [cones._regress(scale.data, new, given) if new else None
-                  for new, given in tree.steps]
+        coords = [cones._regress(scale.values, g.pattern.pos, new, given)
+                  if new else None for new, given in tree.steps]
         got = distributions._walk_mean(
             tree, step_exponents(shape, tree, "first"), coords)
         ref = mean_type1(s).data[g.pattern.rows, g.pattern.cols]
