@@ -21,8 +21,8 @@ from .cones import (
     project,
     trace_pair,
 )
-from .distributions import (WishartSpec, _as_stream, _mc_draws, _walk,
-                            mean_type2)
+from .distributions import (WishartSpec, _as_stream, _mc_draws,
+                            _require_family, _walk, mean_type2)
 from .errors import (
     ColumnMismatch,
     NonNumeric,
@@ -108,9 +108,7 @@ def posterior_update(prior, sample):
     The posterior shape subtracts half the sample count from every
     exponent; the scale adds the projected scatter.
     """
-    if prior.family != "inv_type2":
-        raise OutOfDomain("prior must be an inv_type2 spec",
-                          family=prior.family)
+    _require_family(prior, "inv_type2", "prior must be an inv_type2 spec")
     if sample.n == 0:
         return prior
     if sample.projected.graph != prior.graph:
@@ -153,9 +151,8 @@ def posterior_summaries(post, rng=None, n_draws=4000):
     draws of the underlying parameter; ``sigma_se`` is dense, zero off
     the pattern.
     """
-    if post.family != "inv_type2":
-        raise OutOfDomain("posterior must be an inv_type2 spec",
-                          family=post.family)
+    _require_family(post, "inv_type2",
+                    "posterior must be an inv_type2 spec")
     type2 = WishartSpec(post.graph, post.shape, post.scale, "type2",
                         ordering=post.ordering)
     prec_mean = mean_type2(type2).values

@@ -10,6 +10,7 @@ byte-identical output.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -119,7 +120,11 @@ def _load_graph(path):
     return parse_graph(_load_json(path))
 
 
-def _load_matrix(path, graph=None):
+def _load_matrix(args, path, graph=None):
+    """(graph, dense array) of a matrix file.  The graph is the file's
+    own, else ``graph``, else the one ``--graph`` names."""
+    if graph is None and args.graph:
+        graph = _load_graph(args.graph)
     obj = _load_json(path)
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise MalformedInput("matrix file needs a 'matrix' key",
@@ -196,12 +201,16 @@ class _MatrixWriter:
             map(_fmt, values[self.order].tolist())))}
 
 
-def _spec_from_args(args, family=None):
-    graph = _load_graph(args.graph) if args.graph else None
-    graph, data = _load_matrix(args.scale, graph)
+def _scale_and_shape(args):
+    """The --scale matrix and the --shape aligned with its graph."""
+    graph, data = _load_matrix(args, args.scale)
     shape = _load_shape(args.shape, decompose(graph))
-    return WishartSpec(graph, shape, IncompleteMatrix(graph, data),
-                       family or args.family)
+    return IncompleteMatrix(graph, data), shape
+
+
+def _spec_from_args(args, family=None):
+    scale, shape = _scale_and_shape(args)
+    return WishartSpec(scale.graph, shape, scale, family or args.family)
 
 
 def _require_graph(args):
@@ -254,8 +263,7 @@ def _cmd_graph_hasse(args):
 
 
 def _cmd_cone_complete(args):
-    graph = _load_graph(args.graph) if args.graph else None
-    graph, data = _load_matrix(args.matrix, graph)
+    graph, data = _load_matrix(args, args.matrix)
     hat = complete(IncompleteMatrix(graph, data))
     _emit({"graph": _graph_json(graph), "matrix": hat.tolist()},
           args.output)
@@ -263,8 +271,7 @@ def _cmd_cone_complete(args):
 
 
 def _cmd_cone_phi(args):
-    graph = _load_graph(args.graph) if args.graph else None
-    graph, data = _load_matrix(args.matrix, graph)
+    graph, data = _load_matrix(args, args.matrix)
     x = phi(SparsePrecision(graph, data))
     _emit(_MatrixWriter(graph)(x.values), args.output)
     return 0
@@ -272,11 +279,8 @@ def _cmd_cone_phi(args):
 
 def _cmd_dist_logpdf(args):
     spec = _spec_from_args(args)
-    _, pdata = _load_matrix(args.matrix, spec.graph)
-    if spec.family in ("type1", "inv_type2"):
-        point = IncompleteMatrix(spec.graph, pdata)
-    else:
-        point = SparsePrecision(spec.graph, pdata)
+    _, pdata = _load_matrix(args, args.matrix, spec.graph)
+    point = spec.cone(spec.graph, pdata)
     _emit({"family": spec.family, "logpdf": logpdf(spec, point)},
           args.output)
     return 0
@@ -339,12 +343,15 @@ def _cmd_bayes_fit(args):
     return 0
 
 
+def _within(gap, k, se):
+    """Whether |gap| is at most k standard errors; None when se is 0."""
+    return abs(gap) <= k * se if se > 0 else None
+
+
 def _cmd_verify_normalizer(args):
-    graph = _load_graph(args.graph) if args.graph else None
-    graph, data = _load_matrix(args.scale, graph)
+    scale, shape = _scale_and_shape(args)
+    graph = scale.graph
     ordering = decompose(graph)
-    shape = _load_shape(args.shape, ordering)
-    scale = IncompleteMatrix(graph, data)
     kind = args.kind
     rng = RngStream(args.seed)
     est = mc_normalizer(kind, graph, ordering, shape, scale, rng, args.n)
@@ -354,9 +361,8 @@ def _cmd_verify_normalizer(args):
                           + log_h(shape, scale, ordering))
     except GraphWishartError:
         closed = None
-    verdict = None
-    if closed is not None and est.std_error > 0:
-        verdict = abs(est.value - closed) <= 3.0 * est.std_error
+    verdict = None if closed is None else \
+        _within(est.value - closed, 3.0, est.std_error)
     _emit({
         "seed": args.seed, "kind": kind, "n": est.n_draws,
         "estimate": est.value, "std_error": est.std_error,
@@ -367,30 +373,24 @@ def _cmd_verify_normalizer(args):
 
 
 def _cmd_verify_a4(args):
-    graph = _load_graph(args.graph) if args.graph else None
-    graph, data = _load_matrix(args.scale, graph)
-    ordering = decompose(graph)
-    shape = _load_shape(args.shape, ordering)
-    val = a4_closed_form(args.kind, shape,
-                         IncompleteMatrix(graph, data))
+    scale, shape = _scale_and_shape(args)
+    val = a4_closed_form(args.kind, shape, scale)
     _emit({"kind": args.kind, "log_value": val}, args.output)
     return 0
 
 
 def _cmd_verify_mellin(args):
-    graph = _load_graph(args.graph) if args.graph else None
-    graph, data = _load_matrix(args.matrix, graph)
+    graph, data = _load_matrix(args, args.matrix)
     if graph.vertex_count != 2:
         raise OutOfDomain("rate matrix must be 2x2",
                           n=graph.vertex_count)
     closed, est = mellin_2x2(args.p, args.a1, args.a2, data,
                              RngStream(args.seed), args.n)
-    verdict = abs(closed - est.value) <= 3.0 * est.std_error \
-        if est.std_error > 0 else None
     _emit({
         "seed": args.seed, "closed_form": closed,
         "estimate": est.value, "std_error": est.std_error,
-        "within_3_se": verdict, "n": est.n_draws,
+        "within_3_se": _within(closed - est.value, 3.0, est.std_error),
+        "n": est.n_draws,
     }, args.output)
     return 0
 
@@ -413,12 +413,10 @@ def _cmd_verify_factorization(args):
 def _cmd_verify_mean426(args):
     spec = _spec_from_args(args, family="type2")
     est = check_mean426(spec, RngStream(args.seed), args.n)
-    verdict = est.value <= 4.0 * est.std_error \
-        if est.std_error > 0 else None
     _emit({
         "seed": args.seed, "residual": est.value,
         "std_error": est.std_error, "n": est.n_draws,
-        "within_4_se": verdict,
+        "within_4_se": _within(est.value, 4.0, est.std_error),
     }, args.output)
     return 0
 
@@ -442,7 +440,9 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="graphwishart",
         description="Wishart families on decomposable graph cones")

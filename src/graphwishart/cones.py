@@ -109,9 +109,13 @@ class _PatternMatrix:
 class IncompleteMatrix(_PatternMatrix):
     """Symmetric matrix known only on the diagonal and edge entries."""
 
+    _noun = "an incomplete matrix"
+
 
 class SparsePrecision(_PatternMatrix):
     """Positive definite matrix vanishing off the diagonal and edges."""
+
+    _noun = "a sparse precision"
 
 
 def _check_symmetric(a, b, tol=1e-12):
@@ -157,6 +161,19 @@ def require_qg(x):
     ordering = decompose(x.graph)
     _require_pd_cliques(x.values, ordering)
     return ordering
+
+
+def _to_qg(m, error):
+    """The point of the incomplete cone that m stands for: m, checked, or
+    ``phi(m)`` for a SparsePrecision.  Outside its cone m raises the
+    exception class ``error``, naming the failing clique when it can."""
+    try:
+        if isinstance(m, SparsePrecision):
+            return phi(m)
+        require_qg(m)
+        return m
+    except (NotInQG, NotInPG) as exc:
+        raise error(exc.message, **exc.context) from None
 
 
 def trace_pair(x, y):
@@ -213,21 +230,16 @@ def _chunks(n, m, item):
 def _logdet_sum(values, ordering, weights):
     """Sum of w * log det x_A over ``ordering.blocks`` A of packed
     (..., r + |E|) arrays, one batched ``slogdet`` per block size (and
-    chunk).
-
-    Returns the value and whether every block determinant is positive.
+    chunk).  A block with a negative determinant adds its log |det|.
     """
     flat = values.reshape(-1, values.shape[-1])
     w = np.asarray(weights, dtype=float)
     total = np.zeros(len(flat))
-    ok = np.ones(len(flat), dtype=bool)
     for g in ordering.plan:
         for rows, part in _chunks(len(flat), len(g.members), 8 * g.size ** 2):
-            sign, ld = np.linalg.slogdet(flat[rows, g.slots[part]])
+            ld = np.linalg.slogdet(flat[rows, g.slots[part]])[1]
             total[rows] += ld @ w[g.members[part]]
-            ok[rows] &= np.all(sign > 0, axis=-1)
-    lead = values.shape[:-1]
-    return total.reshape(lead)[()], ok.reshape(lead)[()]
+    return total.reshape(values.shape[:-1])[()]
 
 
 def _inverse_sum(values, ordering, weights):
@@ -283,7 +295,7 @@ def logdet_hat(x):
     clique, when a clique block is not positive definite.
     """
     ordering = require_qg(x)
-    return float(_logdet_sum(x.values, ordering, ordering.signs)[0])
+    return float(_logdet_sum(x.values, ordering, ordering.signs))
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,6 @@ from .errors import (
     DimensionMismatch,
     NotPositiveDefinite,
     GraphMismatch,
-    NotInPG,
-    NotInQG,
     OutOfDomain,
     OutOfSupport,
     ShapeNotAdmissible,
@@ -45,7 +43,6 @@ from .shapes import (
     check_alignment,
     log_gamma_I,
     log_gamma_II,
-    log_h,
     log_multigamma,
     size_shift,
     steps_log_gamma,
@@ -64,7 +61,15 @@ __all__ = [
     "laplace",
 ]
 
-FAMILIES = ("type1", "type2", "inv_type1", "inv_type2")
+# The four laws form a 2 x 2 table: each has a side, the shape
+# conditions and sampler walk of the first (Type I) or second (Type II)
+# kind, and a cone its points live on.
+FAMILIES = {
+    "type1": ("first", IncompleteMatrix),
+    "type2": ("second", SparsePrecision),
+    "inv_type1": ("first", SparsePrecision),
+    "inv_type2": ("second", IncompleteMatrix),
+}
 
 
 class RngStream:
@@ -238,10 +243,11 @@ def log_matrix_normal_pdf(d, mean, row_cov, col_prec_mate):
 
 @dataclass(eq=False)
 class WishartSpec:
-    """A fully validated member of one of the four families.
+    """A fully validated member of one of the four families, with the
+    family's row of :data:`FAMILIES` as ``side`` and ``cone``.
 
-    ``scale`` is an IncompleteMatrix for type1 / inv_type1 and a
-    SparsePrecision for type2 / inv_type2.  Construction checks cone
+    ``scale`` is kept as an IncompleteMatrix; a SparsePrecision is read
+    as the same pattern entries.  Construction checks cone
     membership of the scale and admissibility of the shape; derived
     quantities (the graph's class tree ``hasse`` when it is homogeneous,
     the step list ``walk`` the shape is admissible on with one exponent
@@ -259,8 +265,10 @@ class WishartSpec:
     hasse: object = field(init=False)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise OutOfDomain("unknown family", family=self.family)
+        try:
+            self.side, self.cone = FAMILIES[self.family]
+        except (KeyError, TypeError):
+            raise OutOfDomain("unknown family", family=self.family) from None
         if self.ordering is None:
             self.ordering = decompose(self.graph)
         check_alignment(self.shape, self.ordering)
@@ -274,11 +282,9 @@ class WishartSpec:
         if self.scale.graph != self.graph:
             raise GraphMismatch("scale lives on a different graph")
         cones.require_qg(self.scale)
-        side = "first" if self.family in ("type1", "inv_type1") \
-            else "second"
         try:
             self.walk, self.exponents = _admissible_walk(
-                self.shape, self.ordering, self.hasse, side)
+                self.shape, self.ordering, self.hasse, self.side)
         except ShapeNotAdmissible:
             raise ShapeNotAdmissible(
                 "shape is not admissible for this family",
@@ -286,7 +292,7 @@ class WishartSpec:
         self.admissible_per_order = self.walk is self.ordering
         self.log_gamma = steps_log_gamma(self.walk.steps, self.exponents)
         self.log_h_scale = float(
-            _log_h(self.shape, self.scale.values, self.ordering)[0])
+            _log_h(self.shape, self.scale.values, self.ordering))
 
     @property
     def r(self):
@@ -300,7 +306,7 @@ class WishartSpec:
     @cached_property
     def logpdf_shape(self):
         """Exponent shape of ``log_h`` at the point in :func:`logpdf`."""
-        shift = -0.5 if self.family in ("type1", "inv_type2") else 0.5
+        shift = -0.5 if self.cone is IncompleteMatrix else 0.5
         return self.shape + size_shift(self.ordering, shift, 1)
 
     @cached_property
@@ -314,7 +320,7 @@ class WishartSpec:
         of the matrix-normal matrix the scale fixes (the row matrix
         t_cond on the first side, the column matrix T[given] on the
         second).  The arrays are read-only."""
-        first = self.family in ("type1", "inv_type1")
+        first = self.side == "first"
         values, pos = self.scale.values, self.graph.pattern.pos
         out = []
         for new, given in self.walk.steps:
@@ -334,47 +340,33 @@ class WishartSpec:
         return tuple(out)
 
 
-def logpdf(spec, point):
-    """Log density of a spec at a point of the matching cone.
+def _require_family(spec, family, message):
+    """OutOfDomain with ``message`` unless ``spec`` is of ``family``."""
+    if spec.family != family:
+        raise OutOfDomain(message, family=spec.family)
 
-    type1 and inv_type2 take incomplete matrices with positive definite
-    clique blocks; type2 and inv_type1 take sparse positive definite
-    matrices.  Points outside the cone raise OutOfSupport.  The point is
-    checked once; the kernels after the check take it as valid.
+
+def logpdf(spec, point):
+    """Log density of a spec at a point of ``spec.cone``.
+
+    Points of another type or outside the cone raise OutOfSupport.  The
+    point is checked once; the kernels after the check take it as valid.
     """
-    incomplete = spec.family in ("type1", "inv_type2")
-    if not isinstance(point, IncompleteMatrix if incomplete
-                      else SparsePrecision):
-        raise OutOfSupport("point must be " + (
-            "an incomplete matrix" if incomplete else "a sparse precision"),
-            family=spec.family)
+    if not isinstance(point, spec.cone):
+        raise OutOfSupport("point must be " + spec.cone._noun,
+                           family=spec.family)
     if point.graph != spec.graph:
         raise GraphMismatch("point lives on a different graph")
-    if incomplete:
-        try:
-            cones.require_qg(point)
-        except NotInQG as exc:
-            raise OutOfSupport(
-                "point has a non positive definite clique block",
-                **exc.context) from None
-        x = point
-    else:
-        try:
-            x = phi(point)
-        except NotInPG:
-            raise OutOfSupport(
-                "point is not positive definite") from None
-
-    if spec.family in ("type1", "inv_type1"):
+    x = cones._to_qg(point, OutOfSupport)
+    if spec.side == "first":
         pair = trace_pair(x, spec.precision)
-    elif spec.family == "type2":
-        pair = trace_pair(spec.scale, point)
     else:
-        # The packed inverse sum is precision_of(x).
-        pair = trace_pair(spec.scale, SparsePrecision._of(
+        # On the incomplete cone the packed inverse sum is precision_of(x).
+        k = point if spec.cone is SparsePrecision else SparsePrecision._of(
             spec.graph, cones._inverse_sum(x.values, spec.ordering,
-                                           spec.ordering.signs)))
-    log_h_x = _log_h(spec.logpdf_shape, x.values, spec.ordering)[0]
+                                           spec.ordering.signs))
+        pair = trace_pair(spec.scale, k)
+    log_h_x = _log_h(spec.logpdf_shape, x.values, spec.ordering)
     return float(log_h_x) - spec.log_gamma - spec.log_h_scale - pair
 
 
@@ -386,50 +378,42 @@ def logpdf_f(graph, shape_a, shape_b, scale, point, kind="first"):
     shape_b - shape_a on the second.  ``kind='second'`` lives on the
     sparse cone with a sparse scale; it needs shape_a and
     shape_a - shape_b on the first side and shape_b on the second.
+
+    The log h terms are taken at the scale, the sum and the point, mapped
+    by phi on the sparse cone.  A scale of the wrong type or graph raises
+    OutOfDomain, a point of the wrong type or outside the cone
+    OutOfSupport.
     """
     ordering = decompose(graph)
     hasse = _class_tree(graph)
-    if kind == "first":
-        if not isinstance(scale, IncompleteMatrix) or \
-                scale.graph != graph:
-            raise OutOfDomain("scale must be an incomplete matrix "
-                              "on the same graph")
+    if kind not in ("first", "second"):
+        raise OutOfDomain("unknown kind", kind=kind)
+    first = kind == "first"
+    cone = IncompleteMatrix if first else SparsePrecision
+    if not isinstance(scale, cone) or scale.graph != graph:
+        raise OutOfDomain("scale must be %s on the same graph" % cone._noun)
+    if first:
         cones.require_qg(scale)
-        if not isinstance(point, IncompleteMatrix) or \
-                point.graph != graph:
-            raise OutOfSupport("point must be an incomplete matrix")
-        try:
-            cones.require_qg(point)
-        except NotInQG:
-            raise OutOfSupport("point outside the cone") from None
+    if not isinstance(point, cone) or point.graph != graph:
+        raise OutOfSupport("point must be " + cone._noun)
+    x = cones._to_qg(point, OutOfSupport)
+    total = cone._of(graph, scale.values + point.values)
+    if first:
         lg = log_gamma_II(shape_b - shape_a, ordering, hasse) \
             - log_gamma_I(shape_a, ordering, hasse) \
             - log_gamma_II(shape_b, ordering, hasse)
-        shifted = IncompleteMatrix._of(graph, scale.values + point.values)
-        return lg - log_h(shape_b, scale, ordering) \
-            + log_h(shape_b - shape_a, shifted, ordering) \
-            + log_h(shape_a + size_shift(ordering, -0.5, 1), point,
-                    ordering)
-    if kind == "second":
-        if not isinstance(scale, SparsePrecision) or \
-                scale.graph != graph:
-            raise OutOfDomain("scale must be a sparse precision "
-                              "on the same graph")
-        if not isinstance(point, SparsePrecision) or \
-                point.graph != graph:
-            raise OutOfSupport("point must be a sparse precision")
-        try:
-            x = phi(point)
-        except NotInPG:
-            raise OutOfSupport("point outside the cone") from None
+        # The sum of two checked points has positive definite cliques.
+        terms = ((shape_b, scale), (shape_b - shape_a, total),
+                 (shape_a + size_shift(ordering, -0.5, 1), x))
+    else:
         lg = log_gamma_I(shape_a - shape_b, ordering, hasse) \
             - log_gamma_I(shape_a, ordering, hasse) \
             - log_gamma_II(shape_b, ordering, hasse)
-        shifted = SparsePrecision._of(graph, scale.values + point.values)
-        return lg - log_h(shape_a, phi(scale), ordering) \
-            + log_h(shape_a - shape_b, phi(shifted), ordering) \
-            + log_h(shape_b + size_shift(ordering, 0.5, 1), x, ordering)
-    raise OutOfDomain("unknown kind", kind=kind)
+        terms = ((shape_a, phi(scale)), (shape_a - shape_b, phi(total)),
+                 (shape_b + size_shift(ordering, 0.5, 1), x))
+    h_s, h_u, h_x = (float(_log_h(sh, m.values, ordering))
+                     for sh, m in terms)
+    return lg - h_s + h_u + h_x
 
 
 def _walk(spec, rng, n):
@@ -448,18 +432,17 @@ def _walk(spec, rng, n):
     The scale's side of every step, factors included, comes from
     ``spec.plan`` and the packed slots from ``spec.walk.step_slots``, so
     a step factors only what it drew: X[given] on the first side, the
-    conditional block on the second.  Returns the packed draws for type1
-    and inv_type2.  For type2 and inv_type1 it returns the packed
-    inverses of their completions, summed from the drawn (conditional
-    block, coefficient) pairs.  The second side needs per-order
-    admissibility, else ShapeNotAdmissible.
+    conditional block on the second.  Returns the packed draws, or on the
+    sparse cone the packed inverses of their completions, summed from the
+    drawn (conditional block, coefficient) pairs.  The second side needs
+    per-order admissibility, else ShapeNotAdmissible.
     """
-    first = spec.family in ("type1", "inv_type1")
+    first = spec.side == "first"
     if not first and not spec.admissible_per_order:
         raise ShapeNotAdmissible(
             "sampling on the second side needs per-order admissibility",
             family=spec.family)
-    precision = spec.family in ("type2", "inv_type1")
+    precision = spec.cone is SparsePrecision
     x = np.zeros((n, spec.graph.pattern.size))
     k = np.zeros_like(x) if precision else None
     for slots, p, step in zip(spec.walk.step_slots, spec.exponents,
@@ -504,13 +487,11 @@ def sample_batch(spec, rng, size):
 
 
 def sample(spec, rng, n):
-    """List of n draws wrapped in the cone type matching the family, each
-    holding its row of the walk's packed store; n must be a
-    non-negative integer, else OutOfDomain."""
+    """List of n draws wrapped in ``spec.cone``, each holding its row of
+    the walk's packed store; n must be a non-negative integer, else
+    OutOfDomain."""
     store = _walk(spec, _as_stream(rng), _draw_count(n))
-    cls = IncompleteMatrix if spec.family in ("type1", "inv_type2") \
-        else SparsePrecision
-    return [cls._of(spec.graph, row) for row in store]
+    return [spec.cone._of(spec.graph, row) for row in store]
 
 
 def _walk_mean(walk, exponents, coords, lead=()):
@@ -528,9 +509,7 @@ def _walk_mean(walk, exponents, coords, lead=()):
 def mean_type1(spec):
     """Closed-form mean of a type1 member: the expectation of the sampler
     walk, built along ``spec.walk`` from the scale's step coordinates."""
-    if spec.family != "type1":
-        raise OutOfDomain("mean_type1 needs a type1 spec",
-                          family=spec.family)
+    _require_family(spec, "type1", "mean_type1 needs a type1 spec")
     return IncompleteMatrix._of(
         spec.graph, _walk_mean(spec.walk, spec.exponents, spec.plan))
 
@@ -538,9 +517,7 @@ def mean_type1(spec):
 def mean_type2(spec):
     """Closed-form mean of a type2 member: padded inverse scale blocks
     weighted by the shape, cliques negative and separators positive."""
-    if spec.family != "type2":
-        raise OutOfDomain("mean_type2 needs a type2 spec",
-                          family=spec.family)
+    _require_family(spec, "type2", "mean_type2 needs a type2 spec")
     ordering = spec.ordering
     return SparsePrecision._of(spec.graph, cones._inverse_sum(
         spec.scale.values, ordering, _weights(-spec.shape, ordering)))
@@ -556,21 +533,12 @@ def laplace(spec, t):
     """
     tv = cones.project(t, spec.graph).values
     if spec.family == "type1":
-        try:
-            x = phi(SparsePrecision._of(spec.graph,
-                                        spec.precision.values - tv))
-        except NotInPG:
-            raise OutOfDomain(
-                "shifted precision leaves the cone") from None
+        shifted = SparsePrecision._of(spec.graph, spec.precision.values - tv)
     elif spec.family == "type2":
-        x = IncompleteMatrix._of(spec.graph, spec.scale.values - tv)
-        try:
-            cones.require_qg(x)
-        except NotInQG:
-            raise OutOfDomain(
-                "shifted scale leaves the cone") from None
+        shifted = IncompleteMatrix._of(spec.graph, spec.scale.values - tv)
     else:
         raise OutOfDomain("laplace transform implemented for type1 and "
                           "type2 only", family=spec.family)
-    return float(_log_h(spec.shape, x.values, spec.ordering)[0]) \
+    x = cones._to_qg(shifted, OutOfDomain)
+    return float(_log_h(spec.shape, x.values, spec.ordering)) \
         - spec.log_h_scale

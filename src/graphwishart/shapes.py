@@ -135,10 +135,7 @@ def _weights(shape, ordering):
 
 def _log_h(shape, values, ordering):
     """Batch-first log h over packed (..., r + |E|) arrays laid out by
-    the graph's pattern.
-
-    Returns the value and whether every block determinant is positive.
-    """
+    the graph's pattern."""
     return _logdet_sum(values, ordering, _weights(shape, ordering))
 
 
@@ -152,7 +149,7 @@ def log_h(shape, x, ordering=None):
     ordering = ordering or decompose(x.graph)
     check_alignment(shape, ordering)
     _require_pd_cliques(x.values, ordering)
-    return float(_log_h(shape, x.values, ordering)[0])
+    return float(_log_h(shape, x.values, ordering))
 
 
 def canonical_shape(kind, ordering, value):

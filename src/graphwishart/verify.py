@@ -19,13 +19,13 @@ from .distributions import (
     WishartSpec,
     _as_stream,
     _mc_draws,
+    _require_family,
     _walk,
     _walk_mean,
     log_inv_wishart_pdf,
     log_matrix_normal_pdf,
     logpdf,
     sample_base_wishart,
-    sample_batch,  # noqa: F401  (unused; tests/test_verify.py patches it)
 )
 from .errors import (
     DegenerateWeights,
@@ -174,7 +174,7 @@ def a4_closed_form(kind, shape, scale):
 def _log_h_batch(shape, batch, ordering):
     """Vectorized determinant power product over a packed draw batch
     (n, r + |E|)."""
-    return shapes._log_h(shape, batch, ordering)[0]
+    return shapes._log_h(shape, batch, ordering)
 
 
 def _hyper_candidates(shape, ordering):
@@ -298,9 +298,8 @@ def check_factorization(spec, point):
     the sum of the log densities of its regression blocks minus the
     log Jacobian of the block coordinates.
     """
-    if spec.family != "inv_type2":
-        raise OutOfDomain("factorization check needs an inv_type2 spec",
-                          family=spec.family)
+    _require_family(spec, "inv_type2",
+                    "factorization check needs an inv_type2 spec")
     ordering = spec.ordering
     joint = logpdf(spec, point)
     bx = split_blocks(point, ordering).parts
@@ -330,9 +329,7 @@ def check_mean426(spec, rng, n):
     first-side walk mean at its step coordinates and the shape shifted
     by (size + 1) / 2.
     """
-    if spec.family != "type2":
-        raise OutOfDomain("identity check needs a type2 spec",
-                          family=spec.family)
+    _require_family(spec, "type2", "identity check needs a type2 spec")
     rng = _as_stream(rng)
     n = _mc_draws(n)
     ordering = spec.ordering

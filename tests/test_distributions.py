@@ -82,6 +82,40 @@ def _count_clique_checks(monkeypatch):
     return calls
 
 
+class TestFamilyTable:
+    """The four laws form a 2 x 2 table: a side (the shape conditions and
+    the sampler walk) and a cone the points live on."""
+
+    @pytest.mark.parametrize("family, side, cone", [
+        ("type1", "first", IncompleteMatrix),
+        ("type2", "second", SparsePrecision),
+        ("inv_type1", "first", SparsePrecision),
+        ("inv_type2", "second", IncompleteMatrix)])
+    def test_side_and_cone(self, family, side, cone, g0):
+        spec = _spec(g0, family)
+        assert (spec.side, spec.cone) == (side, cone)
+        draws = sample(spec, RngStream(20), 2)
+        assert all(type(d) is cone for d in draws)
+        other = SparsePrecision if cone is IncompleteMatrix \
+            else IncompleteMatrix
+        with pytest.raises(OutOfSupport) as err:
+            logpdf(spec, other(g0, draws[0].data))
+        assert err.value.context == {"family": family}
+        bad = draws[0].data.copy()
+        bad[2, 2] = -1.0  # vertex 3 lies only in the clique {1, 2, 3}
+        with pytest.raises(OutOfSupport) as err:
+            logpdf(spec, cone(g0, bad))
+        assert err.value.context == (
+            {"clique": [1, 2, 3]} if cone is IncompleteMatrix else {})
+
+    @pytest.mark.parametrize("family", ["type3", ["type1"], None])
+    def test_unknown_family(self, family, a4, a4_ord):
+        with pytest.raises(OutOfDomain) as err:
+            WishartSpec(a4, canonical_shape("hyper", a4_ord, 1.5),
+                        project(np.eye(4), a4), family)
+        assert err.value.context == {"family": family}
+
+
 class TestBaseWishart:
 
     def test_scalar_gamma_mean(self):
@@ -520,6 +554,49 @@ class TestFDensity:
                            IncompleteMatrix(K1, np.array([[x]])))
             ref = stats.betaprime.logpdf(x, a, -ap)
             assert got == pytest.approx(ref, abs=1e-10)
+
+    @pytest.mark.parametrize("kind", ["first", "second"])
+    def test_error_paths(self, kind, a4, a4_ord):
+        """A scale of the wrong type or graph is OutOfDomain, a point of
+        the wrong type or outside the cone OutOfSupport, and so is an
+        unknown kind OutOfDomain; each comes before any shape check."""
+        cone, other = (IncompleteMatrix, SparsePrecision) \
+            if kind == "first" else (SparsePrecision, IncompleteMatrix)
+        star = parse_graph({"n": 4, "edges": [[1, 2], [1, 3], [1, 4]]})
+        shape = canonical_shape("hyper", a4_ord, 1.5)
+        good = cone(a4, np.eye(4))
+        bad = np.eye(4)
+        bad[0, 0] = -1.0  # vertex 1 lies only in the clique {1, 2}
+
+        def call(scale, point, kind=kind):
+            return logpdf_f(a4, shape, shape, scale, point, kind)
+
+        for scale in (other(a4, np.eye(4)), cone(star, np.eye(4))):
+            with pytest.raises(OutOfDomain):
+                call(scale, good)
+        for point in (other(a4, np.eye(4)), cone(star, np.eye(4))):
+            with pytest.raises(OutOfSupport):
+                call(good, point)
+        with pytest.raises(OutOfSupport) as err:
+            call(good, cone(a4, bad))
+        assert err.value.context == (
+            {"clique": [1, 2]} if kind == "first" else {})
+        with pytest.raises(OutOfDomain) as err:
+            call(good, good, "third")
+        assert err.value.context == {"kind": "third"}
+
+    def test_two_clique_checks_per_first_kind_call(self, g0, g0_ord,
+                                                   monkeypatch):
+        """The scale and the point are checked once each; the sum of two
+        checked points is not checked again."""
+        rng = np.random.default_rng(22)
+        args = (g0, canonical_shape("hyper", g0_ord, 2.0),
+                canonical_shape("gwishart", g0_ord, 3.0),
+                random_qg(g0, rng), random_qg(g0, rng))
+        logpdf_f(*args)
+        calls = _count_clique_checks(monkeypatch)
+        assert np.isfinite(logpdf_f(*args))
+        assert len(calls) == 2
 
     def test_difference_shape_guard(self, a4, a4_ord):
         good = canonical_shape("hyper", a4_ord, 1.0)
