@@ -22,7 +22,7 @@ from .cones import (
     trace_pair,
 )
 from .distributions import (WishartSpec, _as_stream, _mc_draws,
-                            _require_family, _walk, mean_type2)
+                            _precision_mean, _require_family, _walk)
 from .errors import (
     ColumnMismatch,
     NonNumeric,
@@ -145,23 +145,21 @@ def log_likelihood(sigma2, sample):
 def posterior_summaries(post, rng=None, n_draws=4000):
     """Posterior summaries of the covariance and precision.
 
-    The precision mean is closed form; the covariance mean (not linear in
-    the data) and its standard error are Monte Carlo over the walk's
-    packed draws.  The record is on the covariance scale, halving the
-    draws of the underlying parameter; ``sigma_se`` is dense, zero off
-    the pattern.
+    The precision mean is closed form at the posterior's own shape and
+    scale; the covariance mean (not linear in the data) and its standard
+    error are Monte Carlo over the walk's packed draws.  The record is
+    on the covariance scale, halving the draws of the underlying
+    parameter; ``sigma_se`` is dense, zero off the pattern.
     """
     _require_family(post, "inv_type2",
                     "posterior must be an inv_type2 spec")
-    type2 = WishartSpec(post.graph, post.shape, post.scale, "type2",
-                        ordering=post.ordering)
-    prec_mean = mean_type2(type2).values
     out = {
         "shape": post.shape,
         "scale": post.scale,
         # The parameter is twice the covariance: its inverse is half the
         # covariance precision.
-        "precision_mean": SparsePrecision._of(post.graph, 2.0 * prec_mean),
+        "precision_mean": SparsePrecision._of(post.graph,
+                                              2.0 * _precision_mean(post)),
     }
     if rng is not None:
         n_draws = _mc_draws(n_draws, "n_draws")

@@ -11,6 +11,7 @@ entries of the pattern.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -76,18 +77,33 @@ class RngStream:
     """Counter-based random stream, reproducible across platforms.
 
     A (seed, substream) pair keys a Philox generator; distinct
-    substreams of one seed are statistically independent.
+    substreams of one seed are statistically independent.  Both must be
+    integers in [0, 2**63), else OutOfDomain naming the field.
     """
 
     def __init__(self, seed, substream=0):
-        self.seed = int(seed)
-        self.substream = int(substream)
+        self.seed = _philox_word(seed, "seed")
+        self.substream = _philox_word(substream, "substream")
         self.gen = np.random.Generator(
             np.random.Philox(key=[self.seed, self.substream]))
 
     def spawn(self, substream):
         """Independent stream under the same seed."""
         return RngStream(self.seed, substream)
+
+
+def _philox_word(value, name):
+    """``value`` as an int in [0, 2**63), one word of a Philox key, so
+    that distinct values give distinct keys; OutOfDomain naming ``name``
+    otherwise."""
+    try:
+        k = operator.index(value)
+    except TypeError:
+        k = -1
+    if not 0 <= k < 2 ** 63:
+        raise OutOfDomain(name + " must be an integer in [0, 2**63)",
+                          **{name: repr(value)})
+    return k
 
 
 def _as_stream(rng):
@@ -349,7 +365,9 @@ def _require_family(spec, family, message):
 def logpdf(spec, point):
     """Log density of a spec at a point of ``spec.cone``.
 
-    Points of another type or outside the cone raise OutOfSupport.  The
+    Points of another type or outside the cone raise OutOfSupport, and
+    so does a point whose clique check passes but whose log density is not
+    finite: a clique block that is singular in floating point.  The
     point is checked once; the kernels after the check take it as valid.
     """
     if not isinstance(point, spec.cone):
@@ -367,7 +385,11 @@ def logpdf(spec, point):
                                            spec.ordering.signs))
         pair = trace_pair(spec.scale, k)
     log_h_x = _log_h(spec.logpdf_shape, x.values, spec.ordering)
-    return float(log_h_x) - spec.log_gamma - spec.log_h_scale - pair
+    value = float(log_h_x) - spec.log_gamma - spec.log_h_scale - pair
+    if not math.isfinite(value):
+        raise OutOfSupport("point is singular in floating point",
+                           family=spec.family)
+    return value
 
 
 def logpdf_f(graph, shape_a, shape_b, scale, point, kind="first"):
@@ -416,7 +438,7 @@ def logpdf_f(graph, shape_a, shape_b, scale, point, kind="first"):
     return lg - h_s + h_u + h_x
 
 
-def _walk(spec, rng, n):
+def _walk(spec, rng, n, precision=False):
     """Draws on the incomplete cone, one ``(new, given)`` step at a time,
     in a packed store (n, r + |E|) laid out by ``spec.graph.pattern``.
 
@@ -432,9 +454,9 @@ def _walk(spec, rng, n):
     The scale's side of every step, factors included, comes from
     ``spec.plan`` and the packed slots from ``spec.walk.step_slots``, so
     a step factors only what it drew: X[given] on the first side, the
-    conditional block on the second.  Returns the packed draws, or on the
-    sparse cone the packed inverses of their completions, summed from the
-    drawn (conditional block, coefficient) pairs.  The second side needs
+    conditional block on the second.  Returns the packed draws, or with
+    ``precision`` the packed inverses of their completions, summed from
+    the drawn pairs without more random numbers.  The second side needs
     per-order admissibility, else ShapeNotAdmissible.
     """
     first = spec.side == "first"
@@ -442,7 +464,6 @@ def _walk(spec, rng, n):
         raise ShapeNotAdmissible(
             "sampling on the second side needs per-order admissibility",
             family=spec.family)
-    precision = spec.cone is SparsePrecision
     x = np.zeros((n, spec.graph.pattern.size))
     k = np.zeros_like(x) if precision else None
     for slots, p, step in zip(spec.walk.step_slots, spec.exponents,
@@ -481,16 +502,24 @@ def sample_batch(spec, rng, size):
     pattern.  For type2 and inv_type1 the entries are the sparse matrix
     itself, the inverse of the completion.  ``size`` must be a
     non-negative integer (0 gives an empty array), else OutOfDomain.
+
+    A step exponent near 0 draws a conditional block far below the
+    rounding of the regression term it is added to, so a draw can be
+    singular in floating point.  :func:`logpdf` of any draw returns a
+    finite value or raises OutOfSupport.
     """
-    store = _walk(spec, _as_stream(rng), _draw_count(size))
+    store = _walk(spec, _as_stream(rng), _draw_count(size),
+                  spec.cone is SparsePrecision)
     return cones._scatter(store, spec.graph.pattern)
 
 
 def sample(spec, rng, n):
     """List of n draws wrapped in ``spec.cone``, each holding its row of
     the walk's packed store; n must be a non-negative integer, else
-    OutOfDomain."""
-    store = _walk(spec, _as_stream(rng), _draw_count(n))
+    OutOfDomain.  As for :func:`sample_batch`, :func:`logpdf` of a draw
+    returns a finite value or raises OutOfSupport."""
+    store = _walk(spec, _as_stream(rng), _draw_count(n),
+                  spec.cone is SparsePrecision)
     return [spec.cone._of(spec.graph, row) for row in store]
 
 
@@ -514,13 +543,17 @@ def mean_type1(spec):
         spec.graph, _walk_mean(spec.walk, spec.exponents, spec.plan))
 
 
+def _precision_mean(spec):
+    """Packed type2 mean at a spec's shape and scale: padded inverse scale
+    blocks weighted by the shape, cliques negative, separators positive."""
+    return cones._inverse_sum(spec.scale.values, spec.ordering,
+                              _weights(-spec.shape, spec.ordering))
+
+
 def mean_type2(spec):
-    """Closed-form mean of a type2 member: padded inverse scale blocks
-    weighted by the shape, cliques negative and separators positive."""
+    """Closed-form mean of a type2 member, :func:`_precision_mean`."""
     _require_family(spec, "type2", "mean_type2 needs a type2 spec")
-    ordering = spec.ordering
-    return SparsePrecision._of(spec.graph, cones._inverse_sum(
-        spec.scale.values, ordering, _weights(-spec.shape, ordering)))
+    return SparsePrecision._of(spec.graph, _precision_mean(spec))
 
 
 def laplace(spec, t):

@@ -8,7 +8,7 @@ routes is the main correctness evidence for the package.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -173,7 +173,8 @@ def a4_closed_form(kind, shape, scale):
 
 def _log_h_batch(shape, batch, ordering):
     """Vectorized determinant power product over a packed draw batch
-    (n, r + |E|)."""
+    (n, r + |E|).  A named function so that the benchmark's tracer
+    (``perfbench/spans.py``) can count rejected candidates through it."""
     return shapes._log_h(shape, batch, ordering)
 
 
@@ -324,16 +325,15 @@ def check_mean426(spec, rng, n):
     and returns the sup-norm residual against the negated rate with
     the standard error of the worst entry.
 
-    The draws x = phi(K) are the packed walk store of the ``inv_type2``
-    twin (same steps, same random numbers).  Each draw's sum is the
-    first-side walk mean at its step coordinates and the shape shifted
-    by (size + 1) / 2.
+    The draws x = phi(K) are the walk's packed store on the incomplete
+    cone.  Each draw's sum is the first-side walk mean at its step
+    coordinates and the shape shifted by (size + 1) / 2.
     """
     _require_family(spec, "type2", "identity check needs a type2 spec")
     rng = _as_stream(rng)
     n = _mc_draws(n)
     ordering = spec.ordering
-    x = _walk(replace(spec, family="inv_type2"), rng, n)
+    x = _walk(spec, rng, n)
     pos = spec.graph.pattern.pos
     exps = step_exponents(spec.shape + size_shift(ordering, 0.5, 1),
                           ordering, "first")

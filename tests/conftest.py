@@ -116,6 +116,21 @@ def nested_star(hubs, leaves):
     return {"n": v - 1, "edges": edges}
 
 
+def count_spec_builds(monkeypatch):
+    """List that gets the family of every ``WishartSpec`` built."""
+    from graphwishart import WishartSpec
+
+    builds = []
+    real = WishartSpec.__post_init__
+
+    def counted(self):
+        builds.append(self.family)
+        real(self)
+
+    monkeypatch.setattr(WishartSpec, "__post_init__", counted)
+    return builds
+
+
 def random_qg(graph, rng, jitter=0.0):
     """Random incomplete matrix with positive definite clique blocks,
     built by projecting a dense positive definite matrix."""

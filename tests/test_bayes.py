@@ -28,7 +28,7 @@ from graphwishart import (
     sample_batch,
 )
 
-from conftest import random_qg
+from conftest import count_spec_builds, random_qg
 
 K1 = parse_graph({"n": 1, "edges": []})
 
@@ -205,6 +205,25 @@ class TestPosteriorSummaries:
                               batch.mean(axis=0)[p.rows, p.cols])
         assert np.array_equal(out["sigma_se"],
                               batch.std(axis=0, ddof=1) / np.sqrt(300))
+
+    @pytest.mark.parametrize("graph", ["a4", "fig1"])
+    def test_precision_mean_from_own_spec(self, graph, request,
+                                          monkeypatch):
+        """posterior_summaries builds no spec; its precision mean is, bit
+        for bit, twice mean_type2 of the type2 spec at the posterior's
+        shape, scale and order."""
+        g = request.getfixturevalue(graph)
+        o = decompose(g)
+        post = WishartSpec(g, canonical_shape("gwishart", o, 3.0),
+                           random_qg(g, np.random.default_rng(4)),
+                           "inv_type2")
+        builds = count_spec_builds(monkeypatch)
+        out = posterior_summaries(post, RngStream(5), n_draws=50)
+        assert builds == []
+        type2 = WishartSpec(g, post.shape, post.scale, "type2",
+                            ordering=post.ordering)
+        assert np.array_equal(out["precision_mean"].values,
+                              2 * mean_type2(type2).values)
 
     def test_precision_mean_against_sampling(self, a4):
         prior = a4_prior(a4)

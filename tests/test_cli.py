@@ -219,6 +219,19 @@ class TestDistCommands:
         assert doc["code"] == "out_of_domain"
         assert doc["context"] == {"size": "-1"}
 
+    @pytest.mark.parametrize("seed", ["18446744073709551616",
+                                      "18446744073709551615", "-1"])
+    def test_sample_seed_outside_the_range_is_domain_error(
+            self, seed, shape_file, scale_file, capsys):
+        code, out = invoke(["dist", "sample", "--family", "type1",
+                            "--shape", shape_file,
+                            "--scale", scale_file,
+                            "--n", "1", "--seed", seed], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["code"] == "out_of_domain"
+        assert doc["context"] == {"seed": seed}
+
     def test_sample_roundtrip_into_logpdf(self, tmp_path, shape_file,
                                           scale_file, capsys):
         code, out = invoke(["dist", "sample", "--family", "type1",

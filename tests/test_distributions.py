@@ -116,6 +116,29 @@ class TestFamilyTable:
         assert err.value.context == {"family": family}
 
 
+class TestRngStream:
+
+    @pytest.mark.parametrize("field", ["seed", "substream"])
+    @pytest.mark.parametrize("value", [2 ** 64, 2 ** 64 - 1, 2 ** 63, -1,
+                                       -2 ** 63, 2.9, "3", None])
+    def test_seed_outside_the_range_is_domain_error(self, field, value):
+        """A seed or substream must be an integer in [0, 2**63): no
+        overflow, no cast warning, no wrap onto another stream and no
+        silent truncation."""
+        args = {"seed": 1, "substream": 0, field: value}
+        with pytest.raises(OutOfDomain) as err:
+            RngStream(**args)
+        assert err.value.context == {field: repr(value)}
+
+    def test_seed_inside_the_range(self):
+        top = RngStream(2 ** 63 - 1, 2 ** 63 - 1)
+        assert (top.seed, top.substream) == (2 ** 63 - 1, 2 ** 63 - 1)
+        assert RngStream(np.int64(5)).seed == 5
+        draws = [RngStream(s).gen.random(4) for s in (0, 2 ** 63 - 1)]
+        assert not np.array_equal(*draws)
+        assert RngStream(7).spawn(2 ** 63 - 1).substream == 2 ** 63 - 1
+
+
 class TestBaseWishart:
 
     def test_scalar_gamma_mean(self):
@@ -604,6 +627,42 @@ class TestFDensity:
         with pytest.raises(ShapeNotAdmissible):
             logpdf_f(a4, good, bad_prime, project(np.eye(4), a4),
                      project(np.eye(4), a4))
+
+
+class TestNearZeroStepExponent:
+
+    def test_logpdf_of_draws_is_finite_or_out_of_support(self):
+        """With one type1 step exponent at 1e-3 on banded r=60, a draw's
+        conditional block is lost in rounding and its clique can be
+        singular in floating point.  logpdf of every draw, from sample
+        and sample_batch, returns a finite value or raises OutOfSupport,
+        never anything else."""
+        r = 60
+        g = parse_graph({"n": r, "edges": [
+            [i, j] for i in range(1, r + 1)
+            for j in range(i + 1, min(r, i + 4) + 1)]})
+        o = decompose(g)
+        j = o.k // 2
+        alpha = [2.5] * o.k
+        alpha[j] = len(o.steps[j][1]) / 2.0 + 1e-3
+        beta = [sum(alpha[c] for c in o.occurrences[i]) / o.multiplicity[i]
+                for i in range(o.k_prime)]
+        beta[o.sep_index[0]] = 1.0
+        dense = 2.0 * np.eye(r) + 0.3 * (np.eye(r, k=1) + np.eye(r, k=-1))
+        spec = WishartSpec(g, ShapeParam(tuple(alpha), tuple(beta)),
+                           project(dense, g), "type1")
+        assert spec.walk is o
+        assert min(spec.exponents) == pytest.approx(1e-3)
+        points = sample(spec, RngStream(1), 20) + [
+            IncompleteMatrix(g, d)
+            for d in sample_batch(spec, RngStream(2), 20)]
+        outcomes = []
+        for x in points:
+            try:
+                outcomes.append(math.isfinite(logpdf(spec, x)))
+            except OutOfSupport:
+                outcomes.append("out of support")
+        assert False not in outcomes
 
 
 class TestLargeClassTreeDraws:

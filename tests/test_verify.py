@@ -29,7 +29,11 @@ from graphwishart import (
     sample_batch,
 )
 
-from conftest import random_second_admissible
+from graphwishart.cones import _regress
+from graphwishart.distributions import _walk_mean
+from graphwishart.shapes import size_shift, step_exponents
+
+from conftest import count_spec_builds, random_qg, random_second_admissible
 
 K1 = parse_graph({"n": 1, "edges": []})
 
@@ -323,6 +327,35 @@ class TestMean426:
                            "type2", ordering=ordering)
         est = check_mean426(spec, RngStream(13), 100000)
         assert est.value < 4 * est.std_error
+
+    @pytest.mark.parametrize("r, w", [(4, 1), (20, 3)],
+                             ids=["path-4", "banded-20"])
+    def test_walks_the_spec_it_is_given(self, r, w, monkeypatch):
+        """check_mean426 builds no spec, and its value and standard error
+        equal, bit for bit, the computation on the inv_type2 twin: the
+        twin's draws read on the pattern, regressed step by step, and
+        filled at the shape shifted by (size + 1) / 2."""
+        g = parse_graph({"n": r, "edges": [
+            [i, j] for i in range(1, r + 1)
+            for j in range(i + 1, min(r, i + w) + 1)]})
+        o = decompose(g)
+        rng = np.random.default_rng(3)
+        shape, scale = random_second_admissible(o, rng), random_qg(g, rng)
+        spec = WishartSpec(g, shape, scale, "type2")
+        builds = count_spec_builds(monkeypatch)
+        est = check_mean426(spec, RngStream(16), 200)
+        assert builds == []
+
+        p = g.pattern
+        twin = WishartSpec(g, shape, scale, "inv_type2")
+        x = sample_batch(twin, RngStream(16), 200)[:, p.rows, p.cols]
+        exps = step_exponents(shape + size_shift(o, 0.5, 1), o, "first")
+        per_draw = _walk_mean(o, exps, [_regress(x, p.pos, new, given)
+                                        for new, given in o.steps], (200,))
+        resid = np.abs(-scale.values - per_draw.mean(axis=0))
+        se = per_draw.std(axis=0, ddof=1) / math.sqrt(200)
+        assert np.array_equal(est.value, resid.max())
+        assert np.array_equal(est.std_error, se[np.argmax(resid)])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2.5, "3"])
