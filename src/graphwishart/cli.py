@@ -361,13 +361,16 @@ def _cmd_verify_normalizer(args):
                           + log_h(shape, scale, ordering))
     except GraphWishartError:
         closed = None
+    except OverflowError:
+        closed = math.inf
     verdict = None if closed is None else \
         _within(est.value - closed, 3.0, est.std_error)
     _emit({
         "seed": args.seed, "kind": kind, "n": est.n_draws,
         "estimate": est.value, "std_error": est.std_error,
         "closed_form": closed, "within_3_se": verdict,
-        "proposal": list(est.proposal),
+        "proposal": list(est.proposal), "ess": est.ess,
+        "max_weight_share": est.max_weight_share,
     }, args.output)
     return 0
 

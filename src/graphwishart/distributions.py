@@ -136,14 +136,19 @@ def _cholesky(a, what):
             what + " is not positive definite") from None
 
 
-def _bartlett(left, p, rng, n):
+def _bartlett(left, p, rng, n, tally=None, weight=0.0):
     """n Wishart draws (n, r, r) of shape p whose scale has the lower
     Cholesky factor ``left``: left T T^T left^T with T the Bartlett
-    factor, sqrt Gamma(p - i/2) on the diagonal and N(0, 1/2) below."""
+    factor, sqrt Gamma(p - i/2) on the diagonal and N(0, 1/2) below.
+    A nonzero ``weight`` times log det T T^T, the sum of the log gamma
+    variates, is added to ``tally`` (n,) in place."""
     r = left.shape[0]
     t = np.zeros((n, r, r))
     for i in range(r):
-        t[:, i, i] = np.sqrt(rng.gen.gamma(p - i / 2.0, 1.0, size=n))
+        g = rng.gen.gamma(p - i / 2.0, 1.0, size=n)
+        t[:, i, i] = np.sqrt(g)
+        if weight:
+            tally += weight * np.log(g)
     if r > 1:
         rows, cols = np.tril_indices(r, -1)
         t[:, rows, cols] = rng.gen.normal(
@@ -438,7 +443,12 @@ def logpdf_f(graph, shape_a, shape_b, scale, point, kind="first"):
     return lg - h_s + h_u + h_x
 
 
-def _walk(spec, rng, n, precision=False):
+def _logdet(chol):
+    """log det of L L^T from a (stack of) lower Cholesky factor(s) L."""
+    return 2.0 * np.log(np.diagonal(chol, 0, -2, -1)).sum(-1)
+
+
+def _walk(spec, rng, n, precision=False, weights=None):
     """Draws on the incomplete cone, one ``(new, given)`` step at a time,
     in a packed store (n, r + |E|) laid out by ``spec.graph.pattern``.
 
@@ -458,6 +468,13 @@ def _walk(spec, rng, n, precision=False):
     ``precision`` the packed inverses of their completions, summed from
     the drawn pairs without more random numbers.  The second side needs
     per-order admissibility, else ShapeNotAdmissible.
+
+    With ``weights``, a pair (a, b) per step from
+    :func:`shapes._step_weights` (``spec.walk`` must be a clique order),
+    returns ``(store, tally)``: the same store and each draw's log h,
+    the sum of a log det cond + b log det X[given] from the step's gamma
+    variates and Wishart factor (negated on the second side) and the
+    Cholesky factor of X[given], which the second side takes where b != 0.
     """
     first = spec.side == "first"
     if not first and not spec.admissible_per_order:
@@ -466,24 +483,35 @@ def _walk(spec, rng, n, precision=False):
             family=spec.family)
     x = np.zeros((n, spec.graph.pattern.size))
     k = np.zeros_like(x) if precision else None
-    for slots, p, step in zip(spec.walk.step_slots, spec.exponents,
-                              spec.plan):
+    tally = None if weights is None else np.zeros(n)
+    sign = 1.0 if first else -1.0
+    for slots, p, step, (a, b) in zip(
+            spec.walk.step_slots, spec.exponents, spec.plan,
+            weights or ((0.0, 0.0),) * len(spec.plan)):
         if step is None:
             continue
         _, t_ratio, w_left, side = step
         x_given = x[:, slots.given]
-        wishart = _bartlett(w_left, p, rng, n)
+        wishart = _bartlett(w_left, p, rng, n, tally, sign * a)
+        if a:
+            tally += sign * a * _logdet(w_left)
         cond = wishart if first else np.linalg.inv(wishart)
         ratio = t_ratio
         if t_ratio.size:
             drawn = _cholesky(x_given if first else cond, "drawn block")
             lu, lv = (side, drawn) if first else (drawn, side)
             ratio = _matrix_normal(t_ratio, lu, lv, rng, n)
+            if b:
+                if not first:  # a 1x1 block's Cholesky factor is its root
+                    drawn = np.sqrt(x_given) if t_ratio.shape[1] == 1 \
+                        else _cholesky(x_given, "drawn block")
+                tally += b * _logdet(drawn)
         cones._place(x, slots, cond, ratio, x_given)
         if precision:
             cond_inv = np.linalg.inv(cond) if first else wishart
             cones._add_step_precision(k, slots, cond_inv, ratio)
-    return k if precision else x
+    out = k if precision else x
+    return out if tally is None else (out, tally)
 
 
 def _mc_draws(n, field="n"):

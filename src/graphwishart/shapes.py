@@ -133,6 +133,22 @@ def _weights(shape, ordering):
                  zip(ordering.signs, shape.alpha + shape.beta))
 
 
+def _step_weights(shape, ordering):
+    """Weights ``(a, b)`` per step of ``ordering.steps``: log h is the sum
+    of a log det cond + b log det x_given, as det x_C = det cond det x_S.
+    Each distinct separator is taken once with the weights of the
+    cliques given it: S2 at step 0 (which draws it, so with the first
+    clique's too), any other at its first occurrence."""
+    w = _weights(shape, ordering)
+    sep = list(w[ordering.k:])
+    for j, i in enumerate(ordering.sep_index, 1):
+        sep[i] += w[j]
+    head = sep[ordering.sep_index[0]] if ordering.separators else 0.0
+    return ((head + w[0], 0.0), (w[0], 0.0)) + tuple(
+        (w[j], sep[i] if ordering.occurrences[i][0] == j > 1 else 0.0)
+        for j, i in enumerate(ordering.sep_index, 1))
+
+
 def _log_h(shape, values, ordering):
     """Batch-first log h over packed (..., r + |E|) arrays laid out by
     the graph's pattern."""

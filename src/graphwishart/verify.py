@@ -50,10 +50,17 @@ __all__ = [
     "check_mean426",
 ]
 
+# Log of the largest float: a weight above it overflows.
+_LOG_MAX = math.log(np.finfo(float).max)
+
 
 @dataclass
 class McEstimate:
-    """Monte Carlo result with its standard error and provenance."""
+    """Monte Carlo result with its standard error and provenance.
+
+    An importance-sampling estimate also gives the Kish effective
+    sample size ``ess`` of its weights and the largest weight's share
+    of their sum, ``max_weight_share``; both are None otherwise."""
 
     value: float
     std_error: float
@@ -62,6 +69,8 @@ class McEstimate:
     substream: int = 0
     proposal: object = None
     contributions: object = None
+    ess: float = None
+    max_weight_share: float = None
 
 
 def _series_2f1(a, b, c, z, tol=1e-15, max_terms=100000):
@@ -171,11 +180,19 @@ def a4_closed_form(kind, shape, scale):
     raise OutOfDomain("kind must be 'I' or 'II'", kind=kind)
 
 
-def _log_h_batch(shape, batch, ordering):
-    """Vectorized determinant power product over a packed draw batch
-    (n, r + |E|).  A named function so that the benchmark's tracer
-    (``perfbench/spans.py``) can count rejected candidates through it."""
-    return shapes._log_h(shape, batch, ordering)
+def _log_h_batch(spec, shape, rng, n):
+    """Log weights (n,), log h of ``shape - spec.shape``, of n draws of
+    ``spec``, tallied by the walk as it draws (defined along a clique
+    order; every canonical candidate of :func:`mc_normalizer` walks
+    ``spec.ordering``).  The name stays because the benchmark's tracer
+    (``perfbench/spans.py``) counts rejected candidates through it."""
+    weights = shapes._step_weights(shape - spec.shape, spec.ordering)
+    return _walk(spec, rng, n, weights=weights)[1]
+
+
+def _ess(w):
+    """Kish effective sample size of weights ``w``."""
+    return float(w.sum() ** 2 / (w * w).sum())
 
 
 def _hyper_candidates(shape, ordering):
@@ -206,7 +223,12 @@ def mc_normalizer(kind, graph, ordering, shape, scale, rng, n,
     one-parameter family at the same scale, whose normalizer is known,
     and the proposal parameter is picked by effective sample size on a
     pilot run.  Weights that collapse on every candidate raise
-    DegenerateWeights.
+    DegenerateWeights, and so does a final run whose largest weight
+    overflows the float range, with its log in the context.
+
+    Every run takes its log weights from the walk's own factors
+    (:func:`_log_h_batch`), with no ``slogdet`` of a draw.  The result
+    carries the final run's ESS and largest weight share.
     """
     rng = _as_stream(rng)
     n = _mc_draws(n)
@@ -226,39 +248,37 @@ def mc_normalizer(kind, graph, ordering, shape, scale, rng, n,
     best = None
     for i, v in enumerate(cands):
         try:
-            prop = make(v)
-            spec = WishartSpec(graph, prop, scale, family,
+            spec = WishartSpec(graph, make(v), scale, family,
                                ordering=ordering)
         except GraphWishartError:
             continue
-        pilot = _walk(spec, rng.spawn(10_000 + i), n_pilot)
-        logw = _log_h_batch(shape - prop, pilot, ordering)
+        logw = _log_h_batch(spec, shape, rng.spawn(10_000 + i), n_pilot)
         if not np.all(np.isfinite(logw)):
             continue
-        w = np.exp(logw - logw.max())
-        ess = float(w.sum() ** 2 / (w * w).sum())
+        ess = _ess(np.exp(logw - logw.max()))
         if best is None or ess > best[0]:
-            best = (ess, v, prop, spec)
+            best = (ess, v, spec)
     if best is None or best[0] < 0.01 * n_pilot:
         raise DegenerateWeights(
             "no proposal achieved a workable effective sample size",
             best_ess=None if best is None else best[0],
             pilot=n_pilot)
-    _, v, prop, spec = best
+    _, v, spec = best
 
-    draws = _walk(spec, rng, n)
-    logw = _log_h_batch(shape - prop, draws, ordering)
-    if not np.all(np.isfinite(logw)):
+    logw = _log_h_batch(spec, shape, rng, n)
+    top = float(logw.max()) + spec.log_gamma + spec.log_h_scale
+    if not (np.all(np.isfinite(logw)) and top < _LOG_MAX):
         raise DegenerateWeights(
             "importance weights overflowed on the final run",
-            proposal=v)
-    contrib = np.exp(logw + (spec.log_gamma + spec.log_h_scale))
-    value = float(contrib.mean())
-    se = float(contrib.std(ddof=1) / math.sqrt(n))
-    return McEstimate(value, se, n, rng.seed, rng.substream,
-                      proposal=(family, v),
-                      contributions=contrib if keep_contributions
-                      else None)
+            proposal=v, log_max_weight=top)
+    w = np.exp(logw - logw.max())
+    peak = math.exp(top)
+    return McEstimate(peak * float(w.mean()),
+                      peak * float(w.std(ddof=1)) / math.sqrt(n),
+                      n, rng.seed, rng.substream, proposal=(family, v),
+                      contributions=peak * w if keep_contributions
+                      else None,
+                      ess=_ess(w), max_weight_share=float(1.0 / w.sum()))
 
 
 def mellin_2x2(p, a1, a2, c, rng, n):

@@ -379,6 +379,39 @@ class TestBayesAndVerify:
         doc = json.loads(out)
         assert doc["within_3_se"] is True
 
+    def test_verify_normalizer_diagnostics(self, shape_file, scale_file,
+                                           capsys):
+        """The Kish ESS of the final run and the largest weight share
+        are printed beside the estimate."""
+        code, out = invoke(["verify", "normalizer",
+                            "--shape", shape_file,
+                            "--scale", scale_file, "--kind", "I",
+                            "--n", "2000", "--seed", "3"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert 1.0 <= doc["ess"] <= 2000
+        assert 0.0 < doc["max_weight_share"] <= 1.0
+
+    def test_verify_normalizer_overflow(self, tmp_path, capsys):
+        """A normalizer beyond the float range (log 797.8: banded r=60,
+        scale 50 I, hyper 3) is a domain error, exit 1, not a crash."""
+        r = 60
+        graph = {"n": r, "edges": [[i, j] for i in range(1, r + 1)
+                                   for j in range(i + 1, min(r, i + 3) + 1)]}
+        matrix = [[50.0 if i == j else 0.0 if abs(i - j) <= 3 else None
+                   for j in range(r)] for i in range(r)]
+        shape = write_json(tmp_path / "s.json", {
+            "alpha": [3.0] * (r - 3), "beta": [3.0] * (r - 4)})
+        scale = write_json(tmp_path / "sc.json",
+                           {"graph": graph, "matrix": matrix})
+        code, out = invoke(["verify", "normalizer", "--shape", shape,
+                            "--scale", scale, "--kind", "I",
+                            "--n", "1000", "--seed", "1"], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["code"] == "degenerate_weights"
+        assert doc["context"]["log_max_weight"] > 709.0
+
     def test_verify_mellin(self, tmp_path, capsys):
         m = write_json(tmp_path / "c.json", {
             "graph": {"n": 2, "edges": [[1, 2]]},

@@ -14,6 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphwishart import (
     IncompleteMatrix,
@@ -45,6 +46,7 @@ from graphwishart import (
     split_blocks,
 )
 from graphwishart import cones, distributions, verify
+from graphwishart import shapes as shapes_mod
 from graphwishart.graphs import _class_tree
 from graphwishart.shapes import shape_class, size_shift, step_exponents
 from graphwishart.verify import check_mean426
@@ -262,6 +264,53 @@ def test_sample_rows_are_sample_batch_entries(spec):
         assert all(type(d) is cls for d in draws)
         assert np.array_equal([d.values for d in draws],
                               batch[:, p.rows, p.cols])
+
+
+@given(spec=chordal_graphs())
+@EXAMPLES
+def test_walk_tally_is_log_h_of_its_draws(spec):
+    """With step weights the walk draws the same store, bit for bit, on
+    both sides, and its tally is log h of the store at an arbitrary
+    shape.  Every step exponent here is at least 1; near 0 the dense
+    store rounds the conditional block away and only the tally keeps
+    it exact."""
+    g, o, specs = _specs(spec)
+    rng = np.random.default_rng(SEED)
+    target = ShapeParam(rng.uniform(-3.0, 3.0, o.k),
+                        rng.uniform(-3.0, 3.0, o.k_prime))
+    for family in ("type1", "inv_type2"):
+        s = specs[family]
+        assert min(s.exponents) >= 1.0
+        weights = shapes_mod._step_weights(target - s.shape, o)
+        plain = distributions._walk(s, RngStream(SEED, 2), 20)
+        store, tally = distributions._walk(s, RngStream(SEED, 2), 20,
+                                           weights=weights)
+        assert np.array_equal(store, plain)
+        ref = shapes_mod._log_h(target - s.shape, plain, o)
+        assert np.all(np.abs(tally - ref)
+                      <= 1e-11 * np.maximum(1.0, np.abs(ref)))
+
+
+@given(spec=st.one_of(chordal_graphs(), homogeneous_graphs()))
+@EXAMPLES
+def test_canonical_candidates_walk_the_clique_order(spec):
+    """The walk's tally of log h is defined along a clique order; every
+    proposal ``mc_normalizer`` can try, hyper on the first side and
+    G-Wishart on the second, walks ``spec.ordering``, on class-tree
+    graphs too."""
+    g = parse_graph(spec)
+    o = decompose(g)
+    rng = np.random.default_rng(SEED)
+    scale = random_qg(g, rng)
+    for kind, family, cands in (
+            ("hyper", "type1", verify._hyper_candidates(
+                random_first_admissible(o, rng), o)),
+            ("gwishart", "inv_type2", verify._gwishart_candidates(
+                random_second_admissible(o, rng), o))):
+        for v in cands:
+            s = WishartSpec(g, canonical_shape(kind, o, v), scale, family,
+                            ordering=o)
+            assert s.walk is s.ordering
 
 
 @given(spec=chordal_graphs())

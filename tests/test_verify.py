@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphwishart import (
+    DegenerateWeights,
     IncompleteMatrix,
     OutOfDomain,
     PoleAtC,
@@ -33,7 +34,12 @@ from graphwishart.cones import _regress
 from graphwishart.distributions import _walk_mean
 from graphwishart.shapes import size_shift, step_exponents
 
-from conftest import count_spec_builds, random_qg, random_second_admissible
+from conftest import (
+    count_spec_builds,
+    random_first_admissible,
+    random_qg,
+    random_second_admissible,
+)
 
 K1 = parse_graph({"n": 1, "edges": []})
 
@@ -197,14 +203,14 @@ class TestMcNormalizer:
 
 
 def test_log_h_batch_memory_is_chunked():
-    """``_log_h_batch`` on 20000 packed draws of a banded r=20 graph
-    walks each block size in chunks: it allocates at most twice the
-    chunk bound (the gathered blocks and the LAPACK outputs of one
-    chunk) plus O(n) for its outputs, not one (n, m, k, k) gather per
-    size (about 40 MB here)."""
+    """``shapes._log_h``, the batched log h that ``logpdf`` uses, on
+    20000 packed points of a banded r=20 graph walks each block size in
+    chunks: it allocates at most twice the chunk bound (the gathered
+    blocks and the LAPACK outputs of one chunk) plus O(n) for its
+    outputs, not one (n, m, k, k) gather per size (about 40 MB here)."""
     import tracemalloc
 
-    from graphwishart import cones, verify
+    from graphwishart import cones, shapes
 
     r, n = 20, 20000
     g = parse_graph({"n": r, "edges": [[i, j] for i in range(1, r + 1)
@@ -215,10 +221,10 @@ def test_log_h_batch_memory_is_chunked():
     p = g.pattern
     batch = np.empty((n, p.size))
     batch[:] = (np.eye(r) + 0.1 * g.edge_mask())[p.rows, p.cols]
-    expect = verify._log_h_batch(shape, batch[:1], o)[0]
+    expect = shapes._log_h(shape, batch[:1], o)[0]
     tracemalloc.start()
     try:
-        out = verify._log_h_batch(shape, batch, o)
+        out = shapes._log_h(shape, batch, o)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -379,3 +385,115 @@ def test_monte_carlo_needs_two_draws(n, k2):
             call()
         assert info.value.context == {"n": n}
 
+
+
+def _banded(r, w):
+    return parse_graph({"n": r, "edges": [[i, j] for i in range(1, r + 1)
+                                          for j in range(i + 1,
+                                                         min(r, i + w) + 1)]})
+
+
+def _dense_reference(kind, g, o, shape, scale, seed, n):
+    """``mc_normalizer`` written out with log h taken by ``slogdet`` of
+    the walk's stored draws: (chosen proposal, estimate)."""
+    from graphwishart import shapes, verify
+    from graphwishart.distributions import _walk
+
+    rng = RngStream(seed)
+    if kind == "I":
+        family, name, cands = "type1", "hyper", \
+            verify._hyper_candidates(shape, o)
+    else:
+        family, name, cands = "inv_type2", "gwishart", \
+            verify._gwishart_candidates(shape, o)
+    best = None
+    for i, v in enumerate(cands):
+        spec = WishartSpec(g, canonical_shape(name, o, v), scale, family,
+                           ordering=o)
+        pilot = _walk(spec, rng.spawn(10_000 + i), min(4000, max(500,
+                                                                n // 50)))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            logw = shapes._log_h(shape - spec.shape, pilot, o)
+        if not np.all(np.isfinite(logw)):
+            continue
+        w = np.exp(logw - logw.max())
+        ess = w.sum() ** 2 / (w * w).sum()
+        if best is None or ess > best[0]:
+            best = (ess, v, spec)
+    _, v, spec = best
+    logw = shapes._log_h(shape - spec.shape, _walk(spec, rng, n), o)
+    return v, float(np.exp(logw + spec.log_gamma + spec.log_h_scale).mean())
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+@pytest.mark.parametrize("graph", ["fig1", "banded20"])
+def test_mc_normalizer_matches_dense_log_h(kind, graph, fig1, monkeypatch):
+    """The walk's tally of log h gives the estimate that ``slogdet`` of
+    the stored draws gives: the same proposal and the same value to
+    1e-12 relative.  ``mc_normalizer`` passes no draw to ``slogdet`` or
+    to ``cones._logdet_sum``; the calls that remain take log h of the
+    scale, one point, as each candidate spec is built."""
+    from graphwishart import cones, shapes
+
+    g = fig1 if graph == "fig1" else _banded(20, 3)
+    o = decompose(g)
+    rng = np.random.default_rng(17)
+    scale = random_qg(g, rng)
+    shape = random_first_admissible(o, rng) if kind == "I" else \
+        random_second_admissible(o, rng)
+    ref_v, ref_value = _dense_reference(kind, g, o, shape, scale, 8, 5000)
+    rows = []
+    real_slogdet, real_sum = np.linalg.slogdet, cones._logdet_sum
+
+    def slogdet(a):
+        rows.append(a.shape[0])
+        return real_slogdet(a)
+
+    def logdet_sum(values, ordering, weights):
+        rows.append(values.shape[0] if values.ndim > 1 else 1)
+        return real_sum(values, ordering, weights)
+
+    monkeypatch.setattr(np.linalg, "slogdet", slogdet)
+    monkeypatch.setattr(shapes, "_logdet_sum", logdet_sum)
+    est = mc_normalizer(kind, g, o, shape, scale, RngStream(8), 5000)
+    assert rows and set(rows) == {1}
+    assert est.proposal[1] == ref_v
+    assert est.value == pytest.approx(ref_value, rel=1e-12)
+
+
+def test_mc_diagnostics():
+    """The final run's Kish ESS is at most the draw count and the
+    largest weight's share lies in (0, 1]; a target that equals a
+    candidate gives equal weights, ESS n and share 1 / n."""
+    g = _banded(20, 3)
+    o = decompose(g)
+    scale = project(np.eye(20) + 0.1 * g.edge_mask(), g)
+    rng = np.random.default_rng(5)
+    shape = random_first_admissible(o, rng)
+    est = mc_normalizer("I", g, o, shape, scale, RngStream(9), 4000)
+    assert 1.0 <= est.ess <= 4000
+    assert 0.0 < est.max_weight_share <= 1.0
+    same = mc_normalizer("I", g, o, canonical_shape("hyper", o, 3.0), scale,
+                         RngStream(9), 4000)
+    assert same.ess == pytest.approx(4000)
+    assert same.max_weight_share == pytest.approx(1 / 4000)
+
+
+def test_mc_normalizer_overflow_is_degenerate():
+    """A normalizer beyond the float range (log 797.8 on banded r=60 at
+    scale 50 I, hyper 3) raises DegenerateWeights with the log of the
+    largest weight, and no RuntimeWarning on the way."""
+    import warnings
+
+    g = _banded(60, 3)
+    o = decompose(g)
+    shape = canonical_shape("hyper", o, 3.0)
+    scale = project(50.0 * np.eye(60), g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateWeights) as info:
+            mc_normalizer("I", g, o, shape, scale, RngStream(1), 1000)
+    top = info.value.context["log_max_weight"]
+    assert top == pytest.approx(log_gamma_I(shape, o)
+                                + log_h(shape, scale, o))
+    assert top > math.log(np.finfo(float).max)
