@@ -111,7 +111,7 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON or bad UTF-8
         raise MalformedInput("cannot read JSON file",
                              path=path, reason=str(exc)) from exc
 
@@ -318,8 +318,12 @@ def _cmd_bayes_fit(args):
     data = _pattern_rows(scale_rows, graph, "scale", args.prior)
     prior = WishartSpec(graph, shape, IncompleteMatrix(graph, data),
                         "inv_type2")
-    with open(args.data) as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with open(args.data) as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedInput("cannot read CSV file", path=args.data,
+                             reason=str(exc)) from exc
     try:
         table = [[float(c) for c in row] for row in rows]
     except ValueError as exc:

@@ -126,12 +126,74 @@ def _check_symmetric(a, b, tol=1e-12):
         raise MalformedInput("matrix is not symmetric", asymmetry=gap)
 
 
+# Small-block kernels.  A LAPACK gufunc pays its call overhead once per
+# matrix of a stack, which dominates on the sampler walk's 1x1 to 4x4
+# blocks; the kernels below unroll over the block entries and vectorize
+# over the stack instead.  A stack of k x k blocks takes the kernel when
+# it holds at least _CHOL_MIN[k] (Cholesky) or _SOLVE_MIN[k] (triangular
+# solve) blocks, and LAPACK otherwise (measured: BENCH_16.json).
+_CHOL_MIN = {1: 1, 2: 200, 3: 500, 4: 500}
+_SOLVE_MIN = {1: 1, 2: 50, 3: 50, 4: 100}
+
+
+def _chol(a):
+    """Lower Cholesky factor of a matrix or stack (..., k, k): Crout's
+    recursion unrolled over the entries of a small block, LAPACK below
+    the crossover.  None when a pivot is not positive or is NaN, as
+    LAPACK's ``potrf`` reads it."""
+    k = a.shape[-1]
+    if a.ndim < 3 or a.size < _CHOL_MIN.get(k, np.inf) * k * k:
+        try:
+            low = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return None
+        # numpy returns a NaN factor for a NaN pivot instead of failing
+        return low if np.all(np.diagonal(low, 0, -2, -1) > 0) else None
+    low = np.zeros_like(a)
+    col = [[None] * k for _ in range(k)]
+    with np.errstate(all="ignore"):  # IEEE results as from LAPACK
+        for j in range(k):
+            d = a[..., j, j]
+            for m in range(j):
+                d = d - col[j][m] * col[j][m]
+            if not np.all(d > 0):
+                return None
+            col[j][j] = low[..., j, j] = np.sqrt(d)
+            for i in range(j + 1, k):
+                s = a[..., i, j]
+                for m in range(j):
+                    s = s - col[i][m] * col[j][m]
+                col[i][j] = low[..., i, j] = s / col[j][j]
+    return low
+
+
+def _solve_right(z, low):
+    """z low^-1 for a stack z (n, a, b) and a lower triangular factor
+    ``low``: one (b, b) factor, solved for every row of the stack in one
+    LAPACK call, or a stack (n, b, b) of them, by back substitution."""
+    b = low.shape[-1]
+    if low.ndim == 2:
+        return np.linalg.solve(low.T, z.reshape(-1, b).T).T.reshape(z.shape)
+    if low.size < _SOLVE_MIN.get(b, np.inf) * b * b:
+        return _tr(np.linalg.solve(_tr(low), _tr(z)))
+    y = np.empty(z.shape)
+    with np.errstate(all="ignore"):
+        for j in reversed(range(b)):
+            s = z[..., j]
+            for m in range(j + 1, b):
+                s = s - y[..., m] * low[..., m, j, None]
+            y[..., j] = s / low[..., j, j, None]
+    return y
+
+
+def _inv(a):
+    """Inverse of a matrix or stack; ``1 / a`` for 1x1 blocks, which is
+    what LAPACK gives bit for bit."""
+    return 1.0 / a if a.shape[-1] == 1 else np.linalg.inv(a)
+
+
 def _is_pd(block):
-    try:
-        np.linalg.cholesky(block)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+    return _chol(block) is not None
 
 
 def project(full, graph):

@@ -127,13 +127,14 @@ def _draw_count(size, least=0):
 
 
 def _cholesky(a, what):
-    """Lower Cholesky factor of a matrix or stack; NotPositiveDefinite,
-    naming ``what``, when one is not positive definite."""
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(
-            what + " is not positive definite") from None
+    """Lower Cholesky factor of a matrix or stack (..., k, k) by
+    :func:`cones._chol`, which unrolls small blocks over long stacks and
+    gives 1x1 factors bit for bit as LAPACK does; NotPositiveDefinite,
+    naming ``what``, when a pivot is not positive or is NaN."""
+    low = cones._chol(a)
+    if low is None:
+        raise NotPositiveDefinite(what + " is not positive definite")
+    return low
 
 
 def _bartlett(left, p, rng, n, tally=None, weight=0.0):
@@ -141,8 +142,16 @@ def _bartlett(left, p, rng, n, tally=None, weight=0.0):
     Cholesky factor ``left``: left T T^T left^T with T the Bartlett
     factor, sqrt Gamma(p - i/2) on the diagonal and N(0, 1/2) below.
     A nonzero ``weight`` times log det T T^T, the sum of the log gamma
-    variates, is added to ``tally`` (n,) in place."""
+    variates, is added to ``tally`` (n,) in place.  For r = 1 the draw is
+    left^2 g for one gamma vector g, with the same random numbers and
+    the same floating point products as the general path."""
     r = left.shape[0]
+    if r == 1:
+        g = rng.gen.gamma(p, 1.0, size=n)
+        if weight:
+            tally += weight * np.log(g)
+        lt = left[0, 0] * np.sqrt(g)[:, None, None]
+        return lt * lt
     t = np.zeros((n, r, r))
     for i in range(r):
         g = rng.gen.gamma(p - i / 2.0, 1.0, size=n)
@@ -160,9 +169,12 @@ def _bartlett(left, p, rng, n, tally=None, weight=0.0):
 def _matrix_normal(mean, lu, lv, rng, n):
     """n matrix normal draws (n, a, b) around ``mean`` (a, b) from the
     lower Cholesky factors ``lu`` of the row matrix and ``lv`` of the
-    column matrix; either may be a stack with one factor per draw."""
+    column matrix; either may be a stack with one factor per draw.  The
+    draw is mean + lu z lv^-1 for z with N(0, 1/2) entries; the solve is
+    :func:`cones._solve_right`, one LAPACK call for a single ``lv`` and
+    back substitution over a stack of small ones."""
     z = rng.gen.normal(0.0, math.sqrt(0.5), size=(n,) + mean.shape)
-    return mean + lu @ _tr(np.linalg.solve(_tr(lv), _tr(z)))
+    return mean + lu @ cones._solve_right(z, lv)
 
 
 def sample_base_wishart(r, p, scale, rng, size=None):
@@ -495,20 +507,19 @@ def _walk(spec, rng, n, precision=False, weights=None):
         wishart = _bartlett(w_left, p, rng, n, tally, sign * a)
         if a:
             tally += sign * a * _logdet(w_left)
-        cond = wishart if first else np.linalg.inv(wishart)
+        cond = wishart if first else cones._inv(wishart)
         ratio = t_ratio
         if t_ratio.size:
             drawn = _cholesky(x_given if first else cond, "drawn block")
             lu, lv = (side, drawn) if first else (drawn, side)
             ratio = _matrix_normal(t_ratio, lu, lv, rng, n)
             if b:
-                if not first:  # a 1x1 block's Cholesky factor is its root
-                    drawn = np.sqrt(x_given) if t_ratio.shape[1] == 1 \
-                        else _cholesky(x_given, "drawn block")
+                if not first:
+                    drawn = _cholesky(x_given, "drawn block")
                 tally += b * _logdet(drawn)
         cones._place(x, slots, cond, ratio, x_given)
         if precision:
-            cond_inv = np.linalg.inv(cond) if first else wishart
+            cond_inv = cones._inv(cond) if first else wishart
             cones._add_step_precision(k, slots, cond_inv, ratio)
     out = k if precision else x
     return out if tally is None else (out, tally)

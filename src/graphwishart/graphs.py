@@ -278,6 +278,9 @@ def parse_graph(spec):
             "graph description needs 'n' and 'edges'") from exc
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise MalformedInput("'n' must be a positive integer", n=n)
+    if not isinstance(raw_edges, (list, tuple)):
+        raise MalformedInput("'edges' must be a list of pairs",
+                             edges=type(raw_edges).__name__)
     edges = set()
     for pair in raw_edges:
         try:
@@ -285,7 +288,8 @@ def parse_graph(spec):
         except (TypeError, ValueError) as exc:
             raise MalformedInput("edge entries must be pairs",
                                  entry=pair) from exc
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (isinstance(i, int) and isinstance(j, int)) \
+                or isinstance(i, bool) or isinstance(j, bool):
             raise MalformedInput("edge labels must be integers", entry=pair)
         if i == j:
             raise MalformedInput("self loops are not allowed", vertex=i)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import shapes
-from .cones import _regress, split_blocks
+from .cones import _regress, require_qg, split_blocks
 from .distributions import (
     WishartSpec,
     _as_stream,
@@ -130,9 +130,11 @@ def a4_closed_form(kind, shape, scale):
     incomplete-cone base measure at inverse-completion rate built from
     ``scale``; ``kind='II'`` is the analogue on the sparse cone with
     ``scale`` read as the rate pattern.  Every factor is positive, so
-    the value is returned as a plain log.
+    the value is returned as a plain log.  A scale outside the incomplete
+    cone raises NotInQG, naming the clique.
     """
     _require_path4(scale.graph)
+    require_qg(scale)  # both kinds take logs of clique conditionals
     a1, a2, a3 = shape.alpha
     b2, b3 = shape.beta
     m = scale.data
@@ -149,7 +151,7 @@ def a4_closed_form(kind, shape, scale):
         cond23 = s2 - s23 * s23 / s3
         cond32 = s3 - s23 * s23 / s2
         cond43 = s4 - s34 * s34 / s3
-        return 1.5 * math.log(math.pi) \
+        value = 1.5 * math.log(math.pi) \
             + float(gammaln(a1 - 0.5) + gammaln(a2 - 0.5)
                     + gammaln(a3 - 0.5) + gammaln(a1 + a2 - b2)
                     + gammaln(a2 + a3 - b3) - gammaln(a2)) \
@@ -157,8 +159,8 @@ def a4_closed_form(kind, shape, scale):
             + (a1 + a2 - b2) * math.log(cond23) \
             + (a2 + a3 - b3) * math.log(cond32) \
             + a3 * math.log(cond43) \
-            + math.log(gauss_2f1(a1 + a2 - b2, a2 + a3 - b3, a2, z))
-    if kind == "II":
+            + _log_2f1(a1 + a2 - b2, a2 + a3 - b3, a2, z)
+    elif kind == "II":
         e2 = b2 - a1 - a2 - 0.5
         e3 = b3 - a2 - a3 - 0.5
         etot = b2 + b3 - a1 - a2 - a3 - 1.5
@@ -168,7 +170,7 @@ def a4_closed_form(kind, shape, scale):
                                    "convergence set")
         cond12 = s1 - s12 * s12 / s2
         cond43 = s4 - s34 * s34 / s3
-        return 1.5 * math.log(math.pi) \
+        value = 1.5 * math.log(math.pi) \
             + float(gammaln(-a1) + gammaln(e2) + gammaln(etot)
                     + gammaln(e3) + gammaln(-a3)
                     - gammaln(etot + 0.5)) \
@@ -176,8 +178,29 @@ def a4_closed_form(kind, shape, scale):
             + (a1 + a2 - b2) * math.log(s2) \
             + (a2 + a3 - b3) * math.log(s3) \
             + a3 * math.log(cond43) \
-            + math.log(gauss_2f1(e2, e3, etot + 0.5, z))
-    raise OutOfDomain("kind must be 'I' or 'II'", kind=kind)
+            + _log_2f1(e2, e3, etot + 0.5, z)
+    else:
+        raise OutOfDomain("kind must be 'I' or 'II'", kind=kind)
+    return _finite_log(value, math.inf, kind=kind)
+
+
+def _log_2f1(a, b, c, z):
+    """log of :func:`gauss_2f1`: inf, with no floating point warning,
+    when the series passes the float range.  ``z`` goes in as a numpy
+    float, whose overflow the error state silences; a Python float's
+    power would raise OverflowError."""
+    with np.errstate(over="ignore"):
+        return math.log(gauss_2f1(a, b, c, np.float64(z)))
+
+
+def _finite_log(value, top, **context):
+    """``value``, the log of a closed form, when it is below ``top``
+    (``_LOG_MAX`` when the caller takes its exp); OutOfDomain with the
+    log and ``context`` otherwise."""
+    if not value < top:  # NaN fails too
+        raise OutOfDomain("closed form is not a finite float",
+                          log_value=value, **context)
+    return value
 
 
 def _log_h_batch(spec, shape, rng, n):
@@ -285,7 +308,9 @@ def mellin_2x2(p, a1, a2, c, rng, n):
     """Joint diagonal moment of a 2x2 Wishart: closed form and MC.
 
     The matrix follows the rate-1 Wishart with rate matrix ``c``;
-    returns (closed_form, McEstimate of E[X11^a1 X22^a2]).
+    returns (closed_form, McEstimate of E[X11^a1 X22^a2]).  The closed
+    form is taken in log space; when it is not a finite float,
+    OutOfDomain carries the log as ``log_value``.
     """
     c = np.asarray(c, dtype=float)
     n = _mc_draws(n)
@@ -299,10 +324,11 @@ def mellin_2x2(p, a1, a2, c, rng, n):
     sign, ldc = np.linalg.slogdet(c)
     if sign <= 0:
         raise OutOfDomain("rate matrix must be positive definite")
-    closed = math.exp(
-        p * ldc - (a1 + p) * math.log(c11) - (a2 + p) * math.log(c22)
-        + float(gammaln(a1 + p) + gammaln(a2 + p) - 2.0 * gammaln(p))
-    ) * gauss_2f1(a1 + p, a2 + p, p, z)
+    log_closed = p * ldc - (a1 + p) * math.log(c11) \
+        - (a2 + p) * math.log(c22) \
+        + float(gammaln(a1 + p) + gammaln(a2 + p) - 2.0 * gammaln(p)) \
+        + _log_2f1(a1 + p, a2 + p, p, z)
+    closed = math.exp(_finite_log(log_closed, _LOG_MAX, p=p, a1=a1, a2=a2))
     rng = _as_stream(rng)
     draws = sample_base_wishart(2, p, np.linalg.inv(c), rng, n)
     vals = draws[:, 0, 0] ** a1 * draws[:, 1, 1] ** a2

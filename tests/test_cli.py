@@ -655,3 +655,87 @@ class TestPatternWriter:
         assert code == 0 and calls == []
         assert json.loads(out)["n_obs"] == r + 10
         assert peak < n * r * r * 8
+
+
+def _error(code, out):
+    """The flat error object a failing command prints, checked to have
+    exit code 1."""
+    assert code == 1
+    doc = json.loads(out)
+    assert set(doc) == {"code", "message", "context"}
+    return doc
+
+
+class TestMalformedFiles:
+    """Inputs that once crashed (exit 2) or passed unchecked: each is a
+    typed error with exit code 1."""
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"n": 4, "edges": None}, "edges"),
+        ({"n": 4, "edges": "1-2"}, "edges"),
+        ({"n": 2, "edges": [[True, 2]]}, "entry"),
+        ({"n": 2, "edges": [[1, False]]}, "entry"),
+    ], ids=["null-edges", "string-edges", "bool-label", "bool-label-2"])
+    def test_bad_edges(self, tmp_path, capsys, spec, key):
+        g = write_json(tmp_path / "g.json", spec)
+        doc = _error(*invoke(["graph", "analyze", "--graph", g], capsys))
+        assert doc["code"] == "malformed_input" and key in doc["context"]
+
+    def test_graph_file_not_utf8(self, tmp_path, capsys):
+        g = tmp_path / "g.json"
+        g.write_bytes(b'{"n": 2, "edges": [[1, 2]]}\xff')
+        doc = _error(*invoke(["graph", "analyze", "--graph", str(g)],
+                             capsys))
+        assert doc["code"] == "malformed_input"
+        assert doc["context"]["path"] == str(g)
+
+    def test_data_file_not_utf8(self, tmp_path, a4_file, capsys):
+        csv = tmp_path / "d.csv"
+        csv.write_bytes(b"1,2,3,4\n\xff,0.1,-1,2\n")
+        prior = write_json(tmp_path / "prior.json", {
+            "shape": {"alpha": [-1.0, -1.0, -1.0], "beta": [1.0, -0.5]},
+            "scale": np.eye(4).tolist()})
+        doc = _error(*invoke(["bayes", "fit", "--graph", a4_file,
+                              "--data", str(csv), "--prior", prior],
+                             capsys))
+        assert doc["code"] == "malformed_input"
+        assert doc["context"]["path"] == str(csv)
+
+    @pytest.mark.parametrize("kind", ["I", "II"])
+    def test_a4_scale_outside_the_cone(self, tmp_path, shape_file, capsys,
+                                       kind):
+        scale = write_json(tmp_path / "scale.json", {
+            "graph": {"n": 4, "edges": [[1, 2], [2, 3], [3, 4]]},
+            "matrix": [[1.0, 2.0, None, None], [2.0, 1.0, 0.1, None],
+                       [None, 0.1, 1.0, 0.1], [None, None, 0.1, 1.0]]})
+        doc = _error(*invoke(["verify", "a4", "--shape", shape_file,
+                              "--scale", scale, "--kind", kind], capsys))
+        assert doc["code"] == "not_in_qg"
+        assert doc["context"] == {"clique": [1, 2]}
+
+    def test_a4_series_past_the_float_range(self, tmp_path, capsys):
+        shape = write_json(tmp_path / "shape.json",
+                           {"alpha": [400.0] * 3, "beta": [1.0, 1.0]})
+        scale = write_json(tmp_path / "scale.json", {
+            "graph": {"n": 4, "edges": [[1, 2], [2, 3], [3, 4]]},
+            "matrix": [[1.0, 0.5, None, None], [0.5, 1.0, 0.9, None],
+                       [None, 0.9, 1.0, 0.5], [None, None, 0.5, 1.0]]})
+        doc = _error(*invoke(["verify", "a4", "--shape", shape,
+                              "--scale", scale, "--kind", "I"], capsys))
+        assert doc["code"] == "out_of_domain"
+        assert doc["context"]["log_value"] == "inf"
+
+    @pytest.mark.parametrize("p, a1, a2, rho", [
+        ("3", "1e4", "1", 0.3), ("1e5", "1", "1", 0.3),
+        ("3", "1e4", "1", 0.99),
+    ], ids=["overflow", "nan", "overflow-near-one"])
+    def test_mellin_closed_form_not_finite(self, tmp_path, capsys,
+                                           p, a1, a2, rho):
+        m = write_json(tmp_path / "c.json", {
+            "graph": {"n": 2, "edges": [[1, 2]]},
+            "matrix": [[1.0, rho], [rho, 1.0]]})
+        doc = _error(*invoke(["verify", "mellin", "--matrix", m, "--p", p,
+                              "--a1", a1, "--a2", a2, "--n", "100"],
+                             capsys))
+        assert doc["code"] == "out_of_domain"
+        assert "log_value" in doc["context"]

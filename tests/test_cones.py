@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from graphwishart import (
     split_blocks,
     trace_pair,
 )
+from graphwishart import cones
 from graphwishart.cones import require_qg
 
 from conftest import incompletify, random_pg, random_qg
@@ -379,3 +381,91 @@ class TestDuality:
                 x = random_qg(g, rng)
                 y = SparsePrecision(g, random_pg(g, rng))
                 assert trace_pair(x, y) > 0.0
+
+
+def _spd_stack(n, k, rng, log_kappa=12.0):
+    """n random SPD k x k blocks with condition numbers 10**u, u uniform
+    on [0, log_kappa] (exactly 10**log_kappa for the first block), and
+    the condition numbers."""
+    u = rng.uniform(0.0, log_kappa, n)
+    u[0] = log_kappa
+    q = np.linalg.qr(rng.standard_normal((n, k, k)))[0]
+    lam = 10.0 ** (-u[:, None] * np.linspace(0.0, 1.0, k))
+    a = (q * lam[:, None, :]) @ q.swapaxes(-1, -2)
+    return 0.5 * (a + a.swapaxes(-1, -2)), 10.0 ** u
+
+
+def _lengths(table, k):
+    """Stack lengths on both sides of a kernel's crossover for k x k."""
+    least = table[k]
+    return sorted({max(least - 1, 1), least, 3 * least})
+
+
+class TestSmallBlockKernels:
+    """The unrolled kernels agree with LAPACK within rounding scaled by
+    the block's condition number, and exactly on 1x1 blocks."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_cholesky_matches_lapack(self, k):
+        rng = np.random.default_rng(k)
+        for n in _lengths(cones._CHOL_MIN, k):
+            a, kappa = _spd_stack(n, k, rng)
+            got, ref = cones._chol(a), np.linalg.cholesky(a)
+            gap = np.abs(got - ref).max(axis=(-1, -2))
+            assert np.all(gap <= 1e-12 * kappa)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_solve_matches_lapack(self, k):
+        rng = np.random.default_rng(10 + k)
+        for n in _lengths(cones._SOLVE_MIN, k):
+            a, kappa = _spd_stack(n, k, rng)
+            low = np.linalg.cholesky(a)
+            for z in (rng.standard_normal((n, 1, k)),
+                      rng.standard_normal((n, k, k))):
+                ref = np.linalg.solve(low.swapaxes(-1, -2),
+                                      z.swapaxes(-1, -2)).swapaxes(-1, -2)
+                scale = np.abs(ref).max(axis=(-1, -2))
+                for got in (cones._solve_right(z, low),
+                            np.stack([cones._solve_right(z[i:i + 1], low[i])
+                                      for i in range(n)])[:, 0]):
+                    gap = np.abs(got - ref).max(axis=(-1, -2))
+                    assert np.all(gap <= 1e-12 * kappa * scale)
+
+    def test_one_by_one_is_lapack_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        a = rng.uniform(1e-8, 1e8, (1000, 1, 1))
+        assert np.array_equal(cones._chol(a), np.linalg.cholesky(a))
+        assert np.array_equal(cones._inv(a), np.linalg.inv(a))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_backward_error_near_lapack(self, k):
+        """||L L^T - A|| / ||A|| on kappa = 1e12 blocks is at most ten
+        times LAPACK's (floored at one unit roundoff)."""
+        rng = np.random.default_rng(30 + k)
+        n = 2 * max(cones._CHOL_MIN[k], 200)
+        q = np.linalg.qr(rng.standard_normal((n, k, k)))[0]
+        a = (q * 10.0 ** -np.linspace(0.0, 12.0, k)) @ q.swapaxes(-1, -2)
+        a = 0.5 * (a + a.swapaxes(-1, -2))
+
+        def backward(low):
+            return np.linalg.norm(low @ low.swapaxes(-1, -2) - a,
+                                  axis=(-1, -2)) / \
+                np.linalg.norm(a, axis=(-1, -2))
+
+        ours = backward(cones._chol(a))
+        theirs = np.maximum(backward(np.linalg.cholesky(a)),
+                            np.finfo(float).eps)
+        assert np.all(ours <= 10.0 * theirs)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan],
+                             ids=["zero", "negative", "nan"])
+    def test_failed_pivot_is_none(self, k, bad):
+        """A zero, negative or NaN pivot gives None on either side of
+        the crossover, with no floating point warning."""
+        for n in _lengths(cones._CHOL_MIN, k):
+            a = np.broadcast_to(np.eye(k), (n, k, k)).copy()
+            a[n // 2, k - 1, k - 1] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cones._chol(a) is None

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from graphwishart import (
     sample_batch,
     sample_matrix_normal,
 )
-from graphwishart import cones, graphs, shapes
+from graphwishart import cones, distributions, graphs, shapes
 from graphwishart.cones import require_qg
 
 from conftest import (
@@ -181,6 +182,17 @@ class TestBaseWishart:
         out = sample_base_wishart(2, 1.5, np.eye(2), RngStream(3), size=0)
         assert out.shape == (0, 2, 2)
 
+    def test_one_by_one_is_the_general_product(self):
+        """For r = 1 the draws are left T T^T left^T with the general
+        path's random numbers and products, bit for bit."""
+        n, p, s = 500, 2.5, 1.7
+        g = RngStream(4).gen.gamma(p, 1.0, size=n)
+        t = np.zeros((n, 1, 1))
+        t[:, 0, 0] = np.sqrt(g)
+        lt = np.linalg.cholesky([[s]]) @ t
+        draws = sample_base_wishart(1, p, [[s]], RngStream(4), size=n)
+        assert np.array_equal(draws, lt @ lt.swapaxes(-1, -2))
+
 
 class TestMatrixNormal:
 
@@ -224,6 +236,28 @@ class TestMatrixNormal:
         out = sample_matrix_normal(np.zeros((2, 1)), np.eye(2), np.eye(1),
                                    RngStream(8), size=0)
         assert out.shape == (0, 2, 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan],
+                             ids=["zero", "negative", "nan"])
+    def test_failed_pivot_in_a_stack(self, k, bad):
+        """A zero, negative or NaN pivot in one block of a stack long
+        enough for the unrolled Cholesky raises NotPositiveDefinite
+        naming the matrix, with no floating point warning; the walk's
+        factorization names the drawn block the same way."""
+        n = 2 * cones._CHOL_MIN[k]
+        stack = np.broadcast_to(np.eye(k), (n, k, k)).copy()
+        stack[n // 2, k - 1, k - 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite, match="row matrix"):
+                sample_matrix_normal(np.zeros((k, 2)), stack, np.eye(2),
+                                     RngStream(9), size=n)
+            with pytest.raises(NotPositiveDefinite, match="column matrix"):
+                sample_matrix_normal(np.zeros((2, k)), np.eye(2), stack,
+                                     RngStream(9), size=n)
+            with pytest.raises(NotPositiveDefinite, match="drawn block"):
+                distributions._cholesky(stack, "drawn block")
 
 
 class TestLogpdf:
@@ -701,7 +735,7 @@ class TestStepPlan:
         plans = _count_calls(monkeypatch, WishartSpec.__dict__["plan"],
                              "func")
         tables = _count_calls(monkeypatch, graphs, "_step_slots")
-        factors = _count_calls(monkeypatch, np.linalg, "cholesky")
+        factors = _count_calls(monkeypatch, cones, "_chol")
         sample_batch(spec, RngStream(14), 3)
         assert not plans and not tables
         given = sum(1 for new, g in spec.walk.steps if new and g)
