@@ -126,14 +126,11 @@ def _check_symmetric(a, b, tol=1e-12):
         raise MalformedInput("matrix is not symmetric", asymmetry=gap)
 
 
-# Small-block kernels.  A LAPACK gufunc pays its call overhead once per
-# matrix of a stack, which dominates on the sampler walk's 1x1 to 4x4
-# blocks; the kernels below unroll over the block entries and vectorize
-# over the stack instead.  A stack of k x k blocks takes the kernel when
-# it holds at least _CHOL_MIN[k] (Cholesky) or _SOLVE_MIN[k] (triangular
-# solve) blocks, and LAPACK otherwise (measured: BENCH_16.json).
+# Small-block kernels: a LAPACK gufunc pays its call overhead once per
+# matrix of a stack, so these unroll over the entries of 1x1 to 4x4
+# blocks and vectorize over the stack.  A stack of k x k blocks takes the
+# Cholesky kernel from _CHOL_MIN[k] blocks on (measured: BENCH_16.json).
 _CHOL_MIN = {1: 1, 2: 200, 3: 500, 4: 500}
-_SOLVE_MIN = {1: 1, 2: 50, 3: 50, 4: 100}
 
 
 def _chol(a):
@@ -170,11 +167,12 @@ def _chol(a):
 def _solve_right(z, low):
     """z low^-1 for a stack z (n, a, b) and a lower triangular factor
     ``low``: one (b, b) factor, solved for every row of the stack in one
-    LAPACK call, or a stack (n, b, b) of them, by back substitution."""
+    LAPACK call, or a stack (n, b, b) of them, by back substitution up
+    to 4x4 (its numpy calls grow as b^2) and LAPACK above."""
     b = low.shape[-1]
     if low.ndim == 2:
         return np.linalg.solve(low.T, z.reshape(-1, b).T).T.reshape(z.shape)
-    if low.size < _SOLVE_MIN.get(b, np.inf) * b * b:
+    if b > 4:
         return _tr(np.linalg.solve(_tr(low), _tr(z)))
     y = np.empty(z.shape)
     with np.errstate(all="ignore"):
@@ -187,9 +185,15 @@ def _solve_right(z, low):
 
 
 def _inv(a):
-    """Inverse of a matrix or stack; ``1 / a`` for 1x1 blocks, which is
-    what LAPACK gives bit for bit."""
-    return 1.0 / a if a.shape[-1] == 1 else np.linalg.inv(a)
+    """Inverse of a matrix or stack, ``1 / a`` for 1x1 blocks (what LAPACK
+    gives bit for bit); None when a block is singular in floating point:
+    a zero pivot, or an inverse that is not finite."""
+    try:
+        with np.errstate(divide="ignore", over="ignore"):
+            inv = 1.0 / a if a.shape[-1] == 1 else np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None
+    return inv if np.all(np.isfinite(inv)) else None
 
 
 def _is_pd(block):

@@ -128,13 +128,21 @@ def _draw_count(size, least=0):
 
 def _cholesky(a, what):
     """Lower Cholesky factor of a matrix or stack (..., k, k) by
-    :func:`cones._chol`, which unrolls small blocks over long stacks and
-    gives 1x1 factors bit for bit as LAPACK does; NotPositiveDefinite,
-    naming ``what``, when a pivot is not positive or is NaN."""
+    :func:`cones._chol` (1x1 factors bit for bit as LAPACK's);
+    NotPositiveDefinite, naming ``what``, when a pivot is not positive."""
     low = cones._chol(a)
     if low is None:
         raise NotPositiveDefinite(what + " is not positive definite")
     return low
+
+
+def _inverse(a, what):
+    """Inverse of a matrix or stack by :func:`cones._inv`;
+    NotPositiveDefinite, naming ``what``, when one is singular."""
+    inv = cones._inv(a)
+    if inv is None:
+        raise NotPositiveDefinite(what + " is singular")
+    return inv
 
 
 def _bartlett(left, p, rng, n, tally=None, weight=0.0):
@@ -142,16 +150,8 @@ def _bartlett(left, p, rng, n, tally=None, weight=0.0):
     Cholesky factor ``left``: left T T^T left^T with T the Bartlett
     factor, sqrt Gamma(p - i/2) on the diagonal and N(0, 1/2) below.
     A nonzero ``weight`` times log det T T^T, the sum of the log gamma
-    variates, is added to ``tally`` (n,) in place.  For r = 1 the draw is
-    left^2 g for one gamma vector g, with the same random numbers and
-    the same floating point products as the general path."""
+    variates, is added to ``tally`` (n,) in place."""
     r = left.shape[0]
-    if r == 1:
-        g = rng.gen.gamma(p, 1.0, size=n)
-        if weight:
-            tally += weight * np.log(g)
-        lt = left[0, 0] * np.sqrt(g)[:, None, None]
-        return lt * lt
     t = np.zeros((n, r, r))
     for i in range(r):
         g = rng.gen.gamma(p - i / 2.0, 1.0, size=n)
@@ -507,7 +507,7 @@ def _walk(spec, rng, n, precision=False, weights=None):
         wishart = _bartlett(w_left, p, rng, n, tally, sign * a)
         if a:
             tally += sign * a * _logdet(w_left)
-        cond = wishart if first else cones._inv(wishart)
+        cond = wishart if first else _inverse(wishart, "drawn block")
         ratio = t_ratio
         if t_ratio.size:
             drawn = _cholesky(x_given if first else cond, "drawn block")
@@ -519,7 +519,7 @@ def _walk(spec, rng, n, precision=False, weights=None):
                 tally += b * _logdet(drawn)
         cones._place(x, slots, cond, ratio, x_given)
         if precision:
-            cond_inv = cones._inv(cond) if first else wishart
+            cond_inv = _inverse(cond, "drawn block") if first else wishart
             cones._add_step_precision(k, slots, cond_inv, ratio)
     out = k if precision else x
     return out if tally is None else (out, tally)

@@ -414,10 +414,10 @@ class TestSmallBlockKernels:
             gap = np.abs(got - ref).max(axis=(-1, -2))
             assert np.all(gap <= 1e-12 * kappa)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_solve_matches_lapack(self, k):
         rng = np.random.default_rng(10 + k)
-        for n in _lengths(cones._SOLVE_MIN, k):
+        for n in (1, 7, 300):
             a, kappa = _spd_stack(n, k, rng)
             low = np.linalg.cholesky(a)
             for z in (rng.standard_normal((n, 1, k)),
@@ -436,6 +436,21 @@ class TestSmallBlockKernels:
         a = rng.uniform(1e-8, 1e8, (1000, 1, 1))
         assert np.array_equal(cones._chol(a), np.linalg.cholesky(a))
         assert np.array_equal(cones._inv(a), np.linalg.inv(a))
+
+    @pytest.mark.parametrize("bad", [0.0, 5e-324],
+                             ids=["zero", "inverse_overflows"])
+    def test_singular_inverse_is_none(self, bad):
+        """A 1x1 block that is zero, or whose inverse overflows, and an
+        exactly singular 2x2 block give None with no floating point
+        warning."""
+        a = np.ones((100, 1, 1))
+        a[50] = bad
+        b = np.broadcast_to(np.eye(2), (100, 2, 2)).copy()
+        b[50] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cones._inv(a) is None
+            assert cones._inv(b) is None
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_backward_error_near_lapack(self, k):

@@ -182,17 +182,6 @@ class TestBaseWishart:
         out = sample_base_wishart(2, 1.5, np.eye(2), RngStream(3), size=0)
         assert out.shape == (0, 2, 2)
 
-    def test_one_by_one_is_the_general_product(self):
-        """For r = 1 the draws are left T T^T left^T with the general
-        path's random numbers and products, bit for bit."""
-        n, p, s = 500, 2.5, 1.7
-        g = RngStream(4).gen.gamma(p, 1.0, size=n)
-        t = np.zeros((n, 1, 1))
-        t[:, 0, 0] = np.sqrt(g)
-        lt = np.linalg.cholesky([[s]]) @ t
-        draws = sample_base_wishart(1, p, [[s]], RngStream(4), size=n)
-        assert np.array_equal(draws, lt @ lt.swapaxes(-1, -2))
-
 
 class TestMatrixNormal:
 
@@ -697,6 +686,35 @@ class TestNearZeroStepExponent:
             except OutOfSupport:
                 outcomes.append("out of support")
         assert False not in outcomes
+
+    @pytest.mark.parametrize("family", ["type2", "inv_type2"])
+    def test_second_side_draws_are_finite_or_not_positive_definite(
+            self, family):
+        """With a second-side step exponent of 1e-3 on a 1x1 block about
+        half of the gamma variates underflow to 0, and the conditional
+        block, their inverse, is not a float.  The walk raises
+        NotPositiveDefinite naming the drawn block, or returns finite
+        draws, never inf or NaN, with no floating point warning."""
+        g = parse_graph({"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]})
+        o = decompose(g)
+        # alpha_j = -p_j and beta from the separator equalities
+        shape = ShapeParam((-2.5, -2.5, -1e-3, -2.5), (-3.0, 0.499, -2.0))
+        dense = 2.0 * np.eye(5) + 0.3 * (np.eye(5, k=1) + np.eye(5, k=-1))
+        spec = WishartSpec(g, shape, project(dense, g), family)
+        assert spec.side == "second" and spec.walk is o
+        assert min(spec.exponents) == pytest.approx(1e-3)
+        raised = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(20):
+                try:
+                    draws = sample_batch(spec, RngStream(seed), 1 + seed % 3)
+                except NotPositiveDefinite as err:
+                    assert "drawn block" in str(err)
+                    raised += 1
+                else:
+                    assert np.all(np.isfinite(draws))
+        assert 0 < raised < 20
 
 
 class TestLargeClassTreeDraws:
