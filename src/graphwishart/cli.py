@@ -111,7 +111,8 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # bad JSON or bad UTF-8
+    # bad JSON, bad UTF-8 or nesting past the recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise MalformedInput("cannot read JSON file",
                              path=path, reason=str(exc)) from exc
 
@@ -152,8 +153,10 @@ def _pattern_rows(rows, graph, key, path):
         vals = [0.0] * r
         for j, (v, m) in enumerate(zip(row, on)):
             if m:
-                if type(v) not in (int, float):
-                    raise NonNumeric("pattern entry is not a number",
+                # A bool is no number, and NaN, inf or a huge int no float.
+                if type(v) not in (int, float) or \
+                        not abs(v) <= sys.float_info.max:
+                    raise NonNumeric("pattern entry is not a finite number",
                                      row=i + 1, col=j + 1)
                 vals[j] = v
             elif v is not None and v != 0:

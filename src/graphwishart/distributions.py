@@ -322,7 +322,6 @@ class WishartSpec:
             raise ShapeNotAdmissible(
                 "shape is not admissible for this family",
                 family=self.family) from None
-        self.admissible_per_order = self.walk is self.ordering
         self.log_gamma = steps_log_gamma(self.walk.steps, self.exponents)
         self.log_h_scale = float(
             _log_h(self.shape, self.scale.values, self.ordering))
@@ -478,21 +477,18 @@ def _walk(spec, rng, n, precision=False, weights=None):
     a step factors only what it drew: X[given] on the first side, the
     conditional block on the second.  Returns the packed draws, or with
     ``precision`` the packed inverses of their completions, summed from
-    the drawn pairs without more random numbers.  The second side needs
-    per-order admissibility, else ShapeNotAdmissible.
+    the drawn pairs without more random numbers.  Either side walks
+    ``spec.walk``, the clique order or the class tree.
 
     With ``weights``, a pair (a, b) per step from
-    :func:`shapes._step_weights` (``spec.walk`` must be a clique order),
-    returns ``(store, tally)``: the same store and each draw's log h,
-    the sum of a log det cond + b log det X[given] from the step's gamma
-    variates and Wishart factor (negated on the second side) and the
-    Cholesky factor of X[given], which the second side takes where b != 0.
+    :func:`shapes._step_weights` (``spec.walk`` must be a clique order,
+    as every proposal of :func:`verify.mc_normalizer` is), returns
+    ``(store, tally)``: the same store and each draw's log h, the sum of
+    a log det cond + b log det X[given] from the step's gamma variates
+    and Wishart factor (negated on the second side) and the Cholesky
+    factor of X[given], which the second side takes where b != 0.
     """
     first = spec.side == "first"
-    if not first and not spec.admissible_per_order:
-        raise ShapeNotAdmissible(
-            "sampling on the second side needs per-order admissibility",
-            family=spec.family)
     x = np.zeros((n, spec.graph.pattern.size))
     k = np.zeros_like(x) if precision else None
     tally = None if weights is None else np.zeros(n)

@@ -37,9 +37,9 @@ _TOL = 1e-12
 
 
 def _exponent(value, name, index):
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
+    try:  # a bool is no exponent, as it is no matrix entry
+        out = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
         out = math.nan
     if not math.isfinite(out):
         raise NonNumeric("shape exponent is not a finite real number",

@@ -342,19 +342,19 @@ def check_factorization(spec, point):
     """Pointwise additivity of the inverse second-family density.
 
     The joint log density at a point of the incomplete cone must equal
-    the sum of the log densities of its regression blocks minus the
-    log Jacobian of the block coordinates.
+    the sum of the log densities of its regression blocks along
+    ``spec.walk``, at ``spec.exponents``, minus the log Jacobian of the
+    block coordinates.
     """
     _require_family(spec, "inv_type2",
                     "factorization check needs an inv_type2 spec")
-    ordering = spec.ordering
+    walk = spec.walk
     joint = logpdf(spec, point)
-    bx = split_blocks(point, ordering).parts
-    bt = split_blocks(spec.scale, ordering).parts
-    exps = step_exponents(spec.shape, ordering, "second")
+    bx = split_blocks(point, walk).parts
+    bt = split_blocks(spec.scale, walk).parts
     parts = jac = 0.0
-    for (new, given), p, (xc, xr), (tc, tr) in zip(ordering.steps, exps,
-                                                   bx, bt):
+    for (new, given), p, (xc, xr), (tc, tr) in zip(walk.steps,
+                                                   spec.exponents, bx, bt):
         parts += log_inv_wishart_pdf(xc, p, tc)
         parts += log_matrix_normal_pdf(xr, tr, xc,
                                        spec.scale.submatrix(given))
@@ -372,20 +372,19 @@ def check_mean426(spec, rng, n):
     the standard error of the worst entry.
 
     The draws x = phi(K) are the walk's packed store on the incomplete
-    cone.  Each draw's sum is the first-side walk mean at its step
-    coordinates and the shape shifted by (size + 1) / 2.
+    cone.  Each draw's sum is the first-side mean along ``spec.walk`` at
+    its step coordinates and the shape shifted by (size + 1) / 2.
     """
     _require_family(spec, "type2", "identity check needs a type2 spec")
     rng = _as_stream(rng)
     n = _mc_draws(n)
-    ordering = spec.ordering
+    walk = spec.walk
     x = _walk(spec, rng, n)
     pos = spec.graph.pattern.pos
-    exps = step_exponents(spec.shape + size_shift(ordering, 0.5, 1),
-                          ordering, "first")
-    per_draw = _walk_mean(ordering, exps, [
-        _regress(x, pos, new, given) for new, given in ordering.steps],
-        (n,))
+    exps = step_exponents(spec.shape + size_shift(spec.ordering, 0.5, 1),
+                          walk, "first")
+    per_draw = _walk_mean(walk, exps, [
+        _regress(x, pos, new, given) for new, given in walk.steps], (n,))
     resid = -spec.scale.values - per_draw.mean(axis=0)
     se = per_draw.std(axis=0, ddof=1) / math.sqrt(n)
     worst = np.argmax(np.abs(resid))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from graphwishart import cli
 from graphwishart.cli import run
 
-from conftest import chordal_graphs
+from conftest import chordal_graphs, class_tree_only_spec
 
 
 def invoke(argv, capsys):
@@ -194,8 +194,9 @@ class TestDistCommands:
             assert doc["index"] == i
             assert doc["matrix"][0][2] is None
 
-    @pytest.mark.parametrize("alpha", ['["x"]', "[1e400]"],
-                             ids=["string", "overflow"])
+    @pytest.mark.parametrize("alpha", ['["x"]', "[1e400]", "[true]",
+                                       "[1%s]" % ("0" * 400)],
+                             ids=["string", "overflow", "bool", "huge-int"])
     def test_sample_bad_shape_exponent(self, tmp_path, capsys, alpha):
         scale = write_json(tmp_path / "scale.json", {
             "graph": {"n": 2, "edges": [[1, 2]]},
@@ -497,6 +498,52 @@ class TestBayesAndVerify:
         assert cli._build_parser().parse_args(argv).n == n
 
 
+class TestClassTreeSecondSide:
+    """Commands on a second-side shape that only the class tree admits
+    sample along the tree and exit 0."""
+
+    @pytest.mark.parametrize("command", ["bayes-fit", "dist-sample",
+                                         "verify-factorization"])
+    @pytest.mark.parametrize("hubs, leaves", [(3, 2), (2, 3)],
+                             ids=["star-3x2", "star-2x3"])
+    def test_exits_zero(self, tmp_path, capsys, hubs, leaves, command):
+        from graphwishart.bayes import ingest, posterior_update
+
+        spec = class_tree_only_spec(hubs, leaves, "inv_type2")
+        g = spec.graph
+        rows = [[v if on else None for v, on in zip(row, m)]
+                for row, m in zip(spec.scale.data.tolist(),
+                                  g.edge_mask().tolist())]
+        shape = {"alpha": list(spec.shape.alpha),
+                 "beta": list(spec.shape.beta)}
+        graph = {"n": g.vertex_count, "edges": sorted(map(list, g.edges))}
+        scale = write_json(tmp_path / "scale.json",
+                           {"graph": graph, "matrix": rows})
+        shape_file = write_json(tmp_path / "shape.json", shape)
+        if command == "bayes-fit":
+            data = np.random.default_rng(4).standard_normal((5, spec.r))
+            assert posterior_update(spec, ingest(data, g)).walk is \
+                spec.hasse
+            csv = tmp_path / "d.csv"
+            csv.write_text("\n".join(",".join(map(repr, row))
+                                     for row in data.tolist()))
+            argv = ["bayes", "fit", "--graph",
+                    write_json(tmp_path / "g.json", graph),
+                    "--data", str(csv), "--n", "200", "--prior",
+                    write_json(tmp_path / "prior.json",
+                               {"shape": shape, "scale": rows})]
+        elif command == "dist-sample":
+            argv = ["dist", "sample", "--family", "inv_type2",
+                    "--shape", shape_file, "--scale", scale, "--n", "5"]
+        else:
+            argv = ["verify", "factorization", "--shape", shape_file,
+                    "--scale", scale, "--n", "10"]
+        code, out = invoke(argv + ["--seed", "1"], capsys)
+        assert code == 0
+        if command == "verify-factorization":
+            assert json.loads(out)["within_tolerance"] is True
+
+
 class TestFloatFormat:
 
     def test_fmt_golden(self):
@@ -700,6 +747,23 @@ class TestMalformedFiles:
                              capsys))
         assert doc["code"] == "malformed_input"
         assert doc["context"]["path"] == str(csv)
+
+    def test_pattern_entry_past_the_float_range(self, tmp_path, capsys):
+        m = tmp_path / "m.json"
+        m.write_text('{"graph": {"n": 2, "edges": [[1, 2]]}, '
+                     '"matrix": [[2.0, 0.5], [0.5, 1%s]]}' % ("0" * 400))
+        doc = _error(*invoke(["cone", "complete", "--matrix", str(m)],
+                             capsys))
+        assert doc["code"] == "non_numeric"
+        assert doc["context"] == {"row": 2, "col": 2}
+
+    def test_json_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        g = tmp_path / "g.json"
+        g.write_text("[" * 200_000 + "]" * 200_000)
+        doc = _error(*invoke(["graph", "analyze", "--graph", str(g)],
+                             capsys))
+        assert doc["code"] == "malformed_input"
+        assert doc["context"]["path"] == str(g)
 
     @pytest.mark.parametrize("kind", ["I", "II"])
     def test_a4_scale_outside_the_cone(self, tmp_path, shape_file, capsys,

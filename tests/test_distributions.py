@@ -40,6 +40,7 @@ from graphwishart import cones, distributions, graphs, shapes
 from graphwishart.cones import require_qg
 
 from conftest import (
+    class_tree_only_spec,
     nested_star,
     random_first_admissible,
     random_qg,
@@ -715,6 +716,22 @@ class TestNearZeroStepExponent:
                 else:
                     assert np.all(np.isfinite(draws))
         assert 0 < raised < 20
+
+
+class TestClassTreeSecondSide:
+
+    @pytest.mark.parametrize("hubs, leaves", [(3, 2), (2, 3)],
+                             ids=["star-3x2", "star-2x3"])
+    def test_type2_mean(self, hubs, leaves):
+        """A second-side shape that only the class tree admits is sampled
+        along the tree: the mean of 20,000 type2 draws matches
+        mean_type2 within 4.5 standard errors on every entry."""
+        spec = class_tree_only_spec(hubs, leaves, "type2")
+        n = 20000
+        draws = np.stack([k.values for k in sample(spec, RngStream(1), n)])
+        se = draws.std(axis=0, ddof=1) / math.sqrt(n)
+        z = np.abs(draws.mean(axis=0) - mean_type2(spec).values) / se
+        assert z.max() <= 4.5
 
 
 class TestLargeClassTreeDraws:

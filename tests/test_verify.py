@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from graphwishart import (
     mellin_2x2,
     parse_graph,
     project,
+    sample,
     sample_batch,
 )
 
@@ -35,6 +37,8 @@ from graphwishart.distributions import _walk_mean
 from graphwishart.shapes import size_shift, step_exponents
 
 from conftest import (
+    FIG1_EDGES,
+    class_tree_only_spec,
     count_spec_builds,
     random_first_admissible,
     random_qg,
@@ -362,6 +366,73 @@ class TestMean426:
         se = per_draw.std(axis=0, ddof=1) / math.sqrt(200)
         assert np.array_equal(est.value, resid.max())
         assert np.array_equal(est.std_error, se[np.argmax(resid)])
+
+
+NESTED_STARS = pytest.mark.parametrize("hubs, leaves", [(3, 2), (2, 3)],
+                                       ids=["star-3x2", "star-2x3"])
+
+
+class TestClassTreeSecondSide:
+    """Both checks walk ``spec.walk``: on a second-side shape that only
+    the class tree admits, the clique order's step exponents do not
+    describe the draws (along it the factorization residuals of these
+    points read 0.13 to 28)."""
+
+    @NESTED_STARS
+    def test_factorization(self, hubs, leaves):
+        spec = class_tree_only_spec(hubs, leaves, "inv_type2")
+        for point in sample(spec, RngStream(2), 20):
+            assert check_factorization(spec, point) < 1e-10
+
+    @pytest.mark.parametrize("least", [0.0, 2.0],
+                             ids=["first-shape", "finite-variance"])
+    @NESTED_STARS
+    def test_mean426(self, hubs, leaves, least):
+        """The first class-tree-only shape has step exponents below 1,
+        where the inverse-gamma conditional blocks have no mean, so its
+        residual and standard error are both huge and the check has no
+        power.  With every step exponent above 2 each block has a
+        variance: the check holds along the tree, and along the clique
+        order it reads 150 (2x3) and 1,451 (3x2) standard errors."""
+        spec = class_tree_only_spec(hubs, leaves, "type2", least)
+        est = check_mean426(spec, RngStream(3), 20000)
+        assert est.value <= 4 * est.std_error
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float)
+                          .tobytes()).hexdigest()
+
+
+@pytest.mark.skipif(tuple(map(int, np.__version__.split(".")[:2]))
+                    != (2, 4), reason="digests recorded with numpy 2.4")
+def test_per_order_second_side_keeps_its_bits():
+    """On fig1 with a per-order second-side shape (``spec.walk`` is
+    ``spec.ordering``) the draws of ``sample`` and the values of both
+    checks keep the bits they had when the second side sampled and was
+    checked along the clique order only: SHA-256 of their float64
+    bytes, recorded on x86-64 with numpy 2.4."""
+    g = parse_graph({"n": 7, "edges": FIG1_EDGES})
+    o = decompose(g)
+    rng = np.random.default_rng(3)
+    shape, scale = random_second_admissible(o, rng), random_qg(g, rng)
+    type2, inv = (WishartSpec(g, shape, scale, f)
+                  for f in ("type2", "inv_type2"))
+    assert type2.walk is o and inv.walk is o
+    est = check_mean426(type2, RngStream(7), 2000)
+    got = [
+        _digest([k.values for k in sample(type2, RngStream(5), 50)]),
+        _digest([x.values for x in sample(inv, RngStream(5), 50)]),
+        _digest([check_factorization(inv, x)
+                 for x in sample(inv, RngStream(6), 5)]),
+        _digest([est.value, est.std_error]),
+    ]
+    assert got == [
+        "0512af607c19e72e7313fc23b26e4cf87535b18e4a057b0e94636753a0ae6b8a",
+        "08854db221349fdefb4c3320e7d5b0880eb23334bbb41a5e25e9e630f7686be2",
+        "6c71b8259ac781fe4422f10db55be2afee154f57ca1914b5ded21e1af076f40d",
+        "9377fe6f7e40b880a15892449b2c3d153e7270bc7d19ece31bcde28d343ea198",
+    ]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2.5, "3"])
