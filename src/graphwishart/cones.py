@@ -21,7 +21,7 @@ from .errors import (
     NotInQG,
     ShapeMismatch,
 )
-from .graphs import decompose
+from .graphs import _order_of, decompose
 
 __all__ = [
     "IncompleteMatrix",
@@ -434,7 +434,7 @@ def split_blocks(x, ordering=None):
     """Decompose x into independent regression coordinates along
     ``ordering`` (default: the graph's clique order)."""
     require_qg(x)
-    ordering = ordering or decompose(x.graph)
+    ordering = _order_of(x.graph, ordering)
     pos = x.graph.pattern.pos
     return Blocks(ordering, tuple(_regress(x.values, pos, new, given)
                                   for new, given in ordering.steps))

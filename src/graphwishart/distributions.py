@@ -35,7 +35,7 @@ from .errors import (
     OutOfSupport,
     ShapeNotAdmissible,
 )
-from .graphs import _class_tree, decompose
+from .graphs import _order_of, decompose
 from .shapes import (
     ShapeParam,
     _admissible_walk,
@@ -282,12 +282,13 @@ class WishartSpec:
     ``scale`` is kept as an IncompleteMatrix; a SparsePrecision is read
     as the same pattern entries.  Construction checks cone
     membership of the scale and admissibility of the shape; derived
-    quantities (the graph's class tree ``hasse`` when it is homogeneous,
-    the step list ``walk`` the shape is admissible on with one exponent
-    per step, log normalizing constant) are cached on the instance, and
-    so, on first use, are what ``logpdf`` and the sampler walk need of
-    the scale and shape alone.  ``ordering`` is the clique order the
-    shape is aligned with; it defaults to the graph's own.
+    quantities (the step list ``walk`` the shape is admissible on with
+    one exponent per step: ``ordering``, else the graph's class tree;
+    the log normalizing constant) are cached on the instance, and so, on
+    first use, are what ``logpdf`` and the sampler walk need of the
+    scale and shape alone.  ``ordering`` is the clique order the shape
+    is aligned with; it defaults to the graph's own, and one of another
+    graph raises GraphMismatch.
     """
 
     graph: object
@@ -295,17 +296,14 @@ class WishartSpec:
     scale: object
     family: str
     ordering: object = field(default=None)
-    hasse: object = field(init=False)
 
     def __post_init__(self):
         try:
             self.side, self.cone = FAMILIES[self.family]
         except (KeyError, TypeError):
             raise OutOfDomain("unknown family", family=self.family) from None
-        if self.ordering is None:
-            self.ordering = decompose(self.graph)
+        self.ordering = _order_of(self.graph, self.ordering)
         check_alignment(self.shape, self.ordering)
-        self.hasse = _class_tree(self.graph)
         if isinstance(self.scale, SparsePrecision):
             self.scale = IncompleteMatrix._of(self.scale.graph,
                                               self.scale.values)
@@ -317,7 +315,7 @@ class WishartSpec:
         cones.require_qg(self.scale)
         try:
             self.walk, self.exponents = _admissible_walk(
-                self.shape, self.ordering, self.hasse, self.side)
+                self.shape, self.ordering, self.side)
         except ShapeNotAdmissible:
             raise ShapeNotAdmissible(
                 "shape is not admissible for this family",
@@ -423,7 +421,6 @@ def logpdf_f(graph, shape_a, shape_b, scale, point, kind="first"):
     OutOfSupport.
     """
     ordering = decompose(graph)
-    hasse = _class_tree(graph)
     if kind not in ("first", "second"):
         raise OutOfDomain("unknown kind", kind=kind)
     first = kind == "first"
@@ -437,16 +434,14 @@ def logpdf_f(graph, shape_a, shape_b, scale, point, kind="first"):
     x = cones._to_qg(point, OutOfSupport)
     total = cone._of(graph, scale.values + point.values)
     if first:
-        lg = log_gamma_II(shape_b - shape_a, ordering, hasse) \
-            - log_gamma_I(shape_a, ordering, hasse) \
-            - log_gamma_II(shape_b, ordering, hasse)
+        lg = log_gamma_II(shape_b - shape_a, ordering) \
+            - log_gamma_I(shape_a, ordering) - log_gamma_II(shape_b, ordering)
         # The sum of two checked points has positive definite cliques.
         terms = ((shape_b, scale), (shape_b - shape_a, total),
                  (shape_a + size_shift(ordering, -0.5, 1), x))
     else:
-        lg = log_gamma_I(shape_a - shape_b, ordering, hasse) \
-            - log_gamma_I(shape_a, ordering, hasse) \
-            - log_gamma_II(shape_b, ordering, hasse)
+        lg = log_gamma_I(shape_a - shape_b, ordering) \
+            - log_gamma_I(shape_a, ordering) - log_gamma_II(shape_b, ordering)
         terms = ((shape_a, phi(scale)), (shape_a - shape_b, phi(total)),
                  (shape_b + size_shift(ordering, 0.5, 1), x))
     h_s, h_u, h_x = (float(_log_h(sh, m.values, ordering))

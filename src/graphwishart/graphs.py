@@ -13,6 +13,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import (
+    GraphMismatch,
     InternalInconsistency,
     MalformedInput,
     NotChordal,
@@ -474,6 +475,16 @@ def decompose(g):
     The order is computed once per graph and kept on it.
     """
     return _cached(g, "_ordering", _decompose)
+
+
+def _order_of(g, ordering):
+    """``ordering``, or g's own clique order when it is None; a walk of
+    another graph raises GraphMismatch."""
+    if ordering is None:
+        return decompose(g)
+    if ordering.graph != g:
+        raise GraphMismatch("clique order belongs to a different graph")
+    return ordering
 
 
 def _decompose(g):

@@ -19,7 +19,13 @@ from .errors import (
     ShapeMismatch,
     ShapeNotAdmissible,
 )
-from .graphs import HasseTree, decompose, hasse_exponents
+from .graphs import (
+    HasseTree,
+    _class_tree,
+    _order_of,
+    decompose,
+    hasse_exponents,
+)
 
 __all__ = [
     "ShapeParam",
@@ -162,7 +168,7 @@ def log_h(shape, x, ordering=None):
     Raises NotInQG, naming the clique, when a clique block of x is not
     positive definite.
     """
-    ordering = ordering or decompose(x.graph)
+    ordering = _order_of(x.graph, ordering)
     check_alignment(shape, ordering)
     _require_pd_cliques(x.values, ordering)
     return float(_log_h(shape, x.values, ordering))
@@ -198,7 +204,8 @@ def canonical_shape(kind, ordering, value):
 class ShapeClass:
     """Membership flags of a shape in the admissible parameter sets.
 
-    ``in_a_hom`` / ``in_b_hom`` are None when no class tree was given.
+    ``in_a_hom`` / ``in_b_hom`` are None when the graph is not
+    homogeneous, so has no class tree.
     ``delta2`` and ``gamma2`` are the slack terms entering the first
     separator condition on each side (None when the graph is prime).
     """
@@ -232,11 +239,14 @@ def _slacks(shape, ordering, side):
                                       ordering.distinct_separators))
 
 
-def _exponents(shape, walk, side):
+def _exponents(shape, ordering, walk, side):
     """Step exponents of ``walk`` on one side, and whether every separator
-    equality but S2's holds within tolerance (a class tree has none)."""
+    equality but S2's holds within tolerance (a class tree has none).
+    A class tree reads ``shape`` realigned from ``ordering`` to
+    ``decompose(graph)``; a clique order reads it as it is."""
     if isinstance(walk, HasseTree):
-        rho, _ = hasse_exponents(walk, shape)
+        rho, _ = hasse_exponents(walk, realign_shape(
+            shape, ordering, decompose(walk.graph)))
         nodes = walk.nodes_below(walk.root)
         if side == "first":
             return tuple(rho[u] - walk.depth_weights[u] / 2.0
@@ -260,38 +270,41 @@ def _exponents(shape, walk, side):
 def step_exponents(shape, walk, side):
     """Exponent p of each ``(new, given)`` step of ``walk.steps``.
 
-    ``walk`` is a CliqueOrdering or a HasseTree.  On the ``"first"``
-    side a step's conditional block is Wishart with shape p; on the
-    ``"second"`` side it is the inverse of a Wishart with shape p.
+    ``walk`` is a CliqueOrdering or a HasseTree (shape in
+    ``decompose(graph)`` order).  On the ``"first"`` side a step's
+    conditional block is Wishart with shape p; on the ``"second"`` side
+    it is the inverse of a Wishart with shape p.
     """
-    return _exponents(shape, walk, side)[0]
+    return _exponents(shape, decompose(walk.graph), walk, side)[0]
 
 
-def _admitted(shape, walk, side):
+def _admitted(shape, ordering, walk, side):
     """Step exponents of ``walk`` on one side, or None when the walk does
     not admit the shape: a separator equality fails, or a non-empty step
     has p <= (|new| - 1) / 2 up to the tolerance."""
-    exps, holds = _exponents(shape, walk, side)
+    exps, holds = _exponents(shape, ordering, walk, side)
     if holds and all(p > (len(new) - 1) / 2.0 + _TOL
                      for (new, _), p in zip(walk.steps, exps) if new):
         return exps
     return None
 
 
-def _admissible_walk(shape, ordering, hasse, side):
+def _admissible_walk(shape, ordering, side):
     """The walk a shape is admissible on for one side, with its step
-    exponents: the clique order, else the class tree when one is given.
-    Raises ShapeNotAdmissible when neither walk admits the shape."""
+    exponents: the clique order, else the graph's class tree, looked up
+    only then.  Raises ShapeNotAdmissible when neither admits it."""
     check_alignment(shape, ordering)
-    for walk in (ordering, hasse):
-        exps = None if walk is None else _admitted(shape, walk, side)
-        if exps is not None:
-            return walk, exps
-    raise ShapeNotAdmissible(
-        "shape outside the admissible set for this cone")
+    walk, exps = ordering, _admitted(shape, ordering, ordering, side)
+    tree = None if exps is not None else _class_tree(ordering.graph)
+    if tree is not None:
+        walk, exps = tree, _admitted(shape, ordering, tree, side)
+    if exps is None:
+        raise ShapeNotAdmissible(
+            "shape outside the admissible set for this cone")
+    return walk, exps
 
 
-def shape_class(shape, ordering, hasse=None):
+def shape_class(shape, ordering):
     """Classify a shape against every admissibility system.
 
     All inequalities are tested strictly up to a tolerance of 1e-12;
@@ -321,8 +334,9 @@ def shape_class(shape, ordering, hasse=None):
         g2 = _slacks(shape, ordering, "second")[first]
 
     flags = [None if walk is None else
-             _admitted(shape, walk, side) is not None
-             for walk in (ordering, hasse) for side in ("first", "second")]
+             _admitted(shape, ordering, walk, side) is not None
+             for walk in (ordering, _class_tree(ordering.graph))
+             for side in ("first", "second")]
     return ShapeClass(in_a1, in_b1, *flags, d2, g2)
 
 
@@ -336,21 +350,21 @@ def steps_log_gamma(steps, exponents):
     return total
 
 
-def _log_gamma(shape, ordering, hasse, side):
-    walk, exps = _admissible_walk(shape, ordering, hasse, side)
+def _log_gamma(shape, ordering, side):
+    walk, exps = _admissible_walk(shape, ordering, side)
     return steps_log_gamma(walk.steps, exps)
 
 
-def log_gamma_I(shape, ordering, hasse=None):
+def log_gamma_I(shape, ordering):
     """Log normalizing constant of the first-cone family.
 
     Uses the per-order formula when the shape is admissible for the
     given order, falling back to the class-tree formula for homogeneous
     graphs; raises ShapeNotAdmissible otherwise.
     """
-    return _log_gamma(shape, ordering, hasse, "first")
+    return _log_gamma(shape, ordering, "first")
 
 
-def log_gamma_II(shape, ordering, hasse=None):
+def log_gamma_II(shape, ordering):
     """Log normalizing constant of the second-cone family."""
-    return _log_gamma(shape, ordering, hasse, "second")
+    return _log_gamma(shape, ordering, "second")

@@ -36,8 +36,8 @@ from .errors import (
     ShapeOutsideA4B4,
     WrongGraph,
 )
-from .graphs import decompose
-from .shapes import canonical_shape, size_shift, step_exponents
+from .graphs import _order_of
+from .shapes import canonical_shape, size_shift
 
 __all__ = [
     "McEstimate",
@@ -255,7 +255,7 @@ def mc_normalizer(kind, graph, ordering, shape, scale, rng, n,
     """
     rng = _as_stream(rng)
     n = _mc_draws(n)
-    ordering = ordering or decompose(graph)
+    ordering = _order_of(graph, ordering)
     if kind == "I":
         family = "type1"
         cands = _hyper_candidates(shape, ordering)
@@ -319,14 +319,17 @@ def mellin_2x2(p, a1, a2, c, rng, n):
     if a1 <= -p or a2 <= -p:
         raise OutOfDomain("moment exponent too negative",
                           a1=a1, a2=a2, p=p)
-    c11, c22, c12 = c[0, 0], c[1, 1], c[0, 1]
+    # Python floats: an overflow to inf or nan raises no numpy warning;
+    # _finite_log turns it into OutOfDomain.
+    c11, c22, c12 = float(c[0, 0]), float(c[1, 1]), float(c[0, 1])
     z = c12 * c12 / (c11 * c22)
-    sign, ldc = np.linalg.slogdet(c)
-    if sign <= 0:
+    sign, ldc = map(float, np.linalg.slogdet(c))
+    if sign <= 0 or not c11 > 0:
         raise OutOfDomain("rate matrix must be positive definite")
+    gammas = float(gammaln(a1 + p)) + float(gammaln(a2 + p)) \
+        - 2.0 * float(gammaln(p))
     log_closed = p * ldc - (a1 + p) * math.log(c11) \
-        - (a2 + p) * math.log(c22) \
-        + float(gammaln(a1 + p) + gammaln(a2 + p) - 2.0 * gammaln(p)) \
+        - (a2 + p) * math.log(c22) + gammas \
         + _log_2f1(a1 + p, a2 + p, p, z)
     closed = math.exp(_finite_log(log_closed, _LOG_MAX, p=p, a1=a1, a2=a2))
     rng = _as_stream(rng)
@@ -373,7 +376,12 @@ def check_mean426(spec, rng, n):
 
     The draws x = phi(K) are the walk's packed store on the incomplete
     cone.  Each draw's sum is the first-side mean along ``spec.walk`` at
-    its step coordinates and the shape shifted by (size + 1) / 2.
+    its step coordinates and the shape shifted by (size + 1) / 2.  The
+    standard error means something only when every step exponent of
+    ``spec.walk`` exceeds (|new| + 3) / 2: below (|new| + 1) / 2 the
+    inverse Wishart blocks of the draws have no mean, below
+    (|new| + 3) / 2 no variance, and a small residual in standard errors
+    then says nothing.
     """
     _require_family(spec, "type2", "identity check needs a type2 spec")
     rng = _as_stream(rng)
@@ -381,8 +389,9 @@ def check_mean426(spec, rng, n):
     walk = spec.walk
     x = _walk(spec, rng, n)
     pos = spec.graph.pattern.pos
-    exps = step_exponents(spec.shape + size_shift(spec.ordering, 0.5, 1),
-                          walk, "first")
+    exps, _ = shapes._exponents(
+        spec.shape + size_shift(spec.ordering, 0.5, 1), spec.ordering,
+        walk, "first")
     per_draw = _walk_mean(walk, exps, [
         _regress(x, pos, new, given) for new, given in walk.steps], (n,))
     resid = -spec.scale.values - per_draw.mean(axis=0)

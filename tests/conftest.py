@@ -116,29 +116,37 @@ def nested_star(hubs, leaves):
     return {"n": v - 1, "edges": edges}
 
 
-def class_tree_only_spec(hubs, leaves, family, least=0.0):
+def class_tree_only_spec(hubs, leaves, family, least=0.0,
+                         interval=(-6.0, 0.0)):
     """Spec on ``nested_star(hubs, leaves)`` whose shape the class tree
     admits on the family's side and the clique order does not, with
     every step exponent above ``least``.  The shape is the first such
     one drawn by ``np.random.default_rng(0)``, its k + k' exponents
-    uniform on [-6, 0] per try; the scale is ``random_qg`` with
+    uniform on ``interval`` per try; the scale is ``random_qg`` with
     ``np.random.default_rng(1)``."""
-    from graphwishart import (ShapeNotAdmissible, ShapeParam, WishartSpec,
-                              parse_graph)
+    from graphwishart import (HasseTree, ShapeNotAdmissible, ShapeParam,
+                              WishartSpec, parse_graph)
 
     g = parse_graph(nested_star(hubs, leaves))
     o = decompose(g)
     rng = np.random.default_rng(0)
     scale = random_qg(g, np.random.default_rng(1))
     while True:
-        v = rng.uniform(-6.0, 0.0, o.k + o.k_prime)
+        v = rng.uniform(*interval, o.k + o.k_prime)
         try:
             spec = WishartSpec(g, ShapeParam(tuple(v[:o.k]),
                                              tuple(v[o.k:])), scale, family)
         except ShapeNotAdmissible:
             continue
-        if spec.walk is spec.hasse and min(spec.exponents) > least:
+        if isinstance(spec.walk, HasseTree) and \
+                min(spec.exponents) > least:
             return spec
+
+
+# class_tree_only_spec's rule per family for the order-invariance tests:
+# (least, interval) -- type2 from [-6, 0], type1 from [0, 6] with every
+# step exponent above 1.
+TREE_ONLY_RULES = {"type1": (1.0, (0.0, 6.0)), "type2": (0.0, (-6.0, 0.0))}
 
 
 def count_spec_builds(monkeypatch):

@@ -93,7 +93,7 @@ def test_criterion_01_cross_formula_normalizer(g0, g0_ord):
     while hits_first < 20 or hits_second < 20:
         if hits_first < 20:
             s = random_first_admissible(g0_ord, rng)
-            info = shape_class(s, g0_ord, hasse=tree)
+            info = shape_class(s, g0_ord)
             if info.in_a_p and info.in_a_hom:
                 tree_sum = steps_log_gamma(
                     tree.steps, step_exponents(s, tree, "first"))
@@ -102,7 +102,7 @@ def test_criterion_01_cross_formula_normalizer(g0, g0_ord):
                 hits_first += 1
         if hits_second < 20:
             s = random_second_admissible(g0_ord, rng)
-            info = shape_class(s, g0_ord, hasse=tree)
+            info = shape_class(s, g0_ord)
             if info.in_b_p and info.in_b_hom:
                 tree_sum = steps_log_gamma(
                     tree.steps, step_exponents(s, tree, "second"))

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphwishart import cli
+from graphwishart import HasseTree, cli
 from graphwishart.cli import run
 
-from conftest import chordal_graphs, class_tree_only_spec
+from conftest import TREE_ONLY_RULES, chordal_graphs, class_tree_only_spec
 
 
 def invoke(argv, capsys):
@@ -498,6 +498,21 @@ class TestBayesAndVerify:
         assert cli._build_parser().parse_args(argv).n == n
 
 
+def _spec_files(tmp_path, spec):
+    """The graph, scale rows and shape of a spec as JSON objects, and the
+    paths of its scale and shape files."""
+    g = spec.graph
+    rows = [[v if on else None for v, on in zip(row, m)]
+            for row, m in zip(spec.scale.data.tolist(),
+                              g.edge_mask().tolist())]
+    shape = {"alpha": list(spec.shape.alpha), "beta": list(spec.shape.beta)}
+    graph = {"n": g.vertex_count, "edges": sorted(map(list, g.edges))}
+    paths = (write_json(tmp_path / "scale.json",
+                        {"graph": graph, "matrix": rows}),
+             write_json(tmp_path / "shape.json", shape))
+    return (graph, rows, shape) + paths
+
+
 class TestClassTreeSecondSide:
     """Commands on a second-side shape that only the class tree admits
     sample along the tree and exit 0."""
@@ -511,19 +526,11 @@ class TestClassTreeSecondSide:
 
         spec = class_tree_only_spec(hubs, leaves, "inv_type2")
         g = spec.graph
-        rows = [[v if on else None for v, on in zip(row, m)]
-                for row, m in zip(spec.scale.data.tolist(),
-                                  g.edge_mask().tolist())]
-        shape = {"alpha": list(spec.shape.alpha),
-                 "beta": list(spec.shape.beta)}
-        graph = {"n": g.vertex_count, "edges": sorted(map(list, g.edges))}
-        scale = write_json(tmp_path / "scale.json",
-                           {"graph": graph, "matrix": rows})
-        shape_file = write_json(tmp_path / "shape.json", shape)
+        graph, rows, shape, scale, shape_file = _spec_files(tmp_path, spec)
         if command == "bayes-fit":
             data = np.random.default_rng(4).standard_normal((5, spec.r))
-            assert posterior_update(spec, ingest(data, g)).walk is \
-                spec.hasse
+            assert isinstance(posterior_update(spec, ingest(data, g)).walk,
+                              HasseTree)
             csv = tmp_path / "d.csv"
             csv.write_text("\n".join(",".join(map(repr, row))
                                      for row in data.tolist()))
@@ -542,6 +549,26 @@ class TestClassTreeSecondSide:
         assert code == 0
         if command == "verify-factorization":
             assert json.loads(out)["within_tolerance"] is True
+
+
+@pytest.mark.parametrize("hubs, leaves", [(3, 2), (2, 3)],
+                         ids=["star-3x2", "star-2x3"])
+def test_normalizer_closed_form_along_the_class_tree(tmp_path, capsys,
+                                                     hubs, leaves):
+    """``verify normalizer --kind I`` on a type1 shape only the class tree
+    admits prints the closed form, exp(log_gamma + log_h_scale) of the
+    spec along the tree, and a verdict on it."""
+    spec = class_tree_only_spec(hubs, leaves, "type1",
+                                *TREE_ONLY_RULES["type1"])
+    *_, scale, shape = _spec_files(tmp_path, spec)
+    code, out = invoke(["verify", "normalizer", "--kind", "I", "--shape",
+                        shape, "--scale", scale, "--n", "2000", "--seed",
+                        "1"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    want = math.exp(spec.log_gamma + spec.log_h_scale)
+    assert abs(doc["closed_form"] - want) <= 1e-12 * want
+    assert isinstance(doc["within_3_se"], bool)
 
 
 class TestFloatFormat:
@@ -803,3 +830,31 @@ class TestMalformedFiles:
                              capsys))
         assert doc["code"] == "out_of_domain"
         assert "log_value" in doc["context"]
+
+    @pytest.mark.parametrize("rows, p, code", [
+        ([[-2.0, 0.5], [0.5, -1.0]], "2", "out_of_domain"),
+        ([[2.0, 0.5], [0.5, 1.0]], "1e308", "out_of_domain"),
+    ], ids=["negative-definite", "huge-p"])
+    def test_mellin_bad_rate_or_shape(self, tmp_path, capsys, rows, p,
+                                      code):
+        """A negative definite rate (its determinant is positive) was a
+        math domain error, and p = 1e308 a nan from inf - inf that the
+        warning flags turn into an exception; both exited 2."""
+        m = write_json(tmp_path / "c.json", {
+            "graph": {"n": 2, "edges": [[1, 2]]}, "matrix": rows})
+        doc = _error(*invoke(["verify", "mellin", "--matrix", m, "--p", p,
+                              "--a1", "0.5", "--a2", "0.5", "--n", "10"],
+                             capsys))
+        assert doc["code"] == code
+
+    def test_mellin_rate_entries_past_the_square_root_range(self, tmp_path,
+                                                            capsys):
+        """c11 * c22 overflows to inf, and z is 0: no numpy overflow
+        warning, and the closed form is finite."""
+        m = write_json(tmp_path / "c.json", {
+            "graph": {"n": 2, "edges": [[1, 2]]},
+            "matrix": [[1e200, 0.5], [0.5, 1e200]]})
+        code, out = invoke(["verify", "mellin", "--matrix", m, "--p", "2",
+                            "--a1", "0.5", "--a2", "0.5", "--n", "10"],
+                           capsys)
+        assert code == 0 and json.loads(out)["closed_form"] > 0

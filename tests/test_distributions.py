@@ -8,6 +8,8 @@ from scipy import stats
 from graphwishart import (
     CliqueOrdering,
     DimensionMismatch,
+    GraphMismatch,
+    HasseTree,
     IncompleteMatrix,
     MalformedInput,
     NotPositiveDefinite,
@@ -21,25 +23,30 @@ from graphwishart import (
     canonical_shape,
     complete,
     decompose,
+    enumerate_perfect_orders,
     laplace,
     log_h,
     logpdf,
     logpdf_f,
     mean_type1,
     mean_type2,
+    mc_normalizer,
     parse_graph,
     phi,
     precision_of,
     project,
+    realign_shape,
     sample,
     sample_base_wishart,
     sample_batch,
     sample_matrix_normal,
+    split_blocks,
 )
 from graphwishart import cones, distributions, graphs, shapes
 from graphwishart.cones import require_qg
 
 from conftest import (
+    TREE_ONLY_RULES,
     class_tree_only_spec,
     nested_star,
     random_first_admissible,
@@ -734,6 +741,70 @@ class TestClassTreeSecondSide:
         assert z.max() <= 4.5
 
 
+class TestOrderOfAnotherGraph:
+    """A clique order of another graph with the same clique and
+    separator counts (the path 2-1-3-4 against the path a4) is
+    GraphMismatch at every entry point that takes one; it was read
+    against the wrong pattern."""
+
+    @pytest.fixture
+    def case(self, a4):
+        other = decompose(parse_graph(
+            {"n": 4, "edges": [[1, 2], [1, 3], [3, 4]]}))
+        shape = canonical_shape("hyper", decompose(a4), 2.0)
+        return other, shape, project(2.0 * np.eye(4) + 0.5, a4)
+
+    def test_spec(self, a4, case):
+        other, shape, scale = case
+        with pytest.raises(GraphMismatch):
+            WishartSpec(a4, shape, scale, "type1", ordering=other)
+
+    def test_log_h(self, case):
+        other, shape, scale = case
+        with pytest.raises(GraphMismatch):
+            log_h(shape, scale, other)
+
+    def test_split_blocks(self, case):
+        other, _, scale = case
+        with pytest.raises(GraphMismatch):
+            split_blocks(scale, other)
+
+    def test_mc_normalizer(self, a4, case):
+        other, shape, scale = case
+        with pytest.raises(GraphMismatch):
+            mc_normalizer("I", a4, other, shape, scale, RngStream(1), 100)
+
+
+class TestClassTreeAcrossOrders:
+
+    @pytest.mark.parametrize("family", ["type1", "type2"])
+    @pytest.mark.parametrize("hubs, leaves", [(3, 2), (2, 3)],
+                             ids=["star-3x2", "star-2x3"])
+    def test_spec_on_every_order(self, hubs, leaves, family):
+        """A shape only the class tree admits, realigned to each of the
+        first 200 perfect orders of its nested star: the spec built on
+        that order has the log normalizer of the spec on the graph's
+        own order and, when it walks the class tree, its step exponents
+        and bit for bit its fixed-seed draws."""
+        spec = class_tree_only_spec(hubs, leaves, family,
+                                    *TREE_ONLY_RULES[family])
+        g, o = spec.graph, spec.ordering
+        draws = np.stack([x.values for x in sample(spec, RngStream(5), 20)])
+        walked = 0
+        for p in enumerate_perfect_orders(g)[:200]:
+            other = WishartSpec(g, realign_shape(spec.shape, o, p),
+                                spec.scale, family, ordering=p)
+            assert abs(other.log_gamma - spec.log_gamma) <= \
+                1e-12 * (1 + abs(spec.log_gamma))
+            if isinstance(other.walk, HasseTree):
+                walked += 1
+                assert other.exponents == spec.exponents
+                assert np.array_equal(np.stack([
+                    x.values for x in sample(other, RngStream(5), 20)]),
+                    draws)
+        assert walked
+
+
 class TestLargeClassTreeDraws:
 
     def test_inv_type1_logpdf_on_nested_star(self):
@@ -746,7 +817,7 @@ class TestLargeClassTreeDraws:
         shape = ShapeParam((2.0,) * o.k, (1.0,) * o.k_prime)
         scale = random_qg(g, np.random.default_rng(1))
         spec = WishartSpec(g, shape, scale, "inv_type1")
-        assert spec.walk is spec.hasse
+        assert isinstance(spec.walk, HasseTree)
         for d in sample_batch(spec, RngStream(1), 6):
             point = SparsePrecision(g, d)
             x = phi(point)
@@ -809,7 +880,8 @@ class TestSpecBuild:
             if family == "type1" else canonical_shape("gwishart", o, 3.0)
         spec = WishartSpec(g, shape, random_qg(g, np.random.default_rng(2)),
                            family)
-        assert spec.walk is (spec.hasse if family == "type1" else o)
+        assert spec.walk is (graphs._class_tree(g) if family == "type1"
+                             else o)
         assert len(tree_passes) <= 1 and not classified
         assert len(sizes) == 1
 

@@ -30,7 +30,9 @@ from graphwishart.shapes import (
 )
 
 from conftest import (
+    TREE_ONLY_RULES,
     chordal_graphs,
+    class_tree_only_spec,
     random_first_admissible,
     random_second_admissible,
 )
@@ -51,7 +53,7 @@ def _cross_formula_gaps(graphs, draw, log_gamma, side, seed):
             trials += 1
             assert trials < 2000
             shape = draw(ordering, rng)
-            info = shape_class(shape, ordering, hasse=tree)
+            info = shape_class(shape, ordering)
             both = (info.in_a_p and info.in_a_hom) if side == "first" \
                 else (info.in_b_p and info.in_b_hom)
             if not both:
@@ -189,11 +191,9 @@ class TestShapeClass:
         assert not info.in_a_p
 
     def test_homogeneous_membership(self, g0, g0_ord):
-        tree = homogeneous_structure(g0)
         alpha = tuple(1.0 if len(c) == 2 else 2.0
                       for c in g0_ord.cliques)
-        info = shape_class(ShapeParam(alpha, (1.0, 1.0)), g0_ord,
-                           hasse=tree)
+        info = shape_class(ShapeParam(alpha, (1.0, 1.0)), g0_ord)
         assert info.in_a_hom
 
     def test_hyper_grid_inside_every_order(self, a4, a4_ord):
@@ -330,3 +330,27 @@ def test_log_multigamma_against_scipy():
                 gammaln(p - j / 2.0) for j in range(r))
             assert log_multigamma(r, p) == pytest.approx(
                 direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", ["type1", "type2"])
+@pytest.mark.parametrize("hubs, leaves", [(3, 2), (2, 3)],
+                         ids=["star-3x2", "star-2x3"])
+def test_class_tree_reading_does_not_depend_on_the_order(hubs, leaves,
+                                                         family):
+    """A shape only the class tree admits, realigned to each of the
+    first 200 perfect orders of its nested star: the tree reads it in
+    the graph's own clique order, so the normalizer and the tree flags
+    of shape_class are those on that order."""
+    spec = class_tree_only_spec(hubs, leaves, family,
+                                *TREE_ONLY_RULES[family])
+    o = spec.ordering
+    log_gamma = log_gamma_I if family == "type1" else log_gamma_II
+    want = log_gamma(spec.shape, o)
+    base = shape_class(spec.shape, o)
+    flags = (base.in_a_hom, base.in_b_hom)
+    assert flags[family == "type2"] is True
+    for p in enumerate_perfect_orders(spec.graph)[:200]:
+        shape = realign_shape(spec.shape, o, p)
+        assert abs(log_gamma(shape, p) - want) <= 1e-12 * (1 + abs(want))
+        cls = shape_class(shape, p)
+        assert (cls.in_a_hom, cls.in_b_hom) == flags

@@ -13,6 +13,7 @@ from graphwishart import (
     ShapeOutsideA4B4,
     ShapeParam,
     WishartSpec,
+    HasseTree,
     WrongGraph,
     a4_closed_form,
     canonical_shape,
@@ -20,6 +21,7 @@ from graphwishart import (
     check_identity_327,
     check_mean426,
     decompose,
+    enumerate_perfect_orders,
     gauss_2f1,
     log_gamma_I,
     log_gamma_II,
@@ -28,6 +30,7 @@ from graphwishart import (
     mellin_2x2,
     parse_graph,
     project,
+    realign_shape,
     sample,
     sample_batch,
 )
@@ -397,6 +400,27 @@ class TestClassTreeSecondSide:
         spec = class_tree_only_spec(hubs, leaves, "type2", least)
         est = check_mean426(spec, RngStream(3), 20000)
         assert est.value <= 4 * est.std_error
+
+    @NESTED_STARS
+    def test_mean426_on_every_order(self, hubs, leaves):
+        """The type2 shape of ``class_tree_only_spec`` realigned to each
+        of the first 200 perfect orders: where the spec built on that
+        order walks the class tree, the check takes the same shifted
+        exponents and returns bit for bit the value on the graph's own
+        order."""
+        spec = class_tree_only_spec(hubs, leaves, "type2")
+        o = spec.ordering
+        want = check_mean426(spec, RngStream(6), 200)
+        walked = 0
+        for p in enumerate_perfect_orders(spec.graph)[:200]:
+            other = WishartSpec(spec.graph, realign_shape(spec.shape, o, p),
+                                spec.scale, "type2", ordering=p)
+            if isinstance(other.walk, HasseTree):
+                walked += 1
+                got = check_mean426(other, RngStream(6), 200)
+                assert (got.value, got.std_error) == \
+                    (want.value, want.std_error)
+        assert walked
 
 
 def _digest(a):
