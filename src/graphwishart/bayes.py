@@ -163,7 +163,8 @@ def posterior_summaries(post, rng=None, n_draws=4000):
     }
     if rng is not None:
         n_draws = _mc_draws(n_draws, "n_draws")
-        draws = _walk(post, _as_stream(rng), n_draws) / 2.0
+        draws = np.ascontiguousarray(_walk(post, _as_stream(rng), n_draws))
+        draws /= 2.0
         out["sigma_mean"] = IncompleteMatrix._of(
             post.graph, draws.mean(axis=0))
         out["sigma_se"] = _scatter(

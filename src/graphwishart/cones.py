@@ -126,78 +126,126 @@ def _check_symmetric(a, b, tol=1e-12):
         raise MalformedInput("matrix is not symmetric", asymmetry=gap)
 
 
-# Small-block kernels: a LAPACK gufunc pays its call overhead once per
-# matrix of a stack, so these unroll over the entries of 1x1 to 4x4
-# blocks and vectorize over the stack.  A stack of k x k blocks takes the
-# Cholesky kernel from _CHOL_MIN[k] blocks on (measured: BENCH_16.json).
-_CHOL_MIN = {1: 1, 2: 200, 3: 500, 4: 500}
+# Small-block kernels for stacks of draws.  A stack holds its draws
+# last, (k, k, n), so each block entry is one contiguous vector of n
+# draws; every kernel also takes one (k, k) matrix for all draws.  A
+# LAPACK gufunc or a stacked matmul pays its call overhead once per
+# matrix of a stack, so these kernels run numpy passes over the entries
+# of small blocks instead.  They set no floating point error state: a
+# caller that may meet a zero, an overflow or a NaN sets one around
+# them (the sampler walk sets one per walk).  A stack of k x k blocks
+# takes the Cholesky kernel from _CHOL_MIN[k] blocks on (measured:
+# BENCH_19.json).
+_CHOL_MIN = {1: 1, 2: 32, 3: 100, 4: 200}
+# A single (b, b) factor for every draw is back-substituted from
+# _SOLVE_MIN[b] rows of right-hand sides on (a per draw of z (a, b, n));
+# below, one LAPACK call costs less (measured: BENCH_19.json).
+_SOLVE_MIN = {1: 0, 2: 0, 3: 100, 4: 200}
+
+
+def _lapack(f, a):
+    """A ``numpy.linalg`` function ``f`` of a matrix or a draws-last
+    stack, whose draws it moves to the front and back."""
+    if a.ndim == 2:
+        return f(a)
+    return f(a.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
+def _mul(a, b):
+    """Product a b of draws-last stacks a (p, q, n) and b (q, s, n),
+    either of which may be one matrix for every draw: one broadcast
+    multiply and a sum over q taken in index order, with no fused
+    multiply-add.  numpy's sum adds fewer than 8 terms one after the
+    other; from 8 on its pairwise summation would reorder them, so they
+    are added in a loop.  An inner size of 1 is the multiply alone.
+    Two single matrices (a fill with no draws, as the type-I mean) take
+    numpy's ``@``, one call in place of two."""
+    if a.ndim == b.ndim == 2:
+        return a @ b
+    if a.ndim != b.ndim:
+        a, b = (a[..., None], b) if a.ndim < b.ndim else (a, b[..., None])
+    if a.shape[1] == 1:
+        return a * b
+    t = a[:, :, None] * b
+    if t.shape[1] < 8:
+        return t.sum(axis=1)
+    out = t[:, 0]
+    for m in range(1, t.shape[1]):
+        out = out + t[:, m]
+    return out
 
 
 def _chol(a):
-    """Lower Cholesky factor of a matrix or stack (..., k, k): Crout's
-    recursion unrolled over the entries of a small block, LAPACK below
-    the crossover.  None when a pivot is not positive or is NaN, as
-    LAPACK's ``potrf`` reads it."""
-    k = a.shape[-1]
+    """Lower Cholesky factor of a matrix or a draws-last stack
+    (k, k, n): Crout's recursion unrolled over the entries of a small
+    block, LAPACK below the crossover.  None when a pivot is not
+    positive or is NaN, as LAPACK's ``potrf`` reads it."""
+    k = a.shape[0]
     if a.ndim < 3 or a.size < _CHOL_MIN.get(k, np.inf) * k * k:
         try:
-            low = np.linalg.cholesky(a)
+            low = _lapack(np.linalg.cholesky, a)
         except np.linalg.LinAlgError:
             return None
         # numpy returns a NaN factor for a NaN pivot instead of failing
-        return low if np.all(np.diagonal(low, 0, -2, -1) > 0) else None
+        return low if (low.diagonal() > 0).all() else None
     low = np.zeros_like(a)
     col = [[None] * k for _ in range(k)]
-    with np.errstate(all="ignore"):  # IEEE results as from LAPACK
-        for j in range(k):
-            d = a[..., j, j]
+    for j in range(k):
+        d = a[j, j]
+        for m in range(j):
+            d = d - col[j][m] * col[j][m]
+        if not (d > 0).all():
+            return None
+        col[j][j] = low[j, j] = np.sqrt(d)
+        for i in range(j + 1, k):
+            s = a[i, j]
             for m in range(j):
-                d = d - col[j][m] * col[j][m]
-            if not np.all(d > 0):
-                return None
-            col[j][j] = low[..., j, j] = np.sqrt(d)
-            for i in range(j + 1, k):
-                s = a[..., i, j]
-                for m in range(j):
-                    s = s - col[i][m] * col[j][m]
-                col[i][j] = low[..., i, j] = s / col[j][j]
+                s = s - col[i][m] * col[j][m]
+            col[i][j] = low[i, j] = s / col[j][j]
     return low
 
 
 def _solve_right(z, low):
-    """z low^-1 for a stack z (n, a, b) and a lower triangular factor
-    ``low``: one (b, b) factor, solved for every row of the stack in one
-    LAPACK call, or a stack (n, b, b) of them, by back substitution up
-    to 4x4 (its numpy calls grow as b^2) and LAPACK above."""
-    b = low.shape[-1]
-    if low.ndim == 2:
-        return np.linalg.solve(low.T, z.reshape(-1, b).T).T.reshape(z.shape)
+    """z low^-1 for a draws-last stack z (a, b, n) and a lower
+    triangular factor ``low``, one (b, b) matrix for every draw or a
+    stack (b, b, n): back substitution over the factor's entries up to
+    4x4 (its numpy calls grow as b^2), LAPACK above, and one LAPACK call
+    for a single factor below ``_SOLVE_MIN`` rows of right-hand sides."""
+    a, b, n = z.shape
+    if low.ndim == 2 and (b > 4 or a * n < _SOLVE_MIN[b]):
+        y = np.linalg.solve(low.T, z.transpose(1, 0, 2).reshape(b, -1))
+        return y.reshape(b, a, n).transpose(1, 0, 2)
     if b > 4:
-        return _tr(np.linalg.solve(_tr(low), _tr(z)))
+        return np.linalg.solve(low.transpose(2, 1, 0),
+                               z.transpose(2, 1, 0)).transpose(2, 1, 0)
+    if low.ndim == 3:
+        low = low[:, :, None]  # entries (1, n): same ndim as z's rows, faster
     y = np.empty(z.shape)
-    with np.errstate(all="ignore"):
-        for j in reversed(range(b)):
-            s = z[..., j]
-            for m in range(j + 1, b):
-                s = s - y[..., m] * low[..., m, j, None]
-            y[..., j] = s / low[..., j, j, None]
+    for j in reversed(range(b)):
+        s = z[:, j]
+        for m in range(j + 1, b):
+            s = s - y[:, m] * low[m, j]
+        y[:, j] = s / low[j, j]
     return y
 
 
 def _inv(a):
-    """Inverse of a matrix or stack, ``1 / a`` for 1x1 blocks (what LAPACK
-    gives bit for bit); None when a block is singular in floating point:
-    a zero pivot, or an inverse that is not finite."""
+    """Inverse of a matrix or a draws-last stack, ``1 / a`` for 1x1
+    blocks (what LAPACK gives bit for bit); None when a block is
+    singular in floating point: a zero pivot, or an inverse that is not
+    finite."""
     try:
         with np.errstate(divide="ignore", over="ignore"):
-            inv = 1.0 / a if a.shape[-1] == 1 else np.linalg.inv(a)
+            inv = 1.0 / a if a.shape[0] == 1 else _lapack(np.linalg.inv, a)
     except np.linalg.LinAlgError:
         return None
-    return inv if np.all(np.isfinite(inv)) else None
+    return inv if np.isfinite(inv).all() else None
 
 
 def _is_pd(block):
-    return _chol(block) is not None
+    """Whether a matrix or a draws-last stack is positive definite."""
+    with np.errstate(all="ignore"):
+        return _chol(block) is not None
 
 
 def project(full, graph):
@@ -213,7 +261,8 @@ def _require_pd_cliques(values, ordering):
     The error names the first failing clique of the order."""
     for g in ordering.plan:
         for _, part in _chunks(1, g.cliques, 8 * g.size ** 2):
-            if not _is_pd(values[g.slots[:g.cliques][part]]):
+            blocks = g.slots[:g.cliques][part].transpose(1, 2, 0)
+            if not _is_pd(values[blocks]):
                 pos = ordering.graph.pattern.pos
                 j = next(j for j, c in enumerate(ordering.cliques)
                          if not _is_pd(values[_block(pos, c)]))
@@ -389,35 +438,39 @@ def _regress(values, pos, rows, cols):
 
 
 def _place(store, slots, cond, ratio, x_given):
-    """Write one step into a packed store whose block on ``given`` is
-    ``x_given``: the regression cross terms and the new block.  ``slots``
+    """Write one step into a packed store (r + |E|, ...) whose block on
+    ``given`` is ``x_given``: the regression cross terms and the new
+    block.  A store with draws last takes draws-last stacks (and one
+    matrix for every draw); the products are :func:`_mul`'s.  ``slots``
     is the step's :class:`~graphwishart.graphs.StepSlots`."""
-    cross = ratio @ x_given
-    store[..., slots.cross] = cross
-    store[..., slots.new] = (cond + cross @ _tr(ratio))[..., slots.new_sel]
+    cross = _mul(ratio, x_given)
+    store[slots.cross] = cross
+    store[slots.new] = (cond + _mul(cross, ratio.swapaxes(0, 1)))[
+        slots.new_sel]
 
 
 def _fill(walk, parts, lead=()):
-    """Packed store (*lead, r + |E|) built along ``walk.steps`` from one
-    (conditional block, coefficient) pair per step; a step whose part is
-    None is skipped."""
-    store = np.zeros(lead + (walk.graph.pattern.size,))
+    """Packed store (r + |E|, *lead) built along ``walk.steps`` from one
+    (conditional block, coefficient) pair per step, each a matrix or a
+    stack (k, ., *lead); a step whose part is None is skipped."""
+    store = np.zeros((walk.graph.pattern.size,) + lead)
     for slots, part in zip(walk.step_slots, parts):
         if part is not None:
-            _place(store, slots, *part, store[..., slots.given])
+            _place(store, slots, *part, store[slots.given])
     return store
 
 
 def _add_step_precision(store, slots, cond_inv, ratio):
     """Add one step's term E^T cond^-1 E, with E = [I_new, -ratio] on
-    (new, given), to a packed store.  Summed over the steps of a walk
-    these terms give the inverse of the completion (Vandenberghe and
-    Andersen, Chordal Graphs and Semidefinite Optimization, 2015)."""
-    lead = cond_inv @ ratio
-    store[..., slots.new] += cond_inv[..., slots.new_sel]
-    store[..., slots.cross] -= lead
+    (new, given), to a packed store laid out as for :func:`_place`.
+    Summed over the steps of a walk these terms give the inverse of the
+    completion (Vandenberghe and Andersen, Chordal Graphs and
+    Semidefinite Optimization, 2015)."""
+    lead = _mul(cond_inv, ratio)
+    store[slots.new] += cond_inv[slots.new_sel]
+    store[slots.cross] -= lead
     given, sel = slots.given_tril
-    store[..., given] += (_tr(ratio) @ lead)[..., sel]
+    store[given] += _mul(ratio.swapaxes(0, 1), lead)[sel]
 
 
 def _scatter(store, pattern):

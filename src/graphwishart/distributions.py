@@ -22,7 +22,6 @@ from .cones import (
     IncompleteMatrix,
     SparsePrecision,
     _block,
-    _tr,
     phi,
     precision_of,
     trace_pair,
@@ -126,10 +125,17 @@ def _draw_count(size, least=0):
     return n
 
 
+def _last(a):
+    """A matrix as it is; a draw-major stack (n, ., .) as the draws-last
+    view (., ., n) that the kernels of :mod:`cones` take."""
+    return a if a.ndim < 3 else a.transpose(1, 2, 0)
+
+
 def _cholesky(a, what):
-    """Lower Cholesky factor of a matrix or stack (..., k, k) by
-    :func:`cones._chol` (1x1 factors bit for bit as LAPACK's);
-    NotPositiveDefinite, naming ``what``, when a pivot is not positive."""
+    """Lower Cholesky factor of a matrix or a draws-last stack
+    (k, k, n) by :func:`cones._chol` (1x1 factors bit for bit as
+    LAPACK's); NotPositiveDefinite, naming ``what``, when a pivot is not
+    positive."""
     low = cones._chol(a)
     if low is None:
         raise NotPositiveDefinite(what + " is not positive definite")
@@ -137,7 +143,7 @@ def _cholesky(a, what):
 
 
 def _inverse(a, what):
-    """Inverse of a matrix or stack by :func:`cones._inv`;
+    """Inverse of a matrix or a draws-last stack by :func:`cones._inv`;
     NotPositiveDefinite, naming ``what``, when one is singular."""
     inv = cones._inv(a)
     if inv is None:
@@ -146,35 +152,38 @@ def _inverse(a, what):
 
 
 def _bartlett(left, p, rng, n, tally=None, weight=0.0):
-    """n Wishart draws (n, r, r) of shape p whose scale has the lower
-    Cholesky factor ``left``: left T T^T left^T with T the Bartlett
-    factor, sqrt Gamma(p - i/2) on the diagonal and N(0, 1/2) below.
-    A nonzero ``weight`` times log det T T^T, the sum of the log gamma
-    variates, is added to ``tally`` (n,) in place."""
+    """n Wishart draws, a draws-last stack (r, r, n), of shape p whose
+    scale has the lower Cholesky factor ``left``: left T T^T left^T
+    with T the Bartlett factor, sqrt Gamma(p - i/2) on the diagonal and
+    N(0, 1/2) below, the below-diagonal normals drawn (n, r(r-1)/2) and
+    moved once.  The products are :func:`cones._mul`'s.  A nonzero
+    ``weight`` times log det T T^T, the sum of the log gamma variates,
+    is added to ``tally`` (n,) in place."""
     r = left.shape[0]
-    t = np.zeros((n, r, r))
+    t = np.zeros((r, r, n))
     for i in range(r):
         g = rng.gen.gamma(p - i / 2.0, 1.0, size=n)
-        t[:, i, i] = np.sqrt(g)
+        t[i, i] = np.sqrt(g)
         if weight:
             tally += weight * np.log(g)
     if r > 1:
         rows, cols = np.tril_indices(r, -1)
-        t[:, rows, cols] = rng.gen.normal(
-            0.0, math.sqrt(0.5), size=(n, len(rows)))
-    lt = left @ t
-    return lt @ _tr(lt)
+        t[rows, cols] = rng.gen.normal(
+            0.0, math.sqrt(0.5), size=(n, len(rows))).T
+    lt = cones._mul(left, t)
+    return cones._mul(lt, lt.swapaxes(0, 1))
 
 
 def _matrix_normal(mean, lu, lv, rng, n):
-    """n matrix normal draws (n, a, b) around ``mean`` (a, b) from the
-    lower Cholesky factors ``lu`` of the row matrix and ``lv`` of the
-    column matrix; either may be a stack with one factor per draw.  The
-    draw is mean + lu z lv^-1 for z with N(0, 1/2) entries; the solve is
-    :func:`cones._solve_right`, one LAPACK call for a single ``lv`` and
-    back substitution over a stack of small ones."""
+    """n matrix normal draws, a draws-last stack (a, b, n), around
+    ``mean`` (a, b) from the lower Cholesky factors ``lu`` of the row
+    matrix and ``lv`` of the column matrix; either may be a draws-last
+    stack with one factor per draw.  The draw is mean + lu z lv^-1 for
+    z with N(0, 1/2) entries, drawn (n, a, b) and moved once; the solve
+    is :func:`cones._solve_right` and the product :func:`cones._mul`."""
     z = rng.gen.normal(0.0, math.sqrt(0.5), size=(n,) + mean.shape)
-    return mean + lu @ cones._solve_right(z, lv)
+    y = cones._solve_right(z.transpose(1, 2, 0), lv)
+    return mean[:, :, None] + cones._mul(lu, y)
 
 
 def sample_base_wishart(r, p, scale, rng, size=None):
@@ -198,6 +207,7 @@ def sample_base_wishart(r, p, scale, rng, size=None):
         out = np.zeros((n, 0, 0))
     else:
         out = _bartlett(_cholesky(scale, "scale"), p, rng, n)
+        out = np.ascontiguousarray(out.transpose(2, 0, 1))
     return out if size is not None else out[0]
 
 
@@ -218,10 +228,13 @@ def sample_matrix_normal(mean, row_cov, col_prec_mate, rng, size=None):
     if a == 0 or b == 0:
         out = np.broadcast_to(mean, (n, a, b)).copy()
     else:
-        lu = _cholesky(np.asarray(row_cov, dtype=float), "row matrix")
-        lv = _cholesky(np.asarray(col_prec_mate, dtype=float),
-                       "column matrix")
-        out = _matrix_normal(mean, lu, lv, rng, n)
+        with np.errstate(all="ignore"):  # a stack may meet the kernels
+            lu = _cholesky(_last(np.asarray(row_cov, dtype=float)),
+                           "row matrix")
+            lv = _cholesky(_last(np.asarray(col_prec_mate, dtype=float)),
+                           "column matrix")
+            out = _matrix_normal(mean, lu, lv, rng, n)
+        out = np.ascontiguousarray(out.transpose(2, 0, 1))
     return out if size is not None else out[0]
 
 
@@ -450,13 +463,19 @@ def logpdf_f(graph, shape_a, shape_b, scale, point, kind="first"):
 
 
 def _logdet(chol):
-    """log det of L L^T from a (stack of) lower Cholesky factor(s) L."""
-    return 2.0 * np.log(np.diagonal(chol, 0, -2, -1)).sum(-1)
+    """log det of L L^T from a lower Cholesky factor L, one matrix or a
+    draws-last stack."""
+    return 2.0 * np.log(chol.diagonal()).sum(-1)
 
 
 def _walk(spec, rng, n, precision=False, weights=None):
     """Draws on the incomplete cone, one ``(new, given)`` step at a time,
-    in a packed store (n, r + |E|) laid out by ``spec.graph.pattern``.
+    in a packed store (r + |E|, n) laid out by ``spec.graph.pattern``:
+    draws last, so that each entry is one contiguous vector of n draws,
+    and so is each entry of the stacks (k, k, n) a step draws and
+    factors with the kernels of :mod:`cones`.  Random numbers are drawn
+    in the same calls, shapes and order as in a draw-major walk, so
+    every variate lands on the same draw and entry.
 
     Each step draws the conditional block and then the regression
     coefficient of the draw on its blocks, and places both.  First
@@ -472,8 +491,11 @@ def _walk(spec, rng, n, precision=False, weights=None):
     a step factors only what it drew: X[given] on the first side, the
     conditional block on the second.  Returns the packed draws, or with
     ``precision`` the packed inverses of their completions, summed from
-    the drawn pairs without more random numbers.  Either side walks
-    ``spec.walk``, the clique order or the class tree.
+    the drawn pairs without more random numbers, as the draw-major view
+    (n, r + |E|) of the store; a caller that hands them out makes the
+    copy C-contiguous.  Either side walks ``spec.walk``, the clique
+    order or the class tree.  The walk sets one floating point error
+    state: IEEE results pass through to the checks that read them.
 
     With ``weights``, a pair (a, b) per step from
     :func:`shapes._step_weights` (``spec.walk`` must be a clique order,
@@ -484,35 +506,37 @@ def _walk(spec, rng, n, precision=False, weights=None):
     factor of X[given], which the second side takes where b != 0.
     """
     first = spec.side == "first"
-    x = np.zeros((n, spec.graph.pattern.size))
+    x = np.zeros((spec.graph.pattern.size, n))
     k = np.zeros_like(x) if precision else None
     tally = None if weights is None else np.zeros(n)
     sign = 1.0 if first else -1.0
-    for slots, p, step, (a, b) in zip(
-            spec.walk.step_slots, spec.exponents, spec.plan,
-            weights or ((0.0, 0.0),) * len(spec.plan)):
-        if step is None:
-            continue
-        _, t_ratio, w_left, side = step
-        x_given = x[:, slots.given]
-        wishart = _bartlett(w_left, p, rng, n, tally, sign * a)
-        if a:
-            tally += sign * a * _logdet(w_left)
-        cond = wishart if first else _inverse(wishart, "drawn block")
-        ratio = t_ratio
-        if t_ratio.size:
-            drawn = _cholesky(x_given if first else cond, "drawn block")
-            lu, lv = (side, drawn) if first else (drawn, side)
-            ratio = _matrix_normal(t_ratio, lu, lv, rng, n)
-            if b:
-                if not first:
-                    drawn = _cholesky(x_given, "drawn block")
-                tally += b * _logdet(drawn)
-        cones._place(x, slots, cond, ratio, x_given)
-        if precision:
-            cond_inv = _inverse(cond, "drawn block") if first else wishart
-            cones._add_step_precision(k, slots, cond_inv, ratio)
-    out = k if precision else x
+    with np.errstate(all="ignore"):
+        for slots, p, step, (a, b) in zip(
+                spec.walk.step_slots, spec.exponents, spec.plan,
+                weights or ((0.0, 0.0),) * len(spec.plan)):
+            if step is None:
+                continue
+            _, t_ratio, w_left, side = step
+            x_given = x[slots.given]
+            wishart = _bartlett(w_left, p, rng, n, tally, sign * a)
+            if a:
+                tally += sign * a * _logdet(w_left)
+            cond = wishart if first else _inverse(wishart, "drawn block")
+            ratio = t_ratio
+            if t_ratio.size:
+                drawn = _cholesky(x_given if first else cond, "drawn block")
+                lu, lv = (side, drawn) if first else (drawn, side)
+                ratio = _matrix_normal(t_ratio, lu, lv, rng, n)
+                if b:
+                    if not first:
+                        drawn = _cholesky(x_given, "drawn block")
+                    tally += b * _logdet(drawn)
+            cones._place(x, slots, cond, ratio, x_given)
+            if precision:
+                cond_inv = _inverse(cond, "drawn block") if first \
+                    else wishart
+                cones._add_step_precision(k, slots, cond_inv, ratio)
+    out = (k if precision else x).T
     return out if tally is None else (out, tally)
 
 
@@ -550,19 +574,24 @@ def sample(spec, rng, n):
     returns a finite value or raises OutOfSupport."""
     store = _walk(spec, _as_stream(rng), _draw_count(n),
                   spec.cone is SparsePrecision)
-    return [spec.cone._of(spec.graph, row) for row in store]
+    return [spec.cone._of(spec.graph, row)
+            for row in np.ascontiguousarray(store)]
 
 
 def _walk_mean(walk, exponents, coords, lead=()):
-    """Packed mean of a first-side walk along ``walk.steps`` at the
-    scale's step coordinates ``coords`` (None for an empty step, else a
-    tuple that starts with T_cond, T_ratio).  A step's conditional block
-    has mean p T_cond and its coefficient mean T_ratio with entry
+    """Packed mean (*lead, r + |E|) of a first-side walk along
+    ``walk.steps`` at the scale's step coordinates ``coords`` (None for
+    an empty step, else a tuple that starts with T_cond, T_ratio,
+    matrices or draw-major stacks (*lead, ., .)).  A step's conditional
+    block has mean p T_cond and its coefficient mean T_ratio with entry
     covariance X_given^-1 (x) T_cond / 2: the mean is the fill from the
-    pairs ((p + |given| / 2) T_cond, T_ratio)."""
+    pairs ((p + |given| / 2) T_cond, T_ratio), taken with draws last
+    and returned as a draw-major view."""
     return cones._fill(walk, [
-        None if c is None else ((p + len(given) / 2.0) * c[0], c[1])
-        for (_, given), p, c in zip(walk.steps, exponents, coords)], lead)
+        None if c is None else
+        ((p + len(given) / 2.0) * _last(c[0]), _last(c[1]))
+        for (_, given), p, c in zip(walk.steps, exponents, coords)],
+        lead).T
 
 
 def mean_type1(spec):

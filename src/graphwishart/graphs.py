@@ -147,8 +147,10 @@ class StepSlots:
     ``given`` holds the slots of the block on ``given`` and ``cross``
     those of the block new x given.  ``new`` holds the slots of the lower
     triangle of the block on ``new`` (row-major) and ``new_sel`` the
-    boolean selector of that triangle inside the block.  ``given_tril``
-    is the same pair for the block on ``given``, built on first use.
+    (row, column) index arrays of that triangle inside the block, which
+    select it from the leading axes of a draws-last stack.
+    ``given_tril`` is the same pair for the block on ``given``, built on
+    first use.
     A plain class: a dataclass would cost code generation at import.
     """
 
@@ -158,7 +160,7 @@ class StepSlots:
 
     @cached_property
     def given_tril(self):
-        sel = np.tri(len(self.given), dtype=bool)
+        sel = np.tril_indices(len(self.given))
         return self.given[sel], sel
 
 
@@ -168,10 +170,10 @@ def _step_slots(pattern, steps):
     for new, given in steps:
         ni = np.asarray(new, dtype=int) - 1
         gi = np.asarray(given, dtype=int) - 1
-        sel = np.tri(len(ni), dtype=bool)
+        sel = np.tril_indices(len(ni))
         parts = (pattern.pos[gi[:, None], gi], pattern.pos[ni[:, None], gi],
                  pattern.pos[ni[:, None], ni][sel], sel)
-        for a in parts:
+        for a in parts[:3] + sel:
             a.setflags(write=False)
         out.append(StepSlots(*parts))
     return tuple(out)

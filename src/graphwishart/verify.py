@@ -31,6 +31,7 @@ from .errors import (
     DegenerateWeights,
     GraphWishartError,
     NonConvergent,
+    NotPositiveDefinite,
     OutOfDomain,
     PoleAtC,
     ShapeOutsideA4B4,
@@ -245,9 +246,10 @@ def mc_normalizer(kind, graph, ordering, shape, scale, rng, n,
     integral at rate pattern ``scale``.  The proposal is the matching
     one-parameter family at the same scale, whose normalizer is known,
     and the proposal parameter is picked by effective sample size on a
-    pilot run.  Weights that collapse on every candidate raise
-    DegenerateWeights, and so does a final run whose largest weight
-    overflows the float range, with its log in the context.
+    pilot run; a candidate whose pilot draws a block that is singular in
+    floating point is skipped.  Weights that collapse on every candidate
+    raise DegenerateWeights, and so does a final run whose largest
+    weight overflows the float range, with its log in the context.
 
     Every run takes its log weights from the walk's own factors
     (:func:`_log_h_batch`), with no ``slogdet`` of a draw.  The result
@@ -275,8 +277,11 @@ def mc_normalizer(kind, graph, ordering, shape, scale, rng, n,
                                ordering=ordering)
         except GraphWishartError:
             continue
-        logw = _log_h_batch(spec, shape, rng.spawn(10_000 + i), n_pilot)
-        if not np.all(np.isfinite(logw)):
+        try:
+            logw = _log_h_batch(spec, shape, rng.spawn(10_000 + i), n_pilot)
+        except NotPositiveDefinite:  # a draw singular in floating point
+            continue
+        if not np.isfinite(logw).all():
             continue
         ess = _ess(np.exp(logw - logw.max()))
         if best is None or ess > best[0]:

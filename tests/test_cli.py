@@ -571,6 +571,26 @@ def test_normalizer_closed_form_along_the_class_tree(tmp_path, capsys,
     assert isinstance(doc["within_3_se"], bool)
 
 
+def test_normalizer_skips_a_singular_candidate(tmp_path, capsys):
+    """``verify normalizer --kind II`` on the 2x3 nested star's type2
+    shape that only the class tree admits: the delta = 0.25 G-Wishart
+    proposal draws a block that is singular in floating point, and the
+    estimate goes on with the other candidates (exit 0, where the error
+    of that one pilot once ended the command with exit 1).  The weights
+    of the per-order proposals are heavy-tailed on this shape (a Kish
+    ESS of a few draws), so only the verdict's type is checked."""
+    spec = class_tree_only_spec(2, 3, "type2")
+    *_, scale, shape = _spec_files(tmp_path, spec)
+    code, out = invoke(["verify", "normalizer", "--kind", "II", "--shape",
+                        shape, "--scale", scale, "--n", "20000", "--seed",
+                        "1"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["proposal"][1] != 0.25
+    assert math.isfinite(doc["estimate"]) and doc["std_error"] > 0
+    assert isinstance(doc["within_3_se"], bool)
+
+
 class TestFloatFormat:
 
     def test_fmt_golden(self):

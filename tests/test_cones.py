@@ -395,6 +395,17 @@ def _spd_stack(n, k, rng, log_kappa=12.0):
     return 0.5 * (a + a.swapaxes(-1, -2)), 10.0 ** u
 
 
+def _last(a):
+    """A draw-major stack (n, ., .) as the draws-last view the kernels
+    take."""
+    return a.transpose(1, 2, 0)
+
+
+def _first(a):
+    """A kernel's draws-last stack (., ., n) as a draw-major view."""
+    return a.transpose(2, 0, 1)
+
+
 def _lengths(table, k):
     """Stack lengths on both sides of a kernel's crossover for k x k."""
     least = table[k]
@@ -403,14 +414,15 @@ def _lengths(table, k):
 
 class TestSmallBlockKernels:
     """The unrolled kernels agree with LAPACK within rounding scaled by
-    the block's condition number, and exactly on 1x1 blocks."""
+    the block's condition number, and exactly on 1x1 blocks.  The
+    stacks are built draw-major and handed to the kernels draws last."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_cholesky_matches_lapack(self, k):
         rng = np.random.default_rng(k)
         for n in _lengths(cones._CHOL_MIN, k):
             a, kappa = _spd_stack(n, k, rng)
-            got, ref = cones._chol(a), np.linalg.cholesky(a)
+            got, ref = _first(cones._chol(_last(a))), np.linalg.cholesky(a)
             gap = np.abs(got - ref).max(axis=(-1, -2))
             assert np.all(gap <= 1e-12 * kappa)
 
@@ -425,17 +437,19 @@ class TestSmallBlockKernels:
                 ref = np.linalg.solve(low.swapaxes(-1, -2),
                                       z.swapaxes(-1, -2)).swapaxes(-1, -2)
                 scale = np.abs(ref).max(axis=(-1, -2))
-                for got in (cones._solve_right(z, low),
-                            np.stack([cones._solve_right(z[i:i + 1], low[i])
-                                      for i in range(n)])[:, 0]):
+                for got in (_first(cones._solve_right(_last(z), _last(low))),
+                            np.stack([cones._solve_right(_last(z[i:i + 1]),
+                                                         low[i])[..., 0]
+                                      for i in range(n)])):
                     gap = np.abs(got - ref).max(axis=(-1, -2))
                     assert np.all(gap <= 1e-12 * kappa * scale)
 
     def test_one_by_one_is_lapack_bit_for_bit(self):
         rng = np.random.default_rng(20)
         a = rng.uniform(1e-8, 1e8, (1000, 1, 1))
-        assert np.array_equal(cones._chol(a), np.linalg.cholesky(a))
-        assert np.array_equal(cones._inv(a), np.linalg.inv(a))
+        assert np.array_equal(_first(cones._chol(_last(a))),
+                              np.linalg.cholesky(a))
+        assert np.array_equal(_first(cones._inv(_last(a))), np.linalg.inv(a))
 
     @pytest.mark.parametrize("bad", [0.0, 5e-324],
                              ids=["zero", "inverse_overflows"])
@@ -449,8 +463,8 @@ class TestSmallBlockKernels:
         b[50] = 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cones._inv(a) is None
-            assert cones._inv(b) is None
+            assert cones._inv(_last(a)) is None
+            assert cones._inv(_last(b)) is None
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_backward_error_near_lapack(self, k):
@@ -467,7 +481,7 @@ class TestSmallBlockKernels:
                                   axis=(-1, -2)) / \
                 np.linalg.norm(a, axis=(-1, -2))
 
-        ours = backward(cones._chol(a))
+        ours = backward(_first(cones._chol(_last(a))))
         theirs = np.maximum(backward(np.linalg.cholesky(a)),
                             np.finfo(float).eps)
         assert np.all(ours <= 10.0 * theirs)
@@ -483,4 +497,96 @@ class TestSmallBlockKernels:
             a[n // 2, k - 1, k - 1] = bad
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert cones._chol(a) is None
+                assert cones._chol(_last(a)) is None
+
+
+def _index_order(a, b):
+    """a b for draws-last stacks a (p, q, n) and b (q, s, n), either of
+    which may be one matrix: sum_m a[:, m] b[m] written out for m in
+    increasing order, each term rounded before it is added."""
+    if a.ndim < b.ndim:
+        a = a[..., None]
+    if b.ndim < a.ndim:
+        b = b[..., None]
+    n = max(a.shape[2], b.shape[2])
+    out = np.zeros((a.shape[0], b.shape[1], n))
+    for m in range(a.shape[1]):
+        out = out + a[:, m, None] * b[m]
+    return out
+
+
+def _factors(rng, n):
+    """Draws-last stacks (p, q, n) and (q, s, n) for p, s in 1..4 and q
+    in 0..4, q = 0 being a first step's empty given block, with each
+    one taken as a stack and, for one side at a time, as one matrix."""
+    for p in range(1, 5):
+        for q in range(5):
+            for s in range(1, 5):
+                a = rng.standard_normal((p, q, n))
+                b = rng.standard_normal((q, s, n))
+                yield a, b
+                yield a[..., 0], b
+                yield a, b[..., 0]
+
+
+class TestProductKernel:
+    """``cones._mul``, the products of the sampler walk on draws-last
+    stacks: an index-order sum with no fused multiply-add."""
+
+    @pytest.mark.parametrize("n", [1, 7, 300, 20000])
+    def test_equals_index_order_sum(self, n):
+        rng = np.random.default_rng(40 + n)
+        for a, b in _factors(rng, n):
+            got = cones._mul(a, b)
+            assert got.shape == (a.shape[0], b.shape[1], n)
+            assert np.array_equal(got, _index_order(a, b))
+
+    @pytest.mark.parametrize("n", [1, 300])
+    def test_long_inner_index_keeps_its_order(self, n):
+        """From 8 terms on numpy's own sum would pair them up; the
+        kernel still adds them in index order."""
+        rng = np.random.default_rng(50 + n)
+        for q in (8, 9, 16):
+            a = rng.standard_normal((1, q, n))
+            b = rng.standard_normal((q, 1, n))
+            assert np.array_equal(cones._mul(a, b), _index_order(a, b))
+
+    @pytest.mark.parametrize("n", [1, 7, 300, 20000])
+    def test_matches_matmul_within_rounding(self, n):
+        """Entrywise within 2 q eps of |a| |b| of numpy's ``@``, which
+        may fuse multiply-adds and sum in another order."""
+        rng = np.random.default_rng(60 + n)
+        eps = np.finfo(float).eps
+        for a, b in _factors(rng, n):
+            la = a if a.ndim == 3 else np.repeat(a[..., None], n, axis=2)
+            lb = b if b.ndim == 3 else np.repeat(b[..., None], n, axis=2)
+            ref = _last(_first(la) @ _first(lb))
+            size = _last(np.abs(_first(la)) @ np.abs(_first(lb)))
+            gap = np.abs(cones._mul(a, b) - ref)
+            assert np.all(gap <= 2 * a.shape[1] * eps * size)
+
+
+class TestDrawMajorOutputs:
+    """The walk keeps its draws last; what callers receive is draw-major
+    and C-contiguous."""
+
+    def test_sampler_outputs_are_c_contiguous(self, fig1):
+        from graphwishart import (RngStream, WishartSpec, canonical_shape,
+                                  sample, sample_base_wishart, sample_batch,
+                                  sample_matrix_normal)
+
+        o = decompose(fig1)
+        scale = random_qg(fig1, np.random.default_rng(70))
+        arrays = []
+        for family, shape in (("type1", canonical_shape("hyper", o, 3.0)),
+                              ("type2", canonical_shape("gwishart", o, 3.0))):
+            spec = WishartSpec(fig1, shape, scale, family)
+            arrays.append(sample_batch(spec, RngStream(71), 20))
+            arrays += [x.values for x in sample(spec, RngStream(72), 20)]
+        arrays.append(sample_base_wishart(3, 2.5, np.eye(3), RngStream(73),
+                                          20))
+        rows = sample_base_wishart(2, 2.0, np.eye(2), RngStream(74), 20)
+        arrays.append(sample_matrix_normal(np.zeros((2, 3)), rows,
+                                           np.eye(3), RngStream(75), 20))
+        assert all(x.flags.c_contiguous for x in arrays)
+        assert arrays[0].shape == (20, 7, 7)

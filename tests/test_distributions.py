@@ -254,7 +254,8 @@ class TestMatrixNormal:
                 sample_matrix_normal(np.zeros((2, k)), np.eye(2), stack,
                                      RngStream(9), size=n)
             with pytest.raises(NotPositiveDefinite, match="drawn block"):
-                distributions._cholesky(stack, "drawn block")
+                distributions._cholesky(stack.transpose(1, 2, 0),
+                                        "drawn block")
 
 
 class TestLogpdf:

@@ -112,11 +112,24 @@ def _per_block(data, o, weights):
     return ld, ok, inv
 
 
+def _matmul(a, b):
+    """a @ b for stacks (n, p, q) and (n, q, s), either of which may be
+    one matrix: sum_m a[..., m] b[m, ...] taken for m in increasing
+    order, with no fused multiply-add."""
+    out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+                   + (a.shape[-2], b.shape[-1]))
+    for m in range(a.shape[-1]):
+        out = out + a[..., :, m:m + 1] * b[..., m:m + 1, :]
+    return out
+
+
 def _reference_walk(spec, rng, n):
     """The sampler walk written out one step at a time with the public
     samplers and the scale's regression on each step: the draws that
     ``sample_batch`` must give bit for bit (same random numbers in the
-    same order, same factorizations of the same matrices)."""
+    same order, same factorizations of the same matrices).  Its
+    products are :func:`_matmul`'s, summed in index order as the
+    walk's kernels sum them."""
     first = spec.family in ("type1", "inv_type1")
     precision = spec.family in ("type2", "inv_type1")
     pattern = spec.graph.pattern
@@ -147,17 +160,19 @@ def _reference_walk(spec, rng, n):
             cond = np.linalg.inv(wishart)
             row, col = cond, scale[np.ix_(gi, gi)]
         ratio = sample_matrix_normal(t_ratio, row, col, rng, n)
-        cross = ratio @ x_given
+        cross = _matmul(ratio, x_given)
         x[:, slots(new, given)] = cross
         new_slots, sel = tril(new)
-        x[:, new_slots] = (cond + cross @ ratio.swapaxes(-1, -2))[:, sel]
+        x[:, new_slots] = (cond + _matmul(cross, ratio.swapaxes(-1, -2)))[
+            :, sel]
         if precision:
             cond_inv = np.linalg.inv(cond) if first else wishart
-            lead = cond_inv @ ratio
+            lead = _matmul(cond_inv, ratio)
             k[:, new_slots] += cond_inv[:, sel]
             k[:, slots(new, given)] -= lead
             given_slots, sel = tril(given)
-            k[:, given_slots] += (ratio.swapaxes(-1, -2) @ lead)[:, sel]
+            k[:, given_slots] += _matmul(ratio.swapaxes(-1, -2), lead)[
+                :, sel]
     return cones._scatter(k if precision else x, pattern)
 
 

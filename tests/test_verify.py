@@ -435,7 +435,9 @@ def test_per_order_second_side_keeps_its_bits():
     ``spec.ordering``) the draws of ``sample`` and the values of both
     checks keep the bits they had when the second side sampled and was
     checked along the clique order only: SHA-256 of their float64
-    bytes, recorded on x86-64 with numpy 2.4."""
+    bytes, recorded on x86-64 with numpy 2.4, since the walk's products
+    are index-order sums (fig1's 2x2 and 3x3 blocks rounded as
+    OpenBLAS's fused multiply-adds before)."""
     g = parse_graph({"n": 7, "edges": FIG1_EDGES})
     o = decompose(g)
     rng = np.random.default_rng(3)
@@ -452,10 +454,10 @@ def test_per_order_second_side_keeps_its_bits():
         _digest([est.value, est.std_error]),
     ]
     assert got == [
-        "0512af607c19e72e7313fc23b26e4cf87535b18e4a057b0e94636753a0ae6b8a",
-        "08854db221349fdefb4c3320e7d5b0880eb23334bbb41a5e25e9e630f7686be2",
-        "6c71b8259ac781fe4422f10db55be2afee154f57ca1914b5ded21e1af076f40d",
-        "9377fe6f7e40b880a15892449b2c3d153e7270bc7d19ece31bcde28d343ea198",
+        "b522be1c350f6d624c5100d125e916488c084f33b100fa3e9b149b6da9e7e498",
+        "3c8ffcb7b86201d0147acf62d4366fb33d3fec4b8406c3b4a3e5991368292de9",
+        "97b1d23ac18a3b784057fe80906625cca0c7deff12a4e7bd9de1fc72fae97e03",
+        "9539da1d0ba22a3313b3c36d762e8b5da5004cfb642be527e348facb96b84a87",
     ]
 
 
@@ -490,9 +492,11 @@ def _banded(r, w):
 
 def _dense_reference(kind, g, o, shape, scale, seed, n):
     """``mc_normalizer`` written out with log h taken by ``slogdet`` of
-    the walk's stored draws: (chosen proposal, estimate)."""
+    the walk's stored draws: (chosen proposal, estimate).  A candidate
+    whose pilot draws a singular block is skipped, as there."""
     from graphwishart import shapes, verify
     from graphwishart.distributions import _walk
+    from graphwishart.errors import NotPositiveDefinite
 
     rng = RngStream(seed)
     if kind == "I":
@@ -505,8 +509,11 @@ def _dense_reference(kind, g, o, shape, scale, seed, n):
     for i, v in enumerate(cands):
         spec = WishartSpec(g, canonical_shape(name, o, v), scale, family,
                            ordering=o)
-        pilot = _walk(spec, rng.spawn(10_000 + i), min(4000, max(500,
-                                                                n // 50)))
+        try:
+            pilot = _walk(spec, rng.spawn(10_000 + i),
+                          min(4000, max(500, n // 50)))
+        except NotPositiveDefinite:
+            continue
         with np.errstate(invalid="ignore", divide="ignore"):
             logw = shapes._log_h(shape - spec.shape, pilot, o)
         if not np.all(np.isfinite(logw)):
@@ -554,6 +561,45 @@ def test_mc_normalizer_matches_dense_log_h(kind, graph, fig1, monkeypatch):
     assert rows and set(rows) == {1}
     assert est.proposal[1] == ref_v
     assert est.value == pytest.approx(ref_value, rel=1e-12)
+
+
+def test_pilot_that_raises_skips_its_candidate(monkeypatch):
+    """A candidate whose pilot draws a block that is singular in floating
+    point (NotPositiveDefinite out of the walk) is skipped as one whose
+    weights are not finite is: here the one a plain run picks, and the
+    estimate is that of the remaining candidates, bit for bit."""
+    from graphwishart import verify
+    from graphwishart.errors import NotPositiveDefinite
+
+    g = _banded(20, 3)
+    o = decompose(g)
+    rng = np.random.default_rng(17)
+    scale = random_qg(g, rng)
+    shape = random_second_admissible(o, rng)
+    cands = verify._gwishart_candidates(shape, o)
+    chosen = mc_normalizer("II", g, o, shape, scale, RngStream(8),
+                           2000).proposal[1]
+    pilot = 10_000 + cands.index(chosen)
+    real = verify._log_h_batch
+
+    def estimate(fail):
+        def log_h_batch(spec, target, rng, n):
+            if rng.substream == pilot:
+                return fail(n)
+            return real(spec, target, rng, n)
+
+        monkeypatch.setattr(verify, "_log_h_batch", log_h_batch)
+        return mc_normalizer("II", g, o, shape, scale, RngStream(8), 2000)
+
+    def singular(n):
+        raise NotPositiveDefinite("drawn block is singular")
+
+    raised = estimate(singular)
+    not_finite = estimate(lambda n: np.full(n, -np.inf))
+    assert raised.proposal[1] != chosen
+    assert raised.proposal == not_finite.proposal
+    assert raised.value == not_finite.value
+    assert raised.std_error == not_finite.std_error
 
 
 def test_mc_diagnostics():
