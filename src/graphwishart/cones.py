@@ -175,19 +175,25 @@ def _mul(a, b):
     return out
 
 
+def _potrf(a):
+    """LAPACK's lower Cholesky factor of a matrix or a draws-last stack,
+    one matrix at a time; None when a pivot is not positive or is NaN."""
+    try:
+        low = _lapack(np.linalg.cholesky, a)
+    except np.linalg.LinAlgError:
+        return None
+    # numpy returns a NaN factor for a NaN pivot instead of failing
+    return low if (low.diagonal() > 0).all() else None
+
+
 def _chol(a):
     """Lower Cholesky factor of a matrix or a draws-last stack
     (k, k, n): Crout's recursion unrolled over the entries of a small
-    block, LAPACK below the crossover.  None when a pivot is not
-    positive or is NaN, as LAPACK's ``potrf`` reads it."""
+    block, :func:`_potrf` below ``_CHOL_MIN``.  None when a pivot is not
+    positive or is NaN (near 0 the two may read a block differently)."""
     k = a.shape[0]
     if a.ndim < 3 or a.size < _CHOL_MIN.get(k, np.inf) * k * k:
-        try:
-            low = _lapack(np.linalg.cholesky, a)
-        except np.linalg.LinAlgError:
-            return None
-        # numpy returns a NaN factor for a NaN pivot instead of failing
-        return low if (low.diagonal() > 0).all() else None
+        return _potrf(a)
     low = np.zeros_like(a)
     col = [[None] * k for _ in range(k)]
     for j in range(k):
@@ -243,9 +249,9 @@ def _inv(a):
 
 
 def _is_pd(block):
-    """Whether a matrix or a draws-last stack is positive definite."""
-    with np.errstate(all="ignore"):
-        return _chol(block) is not None
+    """Whether a matrix, or each of a draws-last stack, is positive
+    definite by :func:`_potrf`: the same verdict alone and in any stack."""
+    return _potrf(block) is not None
 
 
 def project(full, graph):
@@ -257,17 +263,23 @@ def project(full, graph):
 
 def _require_pd_cliques(values, ordering):
     """Raise NotInQG unless every clique block of the packed (r + |E|,)
-    array is positive definite: one batched Cholesky per clique size.
-    The error names the first failing clique of the order."""
-    for g in ordering.plan:
-        for _, part in _chunks(1, g.cliques, 8 * g.size ** 2):
-            blocks = g.slots[:g.cliques][part].transpose(1, 2, 0)
-            if not _is_pd(values[blocks]):
-                pos = ordering.graph.pattern.pos
-                j = next(j for j, c in enumerate(ordering.cliques)
-                         if not _is_pd(values[_block(pos, c)]))
-                raise NotInQG("clique submatrix is not positive definite",
-                              clique=list(ordering.cliques[j]))
+    array is positive definite by :func:`_is_pd`, one call per chunk of
+    :func:`_groups`, naming the first failing clique of the order."""
+    for _, _, blocks in _groups(values, ordering, cliques=True):
+        if not _is_pd(blocks.transpose(1, 2, 0)):
+            _refuse(values, ordering, lambda b: not _is_pd(b),
+                    "not positive definite")
+
+
+def _refuse(values, ordering, bad, what):
+    """Raise NotInQG naming the first clique or separator of
+    ``ordering.blocks`` whose block of ``values`` is ``bad``, as ``what``."""
+    pos = ordering.graph.pattern.pos
+    i = next(i for i, b in enumerate(ordering.blocks)
+             if bad(values[_block(pos, b)]))
+    kind = "clique" if i < ordering.k else "separator"
+    raise NotInQG("%s submatrix is %s" % (kind, what),
+                  **{kind: list(ordering.blocks[i])})
 
 
 def require_qg(x):
@@ -324,57 +336,50 @@ def complete(x):
     return 0.5 * (out + out.T)
 
 
-# Bytes that one gather of blocks may take.  The kernels walk each block
-# size group of a stack of matrices in chunks of draws (of blocks, when
-# one draw is larger) so that their temporaries stay near this size.
+# Bytes that one gather of blocks may take: the clique/separator sums
+# and the cone check walk one point's blocks in chunks of about this.
 _CHUNK_BYTES = 4 << 20
 
 
-def _chunks(n, m, item):
-    """(draw slice, block slice) pairs that cover n draws times m blocks,
-    each chunk gathering about ``_CHUNK_BYTES`` at ``item`` bytes per
-    block of one draw."""
-    per = max(1, _CHUNK_BYTES // item)
-    if m <= per:
-        step = max(1, per // max(m, 1))
-        return [(slice(a, a + step), slice(None)) for a in range(0, n, step)]
-    return [(slice(a, a + 1), slice(b, b + per))
-            for a in range(n) for b in range(0, m, per)]
+def _groups(values, ordering, cliques=False):
+    """(group, block slice, (m, k, k) blocks) per chunk of about
+    ``_CHUNK_BYTES`` of the packed (r + |E|,) array ``values``, group by
+    group of ``ordering.plan``; with ``cliques``, the cliques only."""
+    for g in ordering.plan:
+        per = max(1, _CHUNK_BYTES // (8 * g.size ** 2))
+        m = g.cliques if cliques else len(g.members)
+        for a in range(0, m, per):
+            part = slice(a, min(a + per, m))
+            yield g, part, values[g.slots[part]]
 
 
 def _logdet_sum(values, ordering, weights):
-    """Sum of w * log det x_A over ``ordering.blocks`` A of packed
-    (..., r + |E|) arrays, one batched ``slogdet`` per block size (and
-    chunk).  A block with a negative determinant adds its log |det|.
-    """
-    flat = values.reshape(-1, values.shape[-1])
+    """Sum of w * log det x_A over ``ordering.blocks`` A of one packed
+    point, one ``slogdet`` per chunk of :func:`_groups`.  A block with a
+    negative determinant adds its log |det|."""
     w = np.asarray(weights, dtype=float)
-    total = np.zeros(len(flat))
-    for g in ordering.plan:
-        for rows, part in _chunks(len(flat), len(g.members), 8 * g.size ** 2):
-            ld = np.linalg.slogdet(flat[rows, g.slots[part]])[1]
-            total[rows] += ld @ w[g.members[part]]
-    return total.reshape(values.shape[:-1])[()]
+    total = 0.0
+    for g, part, blocks in _groups(values, ordering):
+        total += np.linalg.slogdet(blocks)[1] @ w[g.members[part]]
+    return total
 
 
 def _inverse_sum(values, ordering, weights):
-    """Packed sum of w * (x_A)^-1 over ``ordering.blocks`` A of packed
-    (..., r + |E|) arrays, each block inverse zero padded to the
-    pattern: one batched ``inv`` per block size (and chunk).  Each
-    inverse adds its lower triangle only, so the sum is symmetric by
-    construction."""
-    flat = values.reshape(-1, values.shape[-1])
+    """Packed sum of w * (x_A)^-1 over ``ordering.blocks`` A of one
+    packed point, each inverse zero padded to the pattern: one ``inv``
+    per chunk of :func:`_groups`.  Each adds its lower triangle only, so
+    the sum is symmetric.  NotInQG names a block LAPACK finds singular."""
     w = np.asarray(weights, dtype=float)
-    out = np.zeros(flat.shape)
-    for g in ordering.plan:
+    out = np.zeros(values.shape)
+    for g, part, blocks in _groups(values, ordering):
+        try:
+            inv = np.linalg.inv(blocks) * w[g.members[part], None, None]
+        except np.linalg.LinAlgError:
+            _refuse(values, ordering, lambda b: _inv(b) is None,
+                    "singular in floating point")
         tril = np.tri(g.size, dtype=bool)
-        for rows, part in _chunks(len(flat), len(g.members), 8 * g.size ** 2):
-            slots = g.slots[part]
-            inv = np.linalg.inv(flat[rows, slots]) * \
-                w[g.members[part], None, None]
-            np.add.at(out, (rows, slots[:, tril].ravel()),
-                      inv[..., tril].reshape(len(inv), -1))
-    return out.reshape(values.shape)
+        np.add.at(out, g.slots[part][:, tril].ravel(), inv[:, tril].ravel())
+    return out
 
 
 def precision_of(x):
@@ -392,11 +397,12 @@ def phi(y):
     """Projection of the dense inverse of y onto the pattern of y.
 
     The inverse is symmetrized rather than checked: its rounding
-    asymmetry grows with the size and conditioning of y.
+    asymmetry grows with the size and conditioning of y.  NotInPG when y
+    is not positive definite or is singular in floating point.
     """
-    if not _is_pd(y.data):
+    inv = _inv(y.data) if _is_pd(y.data) else None
+    if inv is None:
         raise NotInPG("matrix is not positive definite")
-    inv = np.linalg.inv(y.data)
     p = y.graph.pattern
     return IncompleteMatrix._of(
         y.graph, 0.5 * (inv[p.rows, p.cols] + inv[p.cols, p.rows]))

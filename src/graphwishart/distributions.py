@@ -28,8 +28,9 @@ from .cones import (
 )
 from .errors import (
     DimensionMismatch,
-    NotPositiveDefinite,
     GraphMismatch,
+    NotInQG,
+    NotPositiveDefinite,
     OutOfDomain,
     OutOfSupport,
     ShapeNotAdmissible,
@@ -131,23 +132,24 @@ def _last(a):
     return a if a.ndim < 3 else a.transpose(1, 2, 0)
 
 
-def _cholesky(a, what):
+def _cholesky(a, what, **context):
     """Lower Cholesky factor of a matrix or a draws-last stack
     (k, k, n) by :func:`cones._chol` (1x1 factors bit for bit as
     LAPACK's); NotPositiveDefinite, naming ``what``, when a pivot is not
     positive."""
     low = cones._chol(a)
     if low is None:
-        raise NotPositiveDefinite(what + " is not positive definite")
+        raise NotPositiveDefinite(what + " is not positive definite",
+                                  **context)
     return low
 
 
-def _inverse(a, what):
+def _inverse(a, what, **context):
     """Inverse of a matrix or a draws-last stack by :func:`cones._inv`;
     NotPositiveDefinite, naming ``what``, when one is singular."""
     inv = cones._inv(a)
     if inv is None:
-        raise NotPositiveDefinite(what + " is singular")
+        raise NotPositiveDefinite(what + " is singular", **context)
     return inv
 
 
@@ -362,7 +364,8 @@ class WishartSpec:
         on the first side, its inverse on the second) and ``side`` that
         of the matrix-normal matrix the scale fixes (the row matrix
         t_cond on the first side, the column matrix T[given] on the
-        second).  The arrays are read-only."""
+        second).  The arrays are read-only.  A step block that does not
+        factor raises NotPositiveDefinite naming the step's ``new``."""
         first = self.side == "first"
         values, pos = self.scale.values, self.graph.pattern.pos
         out = []
@@ -371,11 +374,13 @@ class WishartSpec:
                 out.append(None)
                 continue
             t_cond, t_ratio = cones._regress(values, pos, new, given)
+            what, at = "conditional scale block", {"new": list(new)}
             if first:
-                wishart = side = np.linalg.cholesky(t_cond)
+                wishart = side = _cholesky(t_cond, what, **at)
             else:
-                wishart = np.linalg.cholesky(np.linalg.inv(t_cond))
-                side = np.linalg.cholesky(values[_block(pos, given)])
+                wishart = _cholesky(_inverse(t_cond, what, **at), what, **at)
+                side = _cholesky(values[_block(pos, given)],
+                                 "scale block on given", **at)
             step = (t_cond, t_ratio, wishart, side)
             for a in step:
                 a.setflags(write=False)
@@ -407,9 +412,12 @@ def logpdf(spec, point):
         pair = trace_pair(x, spec.precision)
     else:
         # On the incomplete cone the packed inverse sum is precision_of(x).
-        k = point if spec.cone is SparsePrecision else SparsePrecision._of(
-            spec.graph, cones._inverse_sum(x.values, spec.ordering,
-                                           spec.ordering.signs))
+        try:
+            k = point if spec.cone is SparsePrecision else \
+                SparsePrecision._of(spec.graph, cones._inverse_sum(
+                    x.values, spec.ordering, spec.ordering.signs))
+        except NotInQG as exc:  # a clique block singular in floating point
+            raise OutOfSupport(exc.message, **exc.context) from None
         pair = trace_pair(spec.scale, k)
     log_h_x = _log_h(spec.logpdf_shape, x.values, spec.ordering)
     value = float(log_h_x) - spec.log_gamma - spec.log_h_scale - pair

@@ -156,8 +156,8 @@ def _step_weights(shape, ordering):
 
 
 def _log_h(shape, values, ordering):
-    """Batch-first log h over packed (..., r + |E|) arrays laid out by
-    the graph's pattern."""
+    """Log h at one packed (r + |E|,) array laid out by the graph's
+    pattern, unchecked: :func:`cones._logdet_sum` of its blocks."""
     return _logdet_sum(values, ordering, _weights(shape, ordering))
 
 

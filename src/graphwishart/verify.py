@@ -247,9 +247,11 @@ def mc_normalizer(kind, graph, ordering, shape, scale, rng, n,
     one-parameter family at the same scale, whose normalizer is known,
     and the proposal parameter is picked by effective sample size on a
     pilot run; a candidate whose pilot draws a block that is singular in
-    floating point is skipped.  Weights that collapse on every candidate
-    raise DegenerateWeights, and so does a final run whose largest
-    weight overflows the float range, with its log in the context.
+    floating point is skipped, and a scale whose step plan does not
+    factor raises NotPositiveDefinite.  Weights that collapse on every
+    candidate raise DegenerateWeights, and so does a final run whose
+    largest weight overflows the float range, with its log in the
+    context.
 
     Every run takes its log weights from the walk's own factors
     (:func:`_log_h_batch`), with no ``slogdet`` of a draw.  The result
@@ -277,6 +279,7 @@ def mc_normalizer(kind, graph, ordering, shape, scale, rng, n,
                                ordering=ordering)
         except GraphWishartError:
             continue
+        spec.plan  # raises on the scale, which no pilot may skip
         try:
             logw = _log_h_batch(spec, shape, rng.spawn(10_000 + i), n_pilot)
         except NotPositiveDefinite:  # a draw singular in floating point

@@ -553,6 +553,24 @@ class TestClassTreeSecondSide:
 
 @pytest.mark.parametrize("hubs, leaves", [(3, 2), (2, 3)],
                          ids=["star-3x2", "star-2x3"])
+def test_mean426_gives_no_verdict_without_power(tmp_path, capsys, hubs,
+                                                leaves):
+    """``verify mean426`` on a type2 shape with a step exponent at most
+    (|new| + 3) / 2, where the draws' blocks have no variance: the
+    residual and its standard error are printed, the verdict is null."""
+    spec = class_tree_only_spec(hubs, leaves, "type2")
+    assert any(p <= (len(new) + 3) / 2 for (new, _), p in
+               zip(spec.walk.steps, spec.exponents) if new)
+    *_, scale, shape = _spec_files(tmp_path, spec)
+    code, out = invoke(["verify", "mean426", "--shape", shape, "--scale",
+                        scale, "--n", "2000", "--seed", "1"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert math.isfinite(doc["residual"]) and doc["within_4_se"] is None
+
+
+@pytest.mark.parametrize("hubs, leaves", [(3, 2), (2, 3)],
+                         ids=["star-3x2", "star-2x3"])
 def test_normalizer_closed_form_along_the_class_tree(tmp_path, capsys,
                                                      hubs, leaves):
     """``verify normalizer --kind I`` on a type1 shape only the class tree
@@ -589,6 +607,53 @@ def test_normalizer_skips_a_singular_candidate(tmp_path, capsys):
     assert doc["proposal"][1] != 0.25
     assert math.isfinite(doc["estimate"]) and doc["std_error"] > 0
     assert isinstance(doc["within_3_se"], bool)
+
+
+def _edge_scales():
+    """Scales on the edge of the cone, where floating point decides, as
+    (scale file object, shape file object): a 3-vertex path whose clique
+    {1, 2} passes LAPACK's Cholesky but whose conditional block of
+    vertex 1 given 2 does not, and a 40-vertex path whose clique {1, 2}
+    is exactly singular in exact arithmetic (identity elsewhere)."""
+    three = {"graph": {"n": 3, "edges": [[1, 2], [2, 3]]},
+             "matrix": [[2.422238057639163, 2.477, None],
+                        [2.477, 2.533, 0.5], [None, 0.5, 2.0]]}
+    a, b = 2.6579473058747163, 0.24876732149455005
+    rows = np.eye(40).tolist()
+    rows[0][:2], rows[1][:2] = [a, b], [b, b * b / a]
+    forty = {"graph": {"n": 40, "edges": [[i, i + 1] for i in range(1, 40)]},
+             "matrix": rows}
+    return [(three, {"alpha": [3.0] * 2, "beta": [3.0]}),
+            (forty, {"alpha": [3.0] * 39, "beta": [3.0] * 38})]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["path3", "path40"])
+@pytest.mark.parametrize("argv", [
+    ["cone", "complete", "--matrix", "S"],
+    ["dist", "logpdf", "--family", "type1", "--matrix", "S"],
+    ["dist", "logpdf", "--family", "inv_type1", "--matrix", "S"],
+    ["dist", "sample", "--family", "type1"],
+    ["dist", "mean", "--family", "type1"],
+    ["verify", "normalizer", "--kind", "I", "--n", "2000"],
+    ["verify", "normalizer", "--kind", "II", "--n", "2000"],
+], ids=["complete", "logpdf", "logpdf-inv_type1", "sample", "mean",
+        "normalizer-I", "normalizer-II"])
+def test_edge_of_the_cone_is_never_a_crash(tmp_path, capsys, case, argv):
+    """On a scale at the edge of the cone a command succeeds (exit 0)
+    or refuses with a typed error (exit 1), never exit 2; which one may
+    follow the platform's rounding.  A dist or verify command takes the
+    matrix as its scale too."""
+    scale, shape = _edge_scales()[case]
+    scale = write_json(tmp_path / "scale.json", scale)
+    argv = [scale if a == "S" else a for a in argv]
+    if argv[0] != "cone":
+        argv += ["--scale", scale,
+                 "--shape", write_json(tmp_path / "shape.json", shape)]
+    code, out = invoke(argv, capsys)
+    assert code in (0, 1)
+    if code == 1:
+        assert json.loads(out)["code"] in (
+            "not_in_qg", "not_positive_definite", "out_of_support")
 
 
 class TestFloatFormat:

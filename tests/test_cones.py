@@ -266,6 +266,45 @@ class TestRequireQG:
         assert err.value.context["clique"] == [4, 5]
 
 
+class TestOneVerdictPerBlock:
+    """An exactly singular 2x2 block sits on the edge of the cone, where
+    rounding decides the check.  Whatever the verdict, a block gets the
+    same one on every graph that holds it, and a refusal names it."""
+
+    @staticmethod
+    def _verdicts(r, blocks):
+        """Per block (a, b, c) at clique {1, 2} of a path on r vertices
+        (identity elsewhere): None or the refusal's message for
+        ``require_qg``, ``logdet_hat`` and ``precision_of``."""
+        g = parse_graph({"n": r, "edges": [[i, i + 1] for i in range(1, r)]})
+        out = []
+        for a, b, c in blocks:
+            m = np.eye(r)
+            m[0, 0], m[0, 1], m[1, 0], m[1, 1] = a, b, b, c
+            x = IncompleteMatrix(g, m)
+            row = []
+            for f in (require_qg, logdet_hat, precision_of):
+                try:
+                    f(x)
+                    row.append(None)
+                except NotInQG as err:
+                    assert err.context == {"clique": [1, 2]}
+                    row.append(err.message)
+            out.append(row)
+        return out
+
+    def test_same_verdict_on_a_short_and_a_long_path(self):
+        rng = np.random.default_rng(0)
+        a = rng.uniform(0.5, 3.0, 2000)
+        b = rng.uniform(-3.0, 3.0, 2000)
+        blocks = list(zip(a, b, b * b / a))
+        short = self._verdicts(10, blocks)
+        assert short == self._verdicts(40, blocks)
+        # Both sides of the edge occur: the check is on the verdict itself.
+        assert {row[0] for row in short} == {
+            None, "clique submatrix is not positive definite"}
+
+
 class TestBlocks:
 
     def test_identity_blocks(self, a4, a4_ord):

@@ -9,9 +9,11 @@ from graphwishart import (
     CliqueOrdering,
     DimensionMismatch,
     GraphMismatch,
+    GraphWishartError,
     HasseTree,
     IncompleteMatrix,
     MalformedInput,
+    NotInQG,
     NotPositiveDefinite,
     OutOfDomain,
     OutOfSupport,
@@ -847,6 +849,57 @@ class TestStepPlan:
         assert not plans and not tables
         given = sum(1 for new, g in spec.walk.steps if new and g)
         assert given > 0 and len(factors) == given
+
+    def test_scale_that_does_not_factor_raises_typed(self, path3):
+        """A scale at the edge of the cone: its clique {1, 2} passes the
+        check, but the conditional block of vertex 1 given 2 may round
+        to a number that is not positive.  Each call that reads the plan
+        (the type-I mean, the sampler and both normalizer kinds) then
+        raises NotPositiveDefinite naming the step's new block, as the
+        plan does; no call raises an untyped error."""
+        scale = IncompleteMatrix(path3, np.array([
+            [2.422238057639163, 2.477, 0.0], [2.477, 2.533, 0.5],
+            [0.0, 0.5, 2.0]]))
+        shape = ShapeParam((3.0, 3.0), (3.0,))
+        spec = WishartSpec(path3, shape, scale, "type1")
+        o = decompose(path3)
+        calls = [lambda: spec.plan, lambda: mean_type1(spec),
+                 lambda: sample(spec, RngStream(16), 2)] + [
+            lambda k=k: mc_normalizer(k, path3, o, shape, scale,
+                                      RngStream(16), 500)
+            for k in ("I", "II")]
+        outcomes = []
+        for call in calls:
+            try:
+                call()
+                outcomes.append(None)
+            except GraphWishartError as err:
+                outcomes.append((type(err), err.context))
+        if outcomes[0] is not None:
+            assert outcomes == [(NotPositiveDefinite, {"new": [1]})] * 5
+
+    def test_point_singular_in_floating_point_is_out_of_support(self):
+        """A point whose clique {1, 2} is exactly singular in exact
+        arithmetic: where LAPACK admits the block but cannot invert it,
+        ``precision_of`` names the clique in NotInQG, and ``logpdf`` on
+        the second side, which sums the same inverses, raises
+        OutOfSupport naming it, on paths of 10 and 40 vertices alike."""
+        a, b = 2.6579473058747163, 0.24876732149455005
+        for r in (10, 40):
+            g = parse_graph({"n": r, "edges": [[i, i + 1]
+                                               for i in range(1, r)]})
+            m = np.eye(r)
+            m[0, 0], m[0, 1], m[1, 0], m[1, 1] = a, b, b, b * b / a
+            x = IncompleteMatrix(g, m)
+            spec = _spec(g, "inv_type2")
+            try:
+                precision_of(x)
+                continue  # this platform's LAPACK inverts the block
+            except NotInQG as err:
+                assert err.context == {"clique": [1, 2]}
+            with pytest.raises(OutOfSupport) as out:
+                logpdf(spec, x)
+            assert out.value.context == {"clique": [1, 2]}
 
     def test_walk_shares_slot_tables(self, monkeypatch):
         """Specs on one walk share its slot tables, and so does the

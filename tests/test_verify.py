@@ -210,34 +210,34 @@ class TestMcNormalizer:
 
 
 def test_log_h_batch_memory_is_chunked():
-    """``shapes._log_h``, the batched log h that ``logpdf`` uses, on
-    20000 packed points of a banded r=20 graph walks each block size in
-    chunks: it allocates at most twice the chunk bound (the gathered
-    blocks and the LAPACK outputs of one chunk) plus O(n) for its
-    outputs, not one (n, m, k, k) gather per size (about 40 MB here)."""
+    """``shapes._log_h`` at one point with large cliques (banded r=400,
+    w=40: 360 blocks of 41x41, 4.8 MB gathered at once) walks each block
+    size in chunks of blocks: at the module's chunk size and at 1 MB it
+    allocates at most twice the chunk bound (the gathered blocks and the
+    LAPACK outputs of one chunk) plus O(r + |E|), and both give log h of
+    the completion, hyper exponent times its log determinant."""
     import tracemalloc
+    from unittest import mock
 
     from graphwishart import cones, shapes
+    from graphwishart.cones import complete
 
-    r, n = 20, 20000
-    g = parse_graph({"n": r, "edges": [[i, j] for i in range(1, r + 1)
-                                       for j in range(i + 1, min(r, i + 3)
-                                                      + 1)]})
+    g = _banded(400, 40)
     o = decompose(g)
-    shape = canonical_shape("hyper", o, 3.0)
-    p = g.pattern
-    batch = np.empty((n, p.size))
-    batch[:] = (np.eye(r) + 0.1 * g.edge_mask())[p.rows, p.cols]
-    expect = shapes._log_h(shape, batch[:1], o)[0]
-    tracemalloc.start()
-    try:
-        out = shapes._log_h(shape, batch, o)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.allclose(out, expect, rtol=1e-13)
+    shape = canonical_shape("hyper", o, 30.0)
+    x = IncompleteMatrix(g, np.eye(400) + 0.01 * g.edge_mask())
+    expect = 30.0 * np.linalg.slogdet(complete(x))[1]
     assert cones._CHUNK_BYTES <= 8 << 20
-    assert peak <= 2 * cones._CHUNK_BYTES + 16 * n
+    for chunk in (cones._CHUNK_BYTES, 1 << 20):
+        with mock.patch.object(cones, "_CHUNK_BYTES", chunk):
+            tracemalloc.start()
+            try:
+                out = shapes._log_h(shape, x.values, o)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert out == pytest.approx(expect, rel=1e-13)
+        assert peak <= 2 * chunk + 16 * g.pattern.size
 
 
 def test_mc_normalizer_reads_the_walk_store(monkeypatch):
@@ -490,6 +490,19 @@ def _banded(r, w):
                                                          min(r, i + w) + 1)]})
 
 
+def _log_h_of_draws(shape, draws, o):
+    """log h of each packed draw (n, r + |E|): one ``slogdet`` per block
+    of ``o.blocks``, over all the draws at once."""
+    from graphwishart import shapes
+
+    pos = o.graph.pattern.pos
+    out = np.zeros(len(draws))
+    for a, w in zip(o.blocks, shapes._weights(shape, o)):
+        ix = np.asarray(a) - 1
+        out += w * np.linalg.slogdet(draws[:, pos[ix[:, None], ix]])[1]
+    return out
+
+
 def _dense_reference(kind, g, o, shape, scale, seed, n):
     """``mc_normalizer`` written out with log h taken by ``slogdet`` of
     the walk's stored draws: (chosen proposal, estimate).  A candidate
@@ -515,7 +528,7 @@ def _dense_reference(kind, g, o, shape, scale, seed, n):
         except NotPositiveDefinite:
             continue
         with np.errstate(invalid="ignore", divide="ignore"):
-            logw = shapes._log_h(shape - spec.shape, pilot, o)
+            logw = _log_h_of_draws(shape - spec.shape, pilot, o)
         if not np.all(np.isfinite(logw)):
             continue
         w = np.exp(logw - logw.max())
@@ -523,7 +536,7 @@ def _dense_reference(kind, g, o, shape, scale, seed, n):
         if best is None or ess > best[0]:
             best = (ess, v, spec)
     _, v, spec = best
-    logw = shapes._log_h(shape - spec.shape, _walk(spec, rng, n), o)
+    logw = _log_h_of_draws(shape - spec.shape, _walk(spec, rng, n), o)
     return v, float(np.exp(logw + spec.log_gamma + spec.log_h_scale).mean())
 
 
@@ -532,9 +545,10 @@ def _dense_reference(kind, g, o, shape, scale, seed, n):
 def test_mc_normalizer_matches_dense_log_h(kind, graph, fig1, monkeypatch):
     """The walk's tally of log h gives the estimate that ``slogdet`` of
     the stored draws gives: the same proposal and the same value to
-    1e-12 relative.  ``mc_normalizer`` passes no draw to ``slogdet`` or
-    to ``cones._logdet_sum``; the calls that remain take log h of the
-    scale, one point, as each candidate spec is built."""
+    1e-12 relative.  ``mc_normalizer`` passes no stack of draws to
+    ``slogdet`` or to ``cones._logdet_sum``; the calls that remain take
+    log h of the scale, one point (its (m, k, k) blocks for ``slogdet``),
+    as each candidate spec is built."""
     from graphwishart import cones, shapes
 
     g = fig1 if graph == "fig1" else _banded(20, 3)
@@ -544,21 +558,21 @@ def test_mc_normalizer_matches_dense_log_h(kind, graph, fig1, monkeypatch):
     shape = random_first_admissible(o, rng) if kind == "I" else \
         random_second_admissible(o, rng)
     ref_v, ref_value = _dense_reference(kind, g, o, shape, scale, 8, 5000)
-    rows = []
+    lead = []  # per call, the axes in front of one point's blocks or values
     real_slogdet, real_sum = np.linalg.slogdet, cones._logdet_sum
 
     def slogdet(a):
-        rows.append(a.shape[0])
+        lead.append(a.shape[:-3])
         return real_slogdet(a)
 
     def logdet_sum(values, ordering, weights):
-        rows.append(values.shape[0] if values.ndim > 1 else 1)
+        lead.append(values.shape[:-1])
         return real_sum(values, ordering, weights)
 
     monkeypatch.setattr(np.linalg, "slogdet", slogdet)
     monkeypatch.setattr(shapes, "_logdet_sum", logdet_sum)
     est = mc_normalizer(kind, g, o, shape, scale, RngStream(8), 5000)
-    assert rows and set(rows) == {1}
+    assert lead and set(lead) == {()}
     assert est.proposal[1] == ref_v
     assert est.value == pytest.approx(ref_value, rel=1e-12)
 
