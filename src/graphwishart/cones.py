@@ -70,7 +70,8 @@ class _PatternMatrix:
     ``values`` (r + |E|,) in the slot order of ``graph.pattern``; built
     from a dense (r, r) array symmetric on the pattern and ignored off
     it.  ``data`` is the dense view.  Two instances compare equal only
-    when they are the same object."""
+    when they are the same object.  A scale keeps the sampler step plans
+    built on it (``WishartSpec.plan``), under ``_plans``."""
 
     graph: object
     values: np.ndarray
@@ -356,11 +357,17 @@ def _groups(values, ordering, cliques=False):
 def _logdet_sum(values, ordering, weights):
     """Sum of w * log det x_A over ``ordering.blocks`` A of one packed
     point, one ``slogdet`` per chunk of :func:`_groups`.  A block with a
-    negative determinant adds its log |det|."""
+    negative determinant adds its log |det|; NotInQG names the first
+    block whose log |det| is not finite (singular in floating point)."""
     w = np.asarray(weights, dtype=float)
     total = 0.0
     for g, part, blocks in _groups(values, ordering):
-        total += np.linalg.slogdet(blocks)[1] @ w[g.members[part]]
+        logdets = np.linalg.slogdet(blocks)[1]
+        if not np.isfinite(logdets).all():
+            _refuse(values, ordering,
+                    lambda b: not np.isfinite(np.linalg.slogdet(b)[1]),
+                    "singular in floating point")
+        total += logdets @ w[g.members[part]]
     return total
 
 
@@ -432,13 +439,22 @@ class Blocks:
 def _regress(values, pos, rows, cols):
     """Return (conditional block, coefficient) of x[rows] onto x[cols],
     for the packed (..., r + |E|) values of x; ``pos`` is the slot table
-    of their pattern, on which the blocks must lie."""
-    ri, ci = _idx(rows)[:, None], _idx(cols)
-    x_rows = values[..., pos[ri, ri.T]]
-    if len(cols) == 0:
-        return x_rows, np.zeros(values.shape[:-1] + (len(rows), 0))
+    of their pattern, on which the blocks must lie.  ``rows`` and
+    ``cols`` are 1-based vertex blocks, or arrays (m, a) and (m, b) of m
+    pairs of blocks, which give stacks (..., m, ., .) from one gather
+    per block and one solve.  NotInQG names ``cols`` when LAPACK finds
+    a block on them singular."""
+    ri, ci = _idx(rows)[..., :, None], _idx(cols)[..., None, :]
+    x_rows = values[..., pos[ri, _tr(ri)]]
+    if ci.shape[-1] == 0:
+        return x_rows, np.zeros(x_rows.shape[:-1] + (0,))
     xrs = values[..., pos[ri, ci]]
-    ratio = _tr(np.linalg.solve(values[..., pos[ci[:, None], ci]], _tr(xrs)))
+    try:
+        ratio = _tr(np.linalg.solve(values[..., pos[_tr(ci), ci]],
+                                    _tr(xrs)))
+    except np.linalg.LinAlgError:
+        raise NotInQG("given submatrix is singular in floating point",
+                      given=np.asarray(cols).tolist()) from None
     cond = x_rows - ratio @ _tr(xrs)
     return cond, ratio
 

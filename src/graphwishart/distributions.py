@@ -21,7 +21,6 @@ from . import cones
 from .cones import (
     IncompleteMatrix,
     SparsePrecision,
-    _block,
     phi,
     precision_of,
     trace_pair,
@@ -35,7 +34,7 @@ from .errors import (
     OutOfSupport,
     ShapeNotAdmissible,
 )
-from .graphs import _order_of, decompose
+from .graphs import _order_of, _step_groups, decompose
 from .shapes import (
     ShapeParam,
     _admissible_walk,
@@ -158,7 +157,8 @@ def _bartlett(left, p, rng, n, tally=None, weight=0.0):
     scale has the lower Cholesky factor ``left``: left T T^T left^T
     with T the Bartlett factor, sqrt Gamma(p - i/2) on the diagonal and
     N(0, 1/2) below, the below-diagonal normals drawn (n, r(r-1)/2) and
-    moved once.  The products are :func:`cones._mul`'s.  A nonzero
+    moved once.  Returns the draws and their lower triangular factor
+    ``left T``; the products are :func:`cones._mul`'s.  A nonzero
     ``weight`` times log det T T^T, the sum of the log gamma variates,
     is added to ``tally`` (n,) in place."""
     r = left.shape[0]
@@ -173,7 +173,38 @@ def _bartlett(left, p, rng, n, tally=None, weight=0.0):
         t[rows, cols] = rng.gen.normal(
             0.0, math.sqrt(0.5), size=(n, len(rows))).T
     lt = cones._mul(left, t)
-    return cones._mul(lt, lt.swapaxes(0, 1))
+    return cones._mul(lt, lt.swapaxes(0, 1)), lt
+
+
+def _gram_inverse(lt, gram):
+    """(lt lt^T)^-1 for a draws-last stack ``lt`` (k, k, n) of lower
+    triangular factors of ``gram`` = lt lt^T: U^T U with U = lt^-1 by
+    forward substitution, unrolled over the entries of 2x2 to 4x4
+    blocks as :func:`cones._chol` is; 1 / gram for 1x1 blocks (LAPACK's
+    bits) and LAPACK's inverse of ``gram`` above 4x4.
+    NotPositiveDefinite when a block is singular: a zero pivot, or an
+    inverse that is not finite."""
+    k = lt.shape[0]
+    if k == 1 or k > 4:
+        return _inverse(gram, "drawn block")
+    u = [[None] * k for _ in range(k)]
+    for i in range(k):
+        u[i][i] = 1.0 / lt[i, i]
+        for j in range(i):
+            s = lt[i, j] * u[j][j]
+            for m in range(j + 1, i):
+                s = s + lt[i, m] * u[m][j]
+            u[i][j] = -s * u[i][i]
+    out = np.empty(lt.shape)
+    for i in range(k):
+        for j in range(i + 1):
+            s = u[i][i] * u[i][j]
+            for m in range(i + 1, k):
+                s = s + u[m][i] * u[m][j]
+            out[i, j] = out[j, i] = s
+    if not np.isfinite(out).all():
+        raise NotPositiveDefinite("drawn block is singular")
+    return out
 
 
 def _matrix_normal(mean, lu, lv, rng, n):
@@ -208,7 +239,7 @@ def sample_base_wishart(r, p, scale, rng, size=None):
     if r == 0:
         out = np.zeros((n, 0, 0))
     else:
-        out = _bartlett(_cholesky(scale, "scale"), p, rng, n)
+        out = _bartlett(_cholesky(scale, "scale"), p, rng, n)[0]
         out = np.ascontiguousarray(out.transpose(2, 0, 1))
     return out if size is not None else out[0]
 
@@ -301,7 +332,8 @@ class WishartSpec:
     one exponent per step: ``ordering``, else the graph's class tree;
     the log normalizing constant) are cached on the instance, and so, on
     first use, are what ``logpdf`` and the sampler walk need of the
-    scale and shape alone.  ``ordering`` is the clique order the shape
+    scale and shape alone (the walk's step plan is kept on the scale, for
+    every spec on it with the same walk and side).  ``ordering`` is the clique order the shape
     is aligned with; it defaults to the graph's own, and one of another
     graph raises GraphMismatch.
     """
@@ -356,36 +388,81 @@ class WishartSpec:
 
     @cached_property
     def plan(self):
-        """The sampler walk's step plan, built on first use: per step of
-        ``walk.steps``, None for an empty new block, else ``(t_cond,
-        t_ratio, wishart, side)``.  ``(t_cond, t_ratio)`` is the scale's
-        regression on the step's blocks; ``wishart`` is the lower
-        Cholesky factor of the scale of the step's Wishart draw (t_cond
-        on the first side, its inverse on the second) and ``side`` that
-        of the matrix-normal matrix the scale fixes (the row matrix
-        t_cond on the first side, the column matrix T[given] on the
-        second).  The arrays are read-only.  A step block that does not
-        factor raises NotPositiveDefinite naming the step's ``new``."""
-        first = self.side == "first"
-        values, pos = self.scale.values, self.graph.pattern.pos
-        out = []
-        for new, given in self.walk.steps:
-            if not new:
-                out.append(None)
-                continue
-            t_cond, t_ratio = cones._regress(values, pos, new, given)
-            what, at = "conditional scale block", {"new": list(new)}
-            if first:
-                wishart = side = _cholesky(t_cond, what, **at)
-            else:
-                wishart = _cholesky(_inverse(t_cond, what, **at), what, **at)
-                side = _cholesky(values[_block(pos, given)],
-                                 "scale block on given", **at)
-            step = (t_cond, t_ratio, wishart, side)
-            for a in step:
-                a.setflags(write=False)
-            out.append(step)
-        return tuple(out)
+        """The sampler walk's step plan: per step of ``walk.steps``, None
+        for an empty new block, else ``(t_cond, t_ratio, wishart,
+        side)``.  ``(t_cond, t_ratio)`` is the scale's regression on the
+        step's blocks; ``wishart`` is the lower Cholesky factor of the
+        scale of the step's Wishart draw (t_cond on the first side, its
+        inverse on the second) and ``side`` that of the matrix-normal
+        matrix the scale fixes (the row matrix t_cond on the first side,
+        the column matrix T[given] on the second).  The arrays are
+        read-only.  The plan reads only the scale, the steps and the
+        side, so it is built on first use by :func:`_step_plan` and kept
+        on the scale: every spec on one scale, walk and side shares it."""
+        plans = self.scale.__dict__.setdefault("_plans", {})
+        key = (self.walk.steps, self.side)
+        if key not in plans:
+            plans[key] = _step_plan(self.scale, self.walk.steps,
+                                    self.side == "first")
+        return plans[key]
+
+
+def _factor(kernel, a, message, new):
+    """``kernel`` (:func:`cones._potrf` or :func:`cones._inv`, one LAPACK
+    call per matrix) of a matrix or a stack (m, k, k), in the same
+    layout; NotPositiveDefinite with ``message``, naming the blocks
+    ``new``, when it gives None."""
+    out = kernel(_last(a))
+    if out is None:
+        raise NotPositiveDefinite(message, new=new.tolist())
+    return out if out.ndim < 3 else out.transpose(2, 0, 1)
+
+
+def _plan_stack(values, pos, new, given, first):
+    """Plan arrays ``(t_cond, t_ratio, wishart, side)`` of
+    :attr:`WishartSpec.plan` for one step's 1-based vertex arrays
+    ``new`` and ``given``, or stacks (m, ., .) for m steps of one shape,
+    ``new`` (m, a) and ``given`` (m, b).  A block that does not factor
+    raises NotPositiveDefinite naming ``new``, a singular block on
+    ``given`` NotInQG naming ``given``."""
+    t_cond, t_ratio = cones._regress(values, pos, new, given)
+    what = "conditional scale block is "
+    if first:
+        wishart = side = _factor(cones._potrf, t_cond,
+                                 what + "not positive definite", new)
+    else:
+        inv = _factor(cones._inv, t_cond, what + "singular", new)
+        wishart = _factor(cones._potrf, inv,
+                          what + "not positive definite", new)
+        gi = given[..., :, None] - 1
+        side = _factor(cones._potrf, values[pos[gi, gi.swapaxes(-1, -2)]],
+                       "scale block on given is not positive definite", new)
+    return t_cond, t_ratio, wishart, side
+
+
+def _step_plan(scale, steps, first):
+    """The step plan of :attr:`WishartSpec.plan`, built for the steps of
+    each shape ``(|new|, |given|)`` at once by :func:`_plan_stack` and
+    handed out as read-only views.  When a stack fails, the steps are
+    taken one at a time in walk order, so the error raised names the
+    blocks of the first step that fails."""
+    values, pos = scale.values, scale.graph.pattern.pos
+    out = [None] * len(steps)
+    try:
+        stacks = [(idx, _plan_stack(values, pos, new, given, first))
+                  for idx, new, given in _step_groups(steps) if new.size]
+    except (NotInQG, NotPositiveDefinite):
+        for new, given in steps:
+            if new:
+                _plan_stack(values, pos, np.array(new, dtype=np.intp),
+                            np.array(given, dtype=np.intp), first)
+        raise
+    for idx, parts in stacks:
+        for a in parts:
+            a.setflags(write=False)
+        for j, i in enumerate(idx):
+            out[i] = tuple(a[j] for a in parts)
+    return tuple(out)
 
 
 def _require_family(spec, family, message):
@@ -408,18 +485,19 @@ def logpdf(spec, point):
     if point.graph != spec.graph:
         raise GraphMismatch("point lives on a different graph")
     x = cones._to_qg(point, OutOfSupport)
-    if spec.side == "first":
-        pair = trace_pair(x, spec.precision)
-    else:
-        # On the incomplete cone the packed inverse sum is precision_of(x).
-        try:
+    try:  # NotInQG: a block singular in floating point
+        if spec.side == "first":
+            pair = trace_pair(x, spec.precision)
+        else:
+            # On the incomplete cone the packed inverse sum is
+            # precision_of(x).
             k = point if spec.cone is SparsePrecision else \
                 SparsePrecision._of(spec.graph, cones._inverse_sum(
                     x.values, spec.ordering, spec.ordering.signs))
-        except NotInQG as exc:  # a clique block singular in floating point
-            raise OutOfSupport(exc.message, **exc.context) from None
-        pair = trace_pair(spec.scale, k)
-    log_h_x = _log_h(spec.logpdf_shape, x.values, spec.ordering)
+            pair = trace_pair(spec.scale, k)
+        log_h_x = _log_h(spec.logpdf_shape, x.values, spec.ordering)
+    except NotInQG as exc:
+        raise OutOfSupport(exc.message, **exc.context) from None
     value = float(log_h_x) - spec.log_gamma - spec.log_h_scale - pair
     if not math.isfinite(value):
         raise OutOfSupport("point is singular in floating point",
@@ -490,7 +568,8 @@ def _walk(spec, rng, n, precision=False, weights=None):
     side: the conditional block is Wishart(p, T_cond) and the
     coefficient is matrix normal around T_ratio with row matrix T_cond
     and column matrix the block X[given] drawn so far.  Second side: the
-    conditional block is the inverse of Wishart(p, T_cond^-1) and the
+    conditional block is the inverse of Wishart(p, T_cond^-1), taken
+    from the draw's Bartlett factor by :func:`_gram_inverse`, and the
     coefficient has the drawn block as row matrix and T[given] as column
     matrix.
 
@@ -526,10 +605,10 @@ def _walk(spec, rng, n, precision=False, weights=None):
                 continue
             _, t_ratio, w_left, side = step
             x_given = x[slots.given]
-            wishart = _bartlett(w_left, p, rng, n, tally, sign * a)
+            wishart, lt = _bartlett(w_left, p, rng, n, tally, sign * a)
             if a:
                 tally += sign * a * _logdet(w_left)
-            cond = wishart if first else _inverse(wishart, "drawn block")
+            cond = wishart if first else _gram_inverse(lt, wishart)
             ratio = t_ratio
             if t_ratio.size:
                 drawn = _cholesky(x_given if first else cond, "drawn block")

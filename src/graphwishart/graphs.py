@@ -164,18 +164,38 @@ class StepSlots:
         return self.given[sel], sel
 
 
-def _step_slots(pattern, steps):
-    """One :class:`StepSlots` per ``(new, given)`` step; read-only."""
+def _step_groups(steps):
+    """``(new, given)`` steps grouped by ``(|new|, |given|)``, in order of
+    first occurrence: per group, the step indices and the 1-based vertex
+    arrays (m, |new|) and (m, |given|) of its m steps."""
+    groups = {}
+    for i, (new, given) in enumerate(steps):
+        groups.setdefault((len(new), len(given)), []).append(i)
     out = []
-    for new, given in steps:
-        ni = np.asarray(new, dtype=int) - 1
-        gi = np.asarray(given, dtype=int) - 1
-        sel = np.tril_indices(len(ni))
-        parts = (pattern.pos[gi[:, None], gi], pattern.pos[ni[:, None], gi],
-                 pattern.pos[ni[:, None], ni][sel], sel)
-        for a in parts[:3] + sel:
-            a.setflags(write=False)
-        out.append(StepSlots(*parts))
+    for (a, b), idx in groups.items():
+        new = np.array([steps[i][0] for i in idx], dtype=np.intp)
+        given = np.array([steps[i][1] for i in idx], dtype=np.intp)
+        out.append((idx, new.reshape(len(idx), a),
+                    given.reshape(len(idx), b)))
+    return out
+
+
+def _step_slots(pattern, steps):
+    """One :class:`StepSlots` per ``(new, given)`` step, read-only: each
+    table gathered once per group of :func:`_step_groups` and handed out
+    as one view per step; steps with one |new| share ``new_sel``."""
+    out = [None] * len(steps)
+    sels = {}
+    for idx, new, given in _step_groups(steps):
+        ni, gi = new - 1, given - 1
+        sel = sels.setdefault(ni.shape[1], np.tril_indices(ni.shape[1]))
+        tables = (pattern.pos[gi[:, :, None], gi[:, None]],
+                  pattern.pos[ni[:, :, None], gi[:, None]],
+                  pattern.pos[ni[:, sel[0]], ni[:, sel[1]]])
+        for t in tables + sel:
+            t.setflags(write=False)
+        for j, i in enumerate(idx):
+            out[i] = StepSlots(*(t[j] for t in tables), sel)
     return tuple(out)
 
 

@@ -157,7 +157,8 @@ def _step_weights(shape, ordering):
 
 def _log_h(shape, values, ordering):
     """Log h at one packed (r + |E|,) array laid out by the graph's
-    pattern, unchecked: :func:`cones._logdet_sum` of its blocks."""
+    pattern, its cliques unchecked: :func:`cones._logdet_sum` of its
+    blocks, NotInQG on a block singular in floating point."""
     return _logdet_sum(values, ordering, _weights(shape, ordering))
 
 
@@ -165,8 +166,8 @@ def log_h(shape, x, ordering=None):
     """Log of the clique/separator determinant power product at x.
 
     Separator factors are weighted by their multiplicity in the order.
-    Raises NotInQG, naming the clique, when a clique block of x is not
-    positive definite.
+    Raises NotInQG, naming the block, when a clique block of x is not
+    positive definite or a block is singular in floating point.
     """
     ordering = _order_of(x.graph, ordering)
     check_alignment(shape, ordering)

@@ -29,11 +29,13 @@ from .distributions import (
 )
 from .errors import (
     DegenerateWeights,
-    GraphWishartError,
     NonConvergent,
+    NonNumeric,
+    NotInQG,
     NotPositiveDefinite,
     OutOfDomain,
     PoleAtC,
+    ShapeNotAdmissible,
     ShapeOutsideA4B4,
     WrongGraph,
 )
@@ -132,7 +134,8 @@ def a4_closed_form(kind, shape, scale):
     ``scale``; ``kind='II'`` is the analogue on the sparse cone with
     ``scale`` read as the rate pattern.  Every factor is positive, so
     the value is returned as a plain log.  A scale outside the incomplete
-    cone raises NotInQG, naming the clique.
+    cone, or with a clique conditional that is not positive in floating
+    point, raises NotInQG, naming the clique.
     """
     _require_path4(scale.graph)
     require_qg(scale)  # both kinds take logs of clique conditionals
@@ -148,10 +151,10 @@ def a4_closed_form(kind, shape, scale):
         if not ok:
             raise ShapeOutsideA4B4("shape outside the first-kind "
                                    "convergence set")
-        cond12 = s1 - s12 * s12 / s2
-        cond23 = s2 - s23 * s23 / s3
-        cond32 = s3 - s23 * s23 / s2
-        cond43 = s4 - s34 * s34 / s3
+        cond12 = _conditional(s1, s12, s2, [1, 2])
+        cond23 = _conditional(s2, s23, s3, [2, 3])
+        cond32 = _conditional(s3, s23, s2, [2, 3])
+        cond43 = _conditional(s4, s34, s3, [3, 4])
         value = 1.5 * math.log(math.pi) \
             + float(gammaln(a1 - 0.5) + gammaln(a2 - 0.5)
                     + gammaln(a3 - 0.5) + gammaln(a1 + a2 - b2)
@@ -169,8 +172,8 @@ def a4_closed_form(kind, shape, scale):
         if not ok:
             raise ShapeOutsideA4B4("shape outside the second-kind "
                                    "convergence set")
-        cond12 = s1 - s12 * s12 / s2
-        cond43 = s4 - s34 * s34 / s3
+        cond12 = _conditional(s1, s12, s2, [1, 2])
+        cond43 = _conditional(s4, s34, s3, [3, 4])
         value = 1.5 * math.log(math.pi) \
             + float(gammaln(-a1) + gammaln(e2) + gammaln(etot)
                     + gammaln(e3) + gammaln(-a3)
@@ -183,6 +186,16 @@ def a4_closed_form(kind, shape, scale):
     else:
         raise OutOfDomain("kind must be 'I' or 'II'", kind=kind)
     return _finite_log(value, math.inf, kind=kind)
+
+
+def _conditional(x, xy, y, clique):
+    """x - xy^2 / y, the conditional of one vertex of a 2-vertex clique
+    given the other; NotInQG naming the clique unless it is positive."""
+    cond = x - xy * xy / y
+    if not cond > 0:
+        raise NotInQG("clique conditional is not positive in floating "
+                      "point", clique=clique)
+    return cond
 
 
 def _log_2f1(a, b, c, z):
@@ -247,8 +260,9 @@ def mc_normalizer(kind, graph, ordering, shape, scale, rng, n,
     one-parameter family at the same scale, whose normalizer is known,
     and the proposal parameter is picked by effective sample size on a
     pilot run; a candidate whose pilot draws a block that is singular in
-    floating point is skipped, and a scale whose step plan does not
-    factor raises NotPositiveDefinite.  Weights that collapse on every
+    floating point is skipped.  A scale outside the cone, or with a
+    block singular in floating point, raises NotInQG, and one whose step
+    plan does not factor NotPositiveDefinite.  Weights that collapse on every
     candidate raise DegenerateWeights, and so does a final run whose
     largest weight overflows the float range, with its log in the
     context.
@@ -277,8 +291,8 @@ def mc_normalizer(kind, graph, ordering, shape, scale, rng, n,
         try:
             spec = WishartSpec(graph, make(v), scale, family,
                                ordering=ordering)
-        except GraphWishartError:
-            continue
+        except (ShapeNotAdmissible, OutOfDomain, NonNumeric):
+            continue  # the candidate's shape; the scale's errors go up
         spec.plan  # raises on the scale, which no pilot may skip
         try:
             logw = _log_h_batch(spec, shape, rng.spawn(10_000 + i), n_pilot)

@@ -614,7 +614,10 @@ def _edge_scales():
     (scale file object, shape file object): a 3-vertex path whose clique
     {1, 2} passes LAPACK's Cholesky but whose conditional block of
     vertex 1 given 2 does not, and a 40-vertex path whose clique {1, 2}
-    is exactly singular in exact arithmetic (identity elsewhere)."""
+    is exactly singular in exact arithmetic (identity elsewhere), and a
+    4-vertex graph with cliques {1, 2, 3} and {2, 3, 4} whose separator
+    block on {2, 3} is exactly singular in exact arithmetic (diagonal 5
+    at vertices 1 and 4, zero elsewhere)."""
     three = {"graph": {"n": 3, "edges": [[1, 2], [2, 3]]},
              "matrix": [[2.422238057639163, 2.477, None],
                         [2.477, 2.533, 0.5], [None, 0.5, 2.0]]}
@@ -623,11 +626,17 @@ def _edge_scales():
     rows[0][:2], rows[1][:2] = [a, b], [b, b * b / a]
     forty = {"graph": {"n": 40, "edges": [[i, i + 1] for i in range(1, 40)]},
              "matrix": rows}
+    four = {"graph": {"n": 4, "edges": [[1, 2], [1, 3], [2, 3], [2, 4],
+                                        [3, 4]]},
+            "matrix": [[5.0, 0.0, 0.0, None], [0.0, a, b, 0.0],
+                       [0.0, b, b * b / a, 0.0], [None, 0.0, 0.0, 5.0]]}
     return [(three, {"alpha": [3.0] * 2, "beta": [3.0]}),
-            (forty, {"alpha": [3.0] * 39, "beta": [3.0] * 38})]
+            (forty, {"alpha": [3.0] * 39, "beta": [3.0] * 38}),
+            (four, {"alpha": [3.0] * 2, "beta": [3.0]})]
 
 
-@pytest.mark.parametrize("case", [0, 1], ids=["path3", "path40"])
+@pytest.mark.parametrize("case", [0, 1, 2],
+                         ids=["path3", "path40", "separator4"])
 @pytest.mark.parametrize("argv", [
     ["cone", "complete", "--matrix", "S"],
     ["dist", "logpdf", "--family", "type1", "--matrix", "S"],
@@ -654,6 +663,25 @@ def test_edge_of_the_cone_is_never_a_crash(tmp_path, capsys, case, argv):
     if code == 1:
         assert json.loads(out)["code"] in (
             "not_in_qg", "not_positive_definite", "out_of_support")
+
+
+def test_a4_conditional_that_rounds_to_zero_is_typed(tmp_path, capsys):
+    """``verify a4`` on a path-4 scale whose clique {1, 2} conditional
+    of vertex 1 given 2, x11 - x12^2 / x22, rounds to a number that is
+    not positive: a typed refusal naming the clique (exit 1), whether or
+    not LAPACK's Cholesky admits the clique, never exit 2."""
+    rows = np.eye(4).tolist()
+    rows[0][:2], rows[1][:2] = [2.422238057639163, 2.477], [2.477, 2.533]
+    scale = write_json(tmp_path / "scale.json", {
+        "graph": {"n": 4, "edges": [[1, 2], [2, 3], [3, 4]]},
+        "matrix": rows})
+    shape = write_json(tmp_path / "shape.json",
+                       {"alpha": [3.0] * 3, "beta": [3.0] * 2})
+    code, out = invoke(["verify", "a4", "--kind", "I", "--scale", scale,
+                        "--shape", shape], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["code"] == "not_in_qg" and doc["context"]["clique"] == [1, 2]
 
 
 class TestFloatFormat:

@@ -123,13 +123,50 @@ def _matmul(a, b):
     return out
 
 
+def _bartlett(scale, p, rng, n):
+    """Wishart draws (n, k, k) of shape p and scale ``scale`` with their
+    lower triangular factors L T, from the same random numbers in the
+    same order as ``sample_base_wishart``: L is the Cholesky factor of
+    the scale, T the Bartlett factor."""
+    k = len(scale)
+    t = np.zeros((n, k, k))
+    for i in range(k):
+        t[:, i, i] = np.sqrt(rng.gen.gamma(p - i / 2.0, 1.0, size=n))
+    rows, cols = np.tril_indices(k, -1)
+    if k > 1:
+        t[:, rows, cols] = rng.gen.normal(0.0, np.sqrt(0.5),
+                                          size=(n, len(rows)))
+    lt = _matmul(np.linalg.cholesky(scale), t)
+    return _matmul(lt, lt.swapaxes(-1, -2)), lt
+
+
+def _inverse_from_factor(lt, gram):
+    """(L L^T)^-1 of draws (n, k, k) as the second side takes it: U^T U
+    with U = L^-1 by forward substitution, entry by entry in the order
+    of the walk's kernel, for 2x2 to 4x4 blocks; LAPACK's inverse of
+    L L^T otherwise."""
+    k = lt.shape[-1]
+    if k == 1 or k > 4:
+        return np.linalg.inv(gram)
+    u = np.zeros(lt.shape)
+    for i in range(k):
+        u[:, i, i] = 1.0 / lt[:, i, i]
+        for j in range(i):
+            s = lt[:, i, j] * u[:, j, j]
+            for m in range(j + 1, i):
+                s = s + lt[:, i, m] * u[:, m, j]
+            u[:, i, j] = -s * u[:, i, i]
+    return _matmul(u.swapaxes(-1, -2), u)
+
+
 def _reference_walk(spec, rng, n):
     """The sampler walk written out one step at a time with the public
     samplers and the scale's regression on each step: the draws that
     ``sample_batch`` must give bit for bit (same random numbers in the
     same order, same factorizations of the same matrices).  Its
     products are :func:`_matmul`'s, summed in index order as the
-    walk's kernels sum them."""
+    walk's kernels sum them; the second side inverts each Wishart draw
+    from its factor, :func:`_inverse_from_factor`."""
     first = spec.family in ("type1", "inv_type1")
     precision = spec.family in ("type2", "inv_type1")
     pattern = spec.graph.pattern
@@ -151,13 +188,13 @@ def _reference_walk(spec, rng, n):
         t_cond, t_ratio = cones._regress(spec.scale.values, pattern.pos,
                                          new, given)
         x_given = x[:, slots(given, given)]
-        wishart = sample_base_wishart(
-            len(new), p, t_cond if first else np.linalg.inv(t_cond), rng, n)
         if first:
+            wishart = sample_base_wishart(len(new), p, t_cond, rng, n)
             cond, row, col = wishart, t_cond, x_given
         else:
             gi = np.asarray(given, dtype=int) - 1
-            cond = np.linalg.inv(wishart)
+            wishart, lt = _bartlett(np.linalg.inv(t_cond), p, rng, n)
+            cond = _inverse_from_factor(lt, wishart)
             row, col = cond, scale[np.ix_(gi, gi)]
         ratio = sample_matrix_normal(t_ratio, row, col, rng, n)
         cross = _matmul(ratio, x_given)

@@ -437,7 +437,8 @@ def test_per_order_second_side_keeps_its_bits():
     checked along the clique order only: SHA-256 of their float64
     bytes, recorded on x86-64 with numpy 2.4, since the walk's products
     are index-order sums (fig1's 2x2 and 3x3 blocks rounded as
-    OpenBLAS's fused multiply-adds before)."""
+    OpenBLAS's fused multiply-adds before), and again since the second
+    side inverts each Wishart draw from its Bartlett factor."""
     g = parse_graph({"n": 7, "edges": FIG1_EDGES})
     o = decompose(g)
     rng = np.random.default_rng(3)
@@ -454,10 +455,10 @@ def test_per_order_second_side_keeps_its_bits():
         _digest([est.value, est.std_error]),
     ]
     assert got == [
-        "b522be1c350f6d624c5100d125e916488c084f33b100fa3e9b149b6da9e7e498",
-        "3c8ffcb7b86201d0147acf62d4366fb33d3fec4b8406c3b4a3e5991368292de9",
-        "97b1d23ac18a3b784057fe80906625cca0c7deff12a4e7bd9de1fc72fae97e03",
-        "9539da1d0ba22a3313b3c36d762e8b5da5004cfb642be527e348facb96b84a87",
+        "5ac361c5864b21e17e6cf8ab0d11c23bf0236d54d6a0a0d758ad371726999a29",
+        "4a99ac565f0c84c7e61fdb552ec4e3b2c1352af1776dcbebfa5321290fc4e0f8",
+        "3e8ab358447c40152aa18141636f9e92dad0ccd32e121701a3ad5b6ca293bea1",
+        "5694038b801a8083bb03860592729964e9465ff9a1a3f82a192a259d04c5fcdf",
     ]
 
 
