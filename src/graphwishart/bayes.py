@@ -15,10 +15,12 @@ import numpy as np
 from .cones import (
     IncompleteMatrix,
     SparsePrecision,
+    _inverse_sum,
+    _logdet_sum,
     _scatter,
-    logdet_hat,
     precision_of,
     project,
+    require_qg,
     trace_pair,
 )
 from .distributions import (WishartSpec, _as_stream, _mc_draws,
@@ -132,14 +134,18 @@ def log_likelihood(sigma2, sample):
 
     ``sigma2`` is the incomplete matrix x with covariance x / 2; the
     precision is then 2 * (completion of x)^{-1}, which is sparse, so
-    the likelihood needs only pattern entries of the scatter.
+    the likelihood needs only pattern entries of the scatter.  x is
+    checked once, then summed over its cliques and separators.
     """
     x = sigma2
     n, r = sample.n, sample.r
-    prec = precision_of(x)
+    ordering = require_qg(x)
+    prec = SparsePrecision._of(x.graph, _inverse_sum(
+        x.values, ordering, ordering.signs))
     quad = trace_pair(sample.projected, prec)
+    logdet = float(_logdet_sum(x.values, ordering, ordering.signs))
     return -0.5 * n * r * math.log(2.0 * math.pi) \
-        - 0.5 * n * (logdet_hat(x) - r * math.log(2.0)) - quad
+        - 0.5 * n * (logdet - r * math.log(2.0)) - quad
 
 
 def posterior_summaries(post, rng=None, n_draws=4000):

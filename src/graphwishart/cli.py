@@ -13,6 +13,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 import traceback
 
@@ -520,9 +521,16 @@ def run(argv):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
     except GraphWishartError as exc:
         err = exc
+    except BrokenPipeError:
+        # stdout's reader has gone: point stdout at devnull, so that
+        # nothing more is written, not even at exit (Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as exc:
         err = MalformedInput("cannot access file", path=exc.filename,
                              reason=exc.strerror or str(exc))

@@ -34,7 +34,7 @@ from .errors import (
     OutOfSupport,
     ShapeNotAdmissible,
 )
-from .graphs import _order_of, _step_groups, decompose
+from .graphs import _order_of, decompose
 from .shapes import (
     ShapeParam,
     _admissible_walk,
@@ -131,25 +131,15 @@ def _last(a):
     return a if a.ndim < 3 else a.transpose(1, 2, 0)
 
 
-def _cholesky(a, what, **context):
-    """Lower Cholesky factor of a matrix or a draws-last stack
-    (k, k, n) by :func:`cones._chol` (1x1 factors bit for bit as
-    LAPACK's); NotPositiveDefinite, naming ``what``, when a pivot is not
-    positive."""
-    low = cones._chol(a)
-    if low is None:
-        raise NotPositiveDefinite(what + " is not positive definite",
-                                  **context)
-    return low
-
-
-def _inverse(a, what, **context):
-    """Inverse of a matrix or a draws-last stack by :func:`cones._inv`;
-    NotPositiveDefinite, naming ``what``, when one is singular."""
-    inv = cones._inv(a)
-    if inv is None:
-        raise NotPositiveDefinite(what + " is singular", **context)
-    return inv
+def _factor(kernel, a, message, **context):
+    """``kernel``, a factorization or inverse of :mod:`cones`
+    (:func:`cones._chol`, :func:`cones._potrf`, :func:`cones._inv`), of
+    a matrix or a draws-last stack (k, k, n); NotPositiveDefinite with
+    ``message`` and ``context`` when it gives None."""
+    out = kernel(a)
+    if out is None:
+        raise NotPositiveDefinite(message, **context)
+    return out
 
 
 def _bartlett(left, p, rng, n, tally=None, weight=0.0):
@@ -186,7 +176,7 @@ def _gram_inverse(lt, gram):
     inverse that is not finite."""
     k = lt.shape[0]
     if k == 1 or k > 4:
-        return _inverse(gram, "drawn block")
+        return _factor(cones._inv, gram, "drawn block is singular")
     u = [[None] * k for _ in range(k)]
     for i in range(k):
         u[i][i] = 1.0 / lt[i, i]
@@ -239,7 +229,8 @@ def sample_base_wishart(r, p, scale, rng, size=None):
     if r == 0:
         out = np.zeros((n, 0, 0))
     else:
-        out = _bartlett(_cholesky(scale, "scale"), p, rng, n)[0]
+        left = _factor(cones._chol, scale, "scale is not positive definite")
+        out = _bartlett(left, p, rng, n)[0]
         out = np.ascontiguousarray(out.transpose(2, 0, 1))
     return out if size is not None else out[0]
 
@@ -262,10 +253,10 @@ def sample_matrix_normal(mean, row_cov, col_prec_mate, rng, size=None):
         out = np.broadcast_to(mean, (n, a, b)).copy()
     else:
         with np.errstate(all="ignore"):  # a stack may meet the kernels
-            lu = _cholesky(_last(np.asarray(row_cov, dtype=float)),
-                           "row matrix")
-            lv = _cholesky(_last(np.asarray(col_prec_mate, dtype=float)),
-                           "column matrix")
+            lu, lv = (_factor(cones._chol, _last(np.asarray(m, dtype=float)),
+                              what + " is not positive definite")
+                      for m, what in ((row_cov, "row matrix"),
+                                      (col_prec_mate, "column matrix")))
             out = _matrix_normal(mean, lu, lv, rng, n)
         out = np.ascontiguousarray(out.transpose(2, 0, 1))
     return out if size is not None else out[0]
@@ -326,16 +317,17 @@ class WishartSpec:
     family's row of :data:`FAMILIES` as ``side`` and ``cone``.
 
     ``scale`` is kept as an IncompleteMatrix; a SparsePrecision is read
-    as the same pattern entries.  Construction checks cone
-    membership of the scale and admissibility of the shape; derived
-    quantities (the step list ``walk`` the shape is admissible on with
-    one exponent per step: ``ordering``, else the graph's class tree;
-    the log normalizing constant) are cached on the instance, and so, on
-    first use, are what ``logpdf`` and the sampler walk need of the
-    scale and shape alone (the walk's step plan is kept on the scale, for
-    every spec on it with the same walk and side).  ``ordering`` is the clique order the shape
-    is aligned with; it defaults to the graph's own, and one of another
-    graph raises GraphMismatch.
+    as the same pattern entries and shares its step plans with the
+    wrapper.  Construction checks cone membership of the scale and
+    admissibility of the shape; derived quantities (the step list
+    ``walk`` the shape is admissible on with one exponent per step:
+    ``ordering``, else the graph's class tree; the log normalizing
+    constant) are cached on the instance, and so, on first use, are what
+    ``logpdf`` and the sampler walk need of the scale and shape alone
+    (the walk's step plan is kept on the scale, for every spec on it
+    with the same walk and side).  ``ordering`` is the clique order the
+    shape is aligned with; it defaults to the graph's own, and one of
+    another graph raises GraphMismatch.
     """
 
     graph: object
@@ -352,8 +344,10 @@ class WishartSpec:
         self.ordering = _order_of(self.graph, self.ordering)
         check_alignment(self.shape, self.ordering)
         if isinstance(self.scale, SparsePrecision):
+            plans = self.scale.__dict__.setdefault("_plans", {})
             self.scale = IncompleteMatrix._of(self.scale.graph,
                                               self.scale.values)
+            self.scale.__dict__["_plans"] = plans
         if not isinstance(self.scale, IncompleteMatrix):
             raise OutOfDomain("scale must be an incomplete matrix",
                               family=self.family)
@@ -402,67 +396,43 @@ class WishartSpec:
         plans = self.scale.__dict__.setdefault("_plans", {})
         key = (self.walk.steps, self.side)
         if key not in plans:
-            plans[key] = _step_plan(self.scale, self.walk.steps,
+            plans[key] = _step_plan(self.scale, self.walk,
                                     self.side == "first")
         return plans[key]
 
 
-def _factor(kernel, a, message, new):
-    """``kernel`` (:func:`cones._potrf` or :func:`cones._inv`, one LAPACK
-    call per matrix) of a matrix or a stack (m, k, k), in the same
-    layout; NotPositiveDefinite with ``message``, naming the blocks
-    ``new``, when it gives None."""
-    out = kernel(_last(a))
-    if out is None:
-        raise NotPositiveDefinite(message, new=new.tolist())
-    return out if out.ndim < 3 else out.transpose(2, 0, 1)
-
-
-def _plan_stack(values, pos, new, given, first):
-    """Plan arrays ``(t_cond, t_ratio, wishart, side)`` of
-    :attr:`WishartSpec.plan` for one step's 1-based vertex arrays
-    ``new`` and ``given``, or stacks (m, ., .) for m steps of one shape,
-    ``new`` (m, a) and ``given`` (m, b).  A block that does not factor
-    raises NotPositiveDefinite naming ``new``, a singular block on
-    ``given`` NotInQG naming ``given``."""
-    t_cond, t_ratio = cones._regress(values, pos, new, given)
-    what = "conditional scale block is "
-    if first:
-        wishart = side = _factor(cones._potrf, t_cond,
-                                 what + "not positive definite", new)
-    else:
-        inv = _factor(cones._inv, t_cond, what + "singular", new)
-        wishart = _factor(cones._potrf, inv,
-                          what + "not positive definite", new)
-        gi = given[..., :, None] - 1
-        side = _factor(cones._potrf, values[pos[gi, gi.swapaxes(-1, -2)]],
-                       "scale block on given is not positive definite", new)
-    return t_cond, t_ratio, wishart, side
-
-
-def _step_plan(scale, steps, first):
-    """The step plan of :attr:`WishartSpec.plan`, built for the steps of
-    each shape ``(|new|, |given|)`` at once by :func:`_plan_stack` and
-    handed out as read-only views.  When a stack fails, the steps are
-    taken one at a time in walk order, so the error raised names the
-    blocks of the first step that fails."""
+def _step_plan(scale, walk, first):
+    """The step plan of :attr:`WishartSpec.plan`: the arrays
+    ``(t_cond, t_ratio, wishart, side)`` built as stacks (m, ., .) for
+    the m steps of each shape by ``walk.by_shape``, and None for a step
+    with an empty new block.  A block that does not factor raises
+    NotPositiveDefinite naming ``new``, a singular block on ``given``
+    NotInQG naming ``given``, of the first step of the walk that fails."""
     values, pos = scale.values, scale.graph.pattern.pos
-    out = [None] * len(steps)
-    try:
-        stacks = [(idx, _plan_stack(values, pos, new, given, first))
-                  for idx, new, given in _step_groups(steps) if new.size]
-    except (NotInQG, NotPositiveDefinite):
-        for new, given in steps:
-            if new:
-                _plan_stack(values, pos, np.array(new, dtype=np.intp),
-                            np.array(given, dtype=np.intp), first)
-        raise
-    for idx, parts in stacks:
-        for a in parts:
-            a.setflags(write=False)
-        for j, i in enumerate(idx):
-            out[i] = tuple(a[j] for a in parts)
-    return tuple(out)
+
+    def build(new, given):
+        t_cond, t_ratio = cones._regress(values, pos, new, given)
+        what, context = "conditional scale block is ", {"new": new.tolist()}
+        if first:
+            wishart = side = _factor(cones._potrf, _last(t_cond),
+                                     what + "not positive definite",
+                                     **context)
+        else:
+            inv = _factor(cones._inv, _last(t_cond), what + "singular",
+                          **context)
+            wishart = _factor(cones._potrf, inv,
+                              what + "not positive definite", **context)
+            gi = given[..., :, None] - 1
+            side = _factor(cones._potrf,
+                           _last(values[pos[gi, gi.swapaxes(-1, -2)]]),
+                           "scale block on given is not positive definite",
+                           **context)
+        return (t_cond, t_ratio) + tuple(
+            a if a.ndim < 3 else a.transpose(2, 0, 1)
+            for a in (wishart, side))
+
+    return tuple(step if new else None
+                 for step, (new, _) in zip(walk.by_shape(build), walk.steps))
 
 
 def _require_family(spec, family, message):
@@ -578,7 +548,8 @@ def _walk(spec, rng, n, precision=False, weights=None):
     a step factors only what it drew: X[given] on the first side, the
     conditional block on the second.  Returns the packed draws, or with
     ``precision`` the packed inverses of their completions, summed from
-    the drawn pairs without more random numbers, as the draw-major view
+    the drawn pairs without more random numbers (the inverse of a drawn
+    block comes from its Bartlett factor on both sides), as the draw-major view
     (n, r + |E|) of the store; a caller that hands them out makes the
     copy C-contiguous.  Either side walks ``spec.walk``, the clique
     order or the class tree.  The walk sets one floating point error
@@ -597,6 +568,7 @@ def _walk(spec, rng, n, precision=False, weights=None):
     k = np.zeros_like(x) if precision else None
     tally = None if weights is None else np.zeros(n)
     sign = 1.0 if first else -1.0
+    not_pd = "drawn block is not positive definite"
     with np.errstate(all="ignore"):
         for slots, p, step, (a, b) in zip(
                 spec.walk.step_slots, spec.exponents, spec.plan,
@@ -608,20 +580,21 @@ def _walk(spec, rng, n, precision=False, weights=None):
             wishart, lt = _bartlett(w_left, p, rng, n, tally, sign * a)
             if a:
                 tally += sign * a * _logdet(w_left)
-            cond = wishart if first else _gram_inverse(lt, wishart)
+            inv = _gram_inverse(lt, wishart) if precision or not first \
+                else None
+            cond, cond_inv = (wishart, inv) if first else (inv, wishart)
             ratio = t_ratio
             if t_ratio.size:
-                drawn = _cholesky(x_given if first else cond, "drawn block")
+                drawn = _factor(cones._chol, x_given if first else cond,
+                                not_pd)
                 lu, lv = (side, drawn) if first else (drawn, side)
                 ratio = _matrix_normal(t_ratio, lu, lv, rng, n)
                 if b:
                     if not first:
-                        drawn = _cholesky(x_given, "drawn block")
+                        drawn = _factor(cones._chol, x_given, not_pd)
                     tally += b * _logdet(drawn)
             cones._place(x, slots, cond, ratio, x_given)
             if precision:
-                cond_inv = _inverse(cond, "drawn block") if first \
-                    else wishart
                 cones._add_step_precision(k, slots, cond_inv, ratio)
     out = (k if precision else x).T
     return out if tally is None else (out, tally)

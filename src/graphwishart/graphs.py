@@ -7,13 +7,14 @@ relies on those two properties.
 
 import heapq
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, permutations
 
 import numpy as np
 
 from .errors import (
     GraphMismatch,
+    GraphWishartError,
     InternalInconsistency,
     MalformedInput,
     NotChordal,
@@ -164,49 +165,55 @@ class StepSlots:
         return self.given[sel], sel
 
 
-def _step_groups(steps):
-    """``(new, given)`` steps grouped by ``(|new|, |given|)``, in order of
-    first occurrence: per group, the step indices and the 1-based vertex
-    arrays (m, |new|) and (m, |given|) of its m steps."""
-    groups = {}
-    for i, (new, given) in enumerate(steps):
-        groups.setdefault((len(new), len(given)), []).append(i)
-    out = []
-    for (a, b), idx in groups.items():
-        new = np.array([steps[i][0] for i in idx], dtype=np.intp)
-        given = np.array([steps[i][1] for i in idx], dtype=np.intp)
-        out.append((idx, new.reshape(len(idx), a),
-                    given.reshape(len(idx), b)))
-    return out
-
-
-def _step_slots(pattern, steps):
-    """One :class:`StepSlots` per ``(new, given)`` step, read-only: each
-    table gathered once per group of :func:`_step_groups` and handed out
-    as one view per step; steps with one |new| share ``new_sel``."""
-    out = [None] * len(steps)
-    sels = {}
-    for idx, new, given in _step_groups(steps):
-        ni, gi = new - 1, given - 1
-        sel = sels.setdefault(ni.shape[1], np.tril_indices(ni.shape[1]))
-        tables = (pattern.pos[gi[:, :, None], gi[:, None]],
-                  pattern.pos[ni[:, :, None], gi[:, None]],
-                  pattern.pos[ni[:, sel[0]], ni[:, sel[1]]])
-        for t in tables + sel:
-            t.setflags(write=False)
-        for j, i in enumerate(idx):
-            out[i] = StepSlots(*(t[j] for t in tables), sel)
-    return tuple(out)
-
-
 class _Walk:
     """A step list on a graph: ``steps`` of ``(new, given)`` blocks."""
 
+    def by_shape(self, build):
+        """Per step, a tuple of read-only views of the stacks that
+        ``build(new, given)`` returns for the steps of each shape
+        ``(|new|, |given|)``, called once per shape in order of first
+        occurrence with the 1-based vertex arrays (m, |new|) and
+        (m, |given|) of its m steps.  When ``build`` raises a
+        GraphWishartError, the steps are built one at a time in walk
+        order, with 1-D vertex arrays, so the error names the first
+        step that fails."""
+        steps = self.steps
+        groups = {}
+        for i, (new, given) in enumerate(steps):
+            groups.setdefault((len(new), len(given)), []).append(i)
+        ids = partial(np.array, dtype=np.intp)
+        stacks = []
+        try:
+            for idx in groups.values():
+                stacks.append((idx, build(ids([steps[i][0] for i in idx]),
+                                          ids([steps[i][1] for i in idx]))))
+        except GraphWishartError:
+            for new, given in steps:
+                build(ids(new), ids(given))
+            raise
+        out = [None] * len(steps)
+        for idx, parts in stacks:
+            for a in parts:
+                a.setflags(write=False)
+            for i, views in zip(idx, zip(*parts)):
+                out[i] = views
+        return tuple(out)
+
     @cached_property
     def step_slots(self):
-        """One :class:`StepSlots` per step, built on first use and shared
-        by everything that walks these steps."""
-        return _step_slots(self.graph.pattern, self.steps)
+        """One :class:`StepSlots` per step, built by :meth:`by_shape` on
+        first use and shared by everything that walks these steps."""
+        pos = self.graph.pattern.pos
+
+        def tables(new, given):
+            ni, gi = new - 1, given - 1
+            sel = np.tril_indices(ni.shape[-1])
+            return (pos[gi[..., :, None], gi[..., None, :]],
+                    pos[ni[..., :, None], gi[..., None, :]],
+                    pos[ni[..., sel[0]], ni[..., sel[1]]]) + tuple(
+                np.broadcast_to(a, ni.shape[:-1] + a.shape) for a in sel)
+
+        return tuple(StepSlots(*t[:3], t[3:]) for t in self.by_shape(tables))
 
 
 def _build_adjacency(n, edges):

@@ -149,6 +149,19 @@ def class_tree_only_spec(hubs, leaves, family, least=0.0,
 TREE_ONLY_RULES = {"type1": (1.0, (0.0, 6.0)), "type2": (0.0, (-6.0, 0.0))}
 
 
+def count_calls(monkeypatch, owner, name):
+    """List that gets one entry per call of ``owner.name``."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def count_spec_builds(monkeypatch):
     """List that gets the family of every ``WishartSpec`` built."""
     from graphwishart import WishartSpec

@@ -18,17 +18,21 @@ from graphwishart import (
     decompose,
     ingest,
     log_likelihood,
+    logdet_hat,
     logpdf,
     mean_type2,
     mle,
     parse_graph,
     posterior_summaries,
     posterior_update,
+    precision_of,
     project,
     sample_batch,
+    trace_pair,
 )
+from graphwishart import cones
 
-from conftest import count_spec_builds, random_qg
+from conftest import count_calls, count_spec_builds, random_qg
 
 K1 = parse_graph({"n": 1, "edges": []})
 
@@ -148,6 +152,19 @@ class TestPosteriorUpdate:
                         - logpdf(prior, sigma2)
                         - log_likelihood(sigma2, sample))
         assert float(np.std(gaps)) < 1e-10
+
+    def test_log_likelihood_checks_its_point_once(self, a4, monkeypatch):
+        """One clique check per call; the value is that of the sums of
+        ``precision_of`` and ``logdet_hat``."""
+        sigma2 = random_qg(a4, np.random.default_rng(7))
+        sample = ingest(np.random.default_rng(8).standard_normal(
+            (3, 4)).tolist(), a4)
+        expect = -0.5 * 12 * math.log(2.0 * math.pi) \
+            - 0.5 * 3 * (logdet_hat(sigma2) - 4 * math.log(2.0)) \
+            - trace_pair(sample.projected, precision_of(sigma2))
+        calls = count_calls(monkeypatch, cones, "_require_pd_cliques")
+        assert log_likelihood(sigma2, sample) == expect
+        assert len(calls) == 1
 
     def test_sequential_batches(self, a4):
         prior = a4_prior(a4)

@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphwishart
 from graphwishart import HasseTree, cli
 from graphwishart.cli import run
 
@@ -248,6 +251,25 @@ class TestDistCommands:
                             "--matrix", str(point)], capsys)
         assert code == 0
         assert math.isfinite(json.loads(out)["logpdf"])
+
+    def test_closed_stdout_exits_1_quietly(self, shape_file, scale_file):
+        """A reader that closes stdout early (``| head -c 10``): the
+        command exits 1 with nothing on stderr, and writes no error
+        object into the closed pipe."""
+        src = os.path.dirname(os.path.dirname(graphwishart.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "graphwishart.cli", "dist", "sample",
+             "--family", "type1", "--shape", shape_file,
+             "--scale", scale_file, "--n", "2000", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(10) == b'{"graph":{'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
     def test_determinism(self, shape_file, scale_file, capsys):
         argv = ["dist", "sample", "--family", "type1",

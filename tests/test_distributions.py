@@ -52,6 +52,7 @@ from graphwishart.cones import require_qg
 from conftest import (
     TREE_ONLY_RULES,
     class_tree_only_spec,
+    count_calls,
     nested_star,
     random_first_admissible,
     random_qg,
@@ -74,22 +75,9 @@ def _spec(g, family):
     return WishartSpec(g, shape, random_qg(g, rng), family)
 
 
-def _count_calls(monkeypatch, owner, name):
-    """List that gets one entry per call of ``owner.name``."""
-    calls = []
-    real = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 def _count_clique_checks(monkeypatch):
     """List that gets one entry per clique positive-definiteness check."""
-    calls = _count_calls(monkeypatch, cones, "_require_pd_cliques")
+    calls = count_calls(monkeypatch, cones, "_require_pd_cliques")
     monkeypatch.setattr(shapes, "_require_pd_cliques",
                         cones._require_pd_cliques)
     return calls
@@ -258,8 +246,8 @@ class TestMatrixNormal:
                 sample_matrix_normal(np.zeros((2, k)), np.eye(2), stack,
                                      RngStream(9), size=n)
             with pytest.raises(NotPositiveDefinite, match="drawn block"):
-                distributions._cholesky(stack.transpose(1, 2, 0),
-                                        "drawn block")
+                distributions._factor(cones._chol, stack.transpose(1, 2, 0),
+                                      "drawn block is not positive definite")
 
 
 class TestLogpdf:
@@ -843,10 +831,11 @@ class TestStepPlan:
         second."""
         spec = _spec(g0, family)
         sample_batch(spec, RngStream(14), 3)
-        plans = _count_calls(monkeypatch, WishartSpec.__dict__["plan"],
-                             "func")
-        tables = _count_calls(monkeypatch, graphs, "_step_slots")
-        factors = _count_calls(monkeypatch, cones, "_chol")
+        plans = count_calls(monkeypatch, WishartSpec.__dict__["plan"],
+                            "func")
+        tables = count_calls(
+            monkeypatch, graphs._Walk.__dict__["step_slots"], "func")
+        factors = count_calls(monkeypatch, cones, "_chol")
         sample_batch(spec, RngStream(14), 3)
         assert not plans and not tables
         given = sum(1 for new, g in spec.walk.steps if new and g)
@@ -909,7 +898,8 @@ class TestStepPlan:
         g = parse_graph(nested_star(3, 2))
         spec = _spec(g, "type1")
         sample_batch(spec, RngStream(15), 2)
-        tables = _count_calls(monkeypatch, graphs, "_step_slots")
+        tables = count_calls(
+            monkeypatch, graphs._Walk.__dict__["step_slots"], "func")
         mean_type1(spec)
         twin = _spec(g, "inv_type1")
         assert twin.walk is spec.walk
@@ -974,12 +964,19 @@ class TestStackedPlan:
     """One plan per scale, walk and side, built by shape of step."""
 
     @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("which", ["banded", "class-tree"])
+    @pytest.mark.parametrize("which", ["banded", "class-tree", "K4"])
     def test_bits_of_the_per_step_build(self, which, family):
         """The stacked plan and slot tables have the bits of a build one
         step at a time (SHA-256 of every array), on a banded graph with
-        steps of several shapes and on a class-tree walk."""
-        if which == "banded":
+        steps of several shapes, on a class-tree walk, and on K4, whose
+        clique order starts with the empty step ((), ()): the plan holds
+        None there."""
+        if which == "K4":
+            spec = _spec(parse_graph({"n": 4, "edges": [
+                [i, j] for i in range(1, 5) for j in range(i + 1, 5)]}),
+                family)
+            assert spec.walk.steps[0] == ((), ()) and spec.plan[0] is None
+        elif which == "banded":
             r, w = 12, 3
             g = parse_graph({"n": r, "edges": [
                 [i, j] for i in range(1, r + 1)
@@ -1004,13 +1001,14 @@ class TestStackedPlan:
 
     def test_specs_on_one_scale_walk_and_side_share_it(self, monkeypatch):
         """Specs on one scale, walk and side share the plan objects, and
-        a second spec builds none; another side or walk has its own."""
+        a second spec builds none; another side or walk has its own.
+        Specs on one SparsePrecision scale share it too."""
         g = parse_graph(nested_star(2, 3))
         o = decompose(g)
         scale = random_qg(g, np.random.default_rng(1))
         uniform = ShapeParam((4.0,) * o.k, (4.0,) * o.k_prime)
         tree = class_tree_only_spec(2, 3, "type1", *TREE_ONLY_RULES["type1"])
-        built = _count_calls(monkeypatch, distributions, "_step_plan")
+        built = count_calls(monkeypatch, distributions, "_step_plan")
         t1 = WishartSpec(g, uniform, scale, "type1")
         i1 = WishartSpec(g, uniform + ShapeParam((0.5,) * o.k,
                                                  (0.5,) * o.k_prime),
@@ -1027,6 +1025,11 @@ class TestStackedPlan:
         assert isinstance(on_tree.walk, HasseTree)
         assert on_tree.plan is not t1.plan
         assert len(built) == 3
+        sparse = SparsePrecision(g, scale.data)
+        on_sparse = [WishartSpec(g, spec.shape, sparse, spec.family)
+                     for spec in (t1, i1)]
+        assert on_sparse[0].plan is on_sparse[1].plan
+        assert len(built) == 4
 
     @pytest.mark.parametrize("first", [True, False])
     def test_first_failing_step_of_the_walk_is_named(self, first):
@@ -1042,19 +1045,22 @@ class TestStackedPlan:
         x[2, 3] = x[3, 2] = 2.0  # 4 given 3: 1 - 4 < 0
         scale = IncompleteMatrix(g, x)
         steps = (((2,), ()), ((3,), (2,)), ((1,), (2, 3)), ((4,), (3,)))
+        walk = graphs._Walk()
+        walk.graph, walk.steps = g, steps
         outcomes = []
-        for build in (distributions._step_plan, _per_step_plan):
+        for build, on in ((distributions._step_plan, walk),
+                          (_per_step_plan, steps)):
             with pytest.raises(GraphWishartError) as err:
-                build(scale, steps, first)
+                build(scale, on, first)
             outcomes.append((type(err.value), err.value.context))
         assert outcomes[0] == outcomes[1] == \
             (NotPositiveDefinite, {"new": [1]})
         x[1, 2] = x[2, 1] = 1.0  # the block on (2, 3) is singular
         x[2, 2] = 2.0
         x[1, 1] = 0.5
+        walk.steps = steps[:1] + steps[2:3]
         with pytest.raises(NotInQG) as err:
-            distributions._step_plan(IncompleteMatrix(g, x),
-                                     steps[:1] + steps[2:3], first)
+            distributions._step_plan(IncompleteMatrix(g, x), walk, first)
         assert err.value.context == {"given": [2, 3]}
 
 
@@ -1130,9 +1136,9 @@ class TestSpecBuild:
         order on the second.  From a fresh graph, the shape and one spec
         build make at most one class-tree exponent pass, no shape_class
         call and one clique_sizes build."""
-        tree_passes = _count_calls(monkeypatch, shapes, "hasse_exponents")
-        classified = _count_calls(monkeypatch, shapes, "shape_class")
-        sizes = _count_calls(
+        tree_passes = count_calls(monkeypatch, shapes, "hasse_exponents")
+        classified = count_calls(monkeypatch, shapes, "shape_class")
+        sizes = count_calls(
             monkeypatch, CliqueOrdering.__dict__["clique_sizes"], "func")
         g = parse_graph(nested_star(20, 19))
         o = decompose(g)

@@ -41,7 +41,6 @@ from graphwishart import (
     phi,
     precision_of,
     sample,
-    sample_base_wishart,
     sample_batch,
     sample_matrix_normal,
     split_blocks,
@@ -141,7 +140,7 @@ def _bartlett(scale, p, rng, n):
 
 
 def _inverse_from_factor(lt, gram):
-    """(L L^T)^-1 of draws (n, k, k) as the second side takes it: U^T U
+    """(L L^T)^-1 of draws (n, k, k) as the walk takes it: U^T U
     with U = L^-1 by forward substitution, entry by entry in the order
     of the walk's kernel, for 2x2 to 4x4 blocks; LAPACK's inverse of
     L L^T otherwise."""
@@ -165,8 +164,8 @@ def _reference_walk(spec, rng, n):
     ``sample_batch`` must give bit for bit (same random numbers in the
     same order, same factorizations of the same matrices).  Its
     products are :func:`_matmul`'s, summed in index order as the
-    walk's kernels sum them; the second side inverts each Wishart draw
-    from its factor, :func:`_inverse_from_factor`."""
+    walk's kernels sum them; both sides invert each Wishart draw from
+    its factor, :func:`_inverse_from_factor`."""
     first = spec.family in ("type1", "inv_type1")
     precision = spec.family in ("type2", "inv_type1")
     pattern = spec.graph.pattern
@@ -189,7 +188,7 @@ def _reference_walk(spec, rng, n):
                                          new, given)
         x_given = x[:, slots(given, given)]
         if first:
-            wishart = sample_base_wishart(len(new), p, t_cond, rng, n)
+            wishart, lt = _bartlett(t_cond, p, rng, n)
             cond, row, col = wishart, t_cond, x_given
         else:
             gi = np.asarray(given, dtype=int) - 1
@@ -203,7 +202,8 @@ def _reference_walk(spec, rng, n):
         x[:, new_slots] = (cond + _matmul(cross, ratio.swapaxes(-1, -2)))[
             :, sel]
         if precision:
-            cond_inv = np.linalg.inv(cond) if first else wishart
+            cond_inv = _inverse_from_factor(lt, wishart) if first \
+                else wishart
             lead = _matmul(cond_inv, ratio)
             k[:, new_slots] += cond_inv[:, sel]
             k[:, slots(new, given)] -= lead
