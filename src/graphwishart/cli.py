@@ -23,7 +23,6 @@ from .bayes import ingest, posterior_summaries, posterior_update
 from .cones import (
     IncompleteMatrix,
     SparsePrecision,
-    _check_symmetric,
     complete,
     phi,
 )
@@ -99,15 +98,6 @@ def _fmt(value):
     raise TypeError("cannot serialize %r" % (value,))
 
 
-def _emit(obj, output=None):
-    text = _fmt(obj) + "\n"
-    if output:
-        with open(output, "a") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -122,9 +112,9 @@ def _load_graph(path):
     return parse_graph(_load_json(path))
 
 
-def _load_matrix(args, path, graph=None):
-    """(graph, dense array) of a matrix file.  The graph is the file's
-    own, else ``graph``, else the one ``--graph`` names."""
+def _load_matrix(args, path, cone=IncompleteMatrix, graph=None):
+    """The point of ``cone`` a matrix file holds, on the file's own
+    graph, else ``graph``, else the one ``--graph`` names."""
     if graph is None and args.graph:
         graph = _load_graph(args.graph)
     obj = _load_json(path)
@@ -136,12 +126,13 @@ def _load_matrix(args, path, graph=None):
     if graph is None:
         raise MalformedInput(
             "matrix file has no graph; pass --graph", path=path)
-    return graph, _pattern_rows(obj["matrix"], graph, "matrix", path)
+    return cone(graph, _pattern_rows(obj["matrix"], graph, "matrix", path))
 
 
 def _pattern_rows(rows, graph, key, path):
-    """Dense symmetric array from the JSON rows stored under ``key``:
-    a number at every pattern entry, null (or 0) everywhere else."""
+    """Dense array from the JSON rows stored under ``key``: a number at
+    every pattern entry, null (or 0) everywhere else.  The cone type
+    built on it checks that it is symmetric."""
     r = graph.vertex_count
     if not isinstance(rows, list) or \
             not all(isinstance(row, list) for row in rows):
@@ -164,13 +155,12 @@ def _pattern_rows(rows, graph, key, path):
                 raise MalformedInput("non-null entry off the graph pattern",
                                      row=i + 1, col=j + 1)
         out.append(vals)
-    data = np.array(out, dtype=float)
-    _check_symmetric(data, data.T)
-    return data
+    return np.array(out, dtype=float)
 
 
-def _load_shape(path, ordering):
-    obj = _load_json(path)
+def _load_shape(obj, ordering, path):
+    """The shape {"alpha", "beta"} ``obj`` read from ``path``, aligned
+    with ``ordering``."""
     try:
         shape = ShapeParam(tuple(obj["alpha"]), tuple(obj["beta"]))
     except (KeyError, TypeError) as exc:
@@ -207,9 +197,10 @@ class _MatrixWriter:
 
 def _scale_and_shape(args):
     """The --scale matrix and the --shape aligned with its graph."""
-    graph, data = _load_matrix(args, args.scale)
-    shape = _load_shape(args.shape, decompose(graph))
-    return IncompleteMatrix(graph, data), shape
+    scale = _load_matrix(args, args.scale)
+    shape = _load_shape(_load_json(args.shape), decompose(scale.graph),
+                        args.shape)
+    return scale, shape
 
 
 def _spec_from_args(args, family=None):
@@ -232,7 +223,7 @@ def _cmd_graph_analyze(args):
             raise OutOfDomain("order index out of range",
                               order=args.order, count=len(orders))
         ordering = orders[args.order]
-    _emit({
+    yield {
         **_graph_json(graph),
         "cliques": [list(c) for c in ordering.cliques],
         "separators": [list(s) for s in ordering.separators],
@@ -241,8 +232,7 @@ def _cmd_graph_analyze(args):
         "multiplicities": list(ordering.multiplicity),
         "residuals": [list(rv) for rv in ordering.residuals],
         "homogeneous": _class_tree(graph) is not None,
-    }, args.output)
-    return 0
+    }
 
 
 def _cmd_graph_hasse(args):
@@ -254,7 +244,7 @@ def _cmd_graph_hasse(args):
             key = "{" + ",".join(str(v) for v in tree.vertex_sets[u]) \
                 + "}"
             nu[key] = len(tree.children[u]) - 1
-    _emit({
+    yield {
         "classes": [list(c) for c in tree.classes],
         "parent": list(tree.parent),
         "vertex_sets": [list(v) for v in tree.vertex_sets],
@@ -262,40 +252,30 @@ def _cmd_graph_hasse(args):
                   for u in range(tree.node_count)],
         "nu": nu,
         "root": tree.root,
-    }, args.output)
-    return 0
+    }
 
 
 def _cmd_cone_complete(args):
-    graph, data = _load_matrix(args, args.matrix)
-    hat = complete(IncompleteMatrix(graph, data))
-    _emit({"graph": _graph_json(graph), "matrix": hat.tolist()},
-          args.output)
-    return 0
+    x = _load_matrix(args, args.matrix)
+    yield {"graph": _graph_json(x.graph), "matrix": complete(x).tolist()}
 
 
 def _cmd_cone_phi(args):
-    graph, data = _load_matrix(args, args.matrix)
-    x = phi(SparsePrecision(graph, data))
-    _emit(_MatrixWriter(graph)(x.values), args.output)
-    return 0
+    y = _load_matrix(args, args.matrix, SparsePrecision)
+    yield _MatrixWriter(y.graph)(phi(y).values)
 
 
 def _cmd_dist_logpdf(args):
     spec = _spec_from_args(args)
-    _, pdata = _load_matrix(args, args.matrix, spec.graph)
-    point = spec.cone(spec.graph, pdata)
-    _emit({"family": spec.family, "logpdf": logpdf(spec, point)},
-          args.output)
-    return 0
+    point = _load_matrix(args, args.matrix, spec.cone, spec.graph)
+    yield {"family": spec.family, "logpdf": logpdf(spec, point)}
 
 
 def _cmd_dist_sample(args):
     spec = _spec_from_args(args)
     writer = _MatrixWriter(spec.graph)
     for i, x in enumerate(sample(spec, RngStream(args.seed), args.n)):
-        _emit(dict(writer(x.values), seed=args.seed, index=i), args.output)
-    return 0
+        yield dict(writer(x.values), seed=args.seed, index=i)
 
 
 def _cmd_dist_mean(args):
@@ -304,24 +284,21 @@ def _cmd_dist_mean(args):
     if spec.family not in means:
         raise OutOfDomain("closed-form mean available for type1 and "
                           "type2 only", family=spec.family)
-    _emit(_MatrixWriter(spec.graph)(means[spec.family](spec).values),
-          args.output)
-    return 0
+    yield _MatrixWriter(spec.graph)(means[spec.family](spec).values)
 
 
 def _cmd_bayes_fit(args):
     graph = _require_graph(args)
     prior_obj = _load_json(args.prior)
     try:
-        shape = ShapeParam(tuple(prior_obj["shape"]["alpha"]),
-                           tuple(prior_obj["shape"]["beta"]))
-        scale_rows = prior_obj["scale"]
+        shape_obj, scale_rows = prior_obj["shape"], prior_obj["scale"]
     except (KeyError, TypeError) as exc:
         raise MalformedInput(
             "prior file needs 'shape' and 'scale'") from exc
-    data = _pattern_rows(scale_rows, graph, "scale", args.prior)
-    prior = WishartSpec(graph, shape, IncompleteMatrix(graph, data),
-                        "inv_type2")
+    shape = _load_shape(shape_obj, decompose(graph), args.prior)
+    scale = IncompleteMatrix(graph, _pattern_rows(scale_rows, graph,
+                                                  "scale", args.prior))
+    prior = WishartSpec(graph, shape, scale, "inv_type2")
     try:
         with open(args.data) as fh:
             rows = [row for row in csv.reader(fh) if row]
@@ -336,7 +313,7 @@ def _cmd_bayes_fit(args):
     post = posterior_update(prior, sample_stats)
     summ = posterior_summaries(post, RngStream(args.seed), n_draws=args.n)
     writer, p = _MatrixWriter(graph), graph.pattern
-    _emit({
+    yield {
         "seed": args.seed,
         "n_obs": sample_stats.n,
         "posterior_shape": {"alpha": list(post.shape.alpha),
@@ -347,8 +324,7 @@ def _cmd_bayes_fit(args):
         "sigma_se": writer(summ["sigma_se"][p.rows, p.cols]),
         "convention": "prior on twice the covariance pattern; "
                       "summaries are on the covariance scale",
-    }, args.output)
-    return 0
+    }
 
 
 def _within(gap, k, se):
@@ -373,37 +349,34 @@ def _cmd_verify_normalizer(args):
         closed = math.inf
     verdict = None if closed is None else \
         _within(est.value - closed, 3.0, est.std_error)
-    _emit({
+    yield {
         "seed": args.seed, "kind": kind, "n": est.n_draws,
         "estimate": est.value, "std_error": est.std_error,
         "closed_form": closed, "within_3_se": verdict,
         "proposal": list(est.proposal), "ess": est.ess,
         "max_weight_share": est.max_weight_share,
-    }, args.output)
-    return 0
+    }
 
 
 def _cmd_verify_a4(args):
     scale, shape = _scale_and_shape(args)
     val = a4_closed_form(args.kind, shape, scale)
-    _emit({"kind": args.kind, "log_value": val}, args.output)
-    return 0
+    yield {"kind": args.kind, "log_value": val}
 
 
 def _cmd_verify_mellin(args):
-    graph, data = _load_matrix(args, args.matrix)
-    if graph.vertex_count != 2:
+    rate = _load_matrix(args, args.matrix)
+    if rate.graph.vertex_count != 2:
         raise OutOfDomain("rate matrix must be 2x2",
-                          n=graph.vertex_count)
-    closed, est = mellin_2x2(args.p, args.a1, args.a2, data,
+                          n=rate.graph.vertex_count)
+    closed, est = mellin_2x2(args.p, args.a1, args.a2, rate.data,
                              RngStream(args.seed), args.n)
-    _emit({
+    yield {
         "seed": args.seed, "closed_form": closed,
         "estimate": est.value, "std_error": est.std_error,
         "within_3_se": _within(closed - est.value, 3.0, est.std_error),
         "n": est.n_draws,
-    }, args.output)
-    return 0
+    }
 
 
 def _cmd_verify_factorization(args):
@@ -414,11 +387,10 @@ def _cmd_verify_factorization(args):
         raise OutOfDomain("need at least one point", n=npts)
     worst = max(check_factorization(spec, point)
                 for point in sample(spec, rng, npts))
-    _emit({
+    yield {
         "seed": args.seed, "points": npts, "max_residual": worst,
         "within_tolerance": worst < 1e-10,
-    }, args.output)
-    return 0
+    }
 
 
 def _cmd_verify_mean426(args):
@@ -427,13 +399,12 @@ def _cmd_verify_mean426(args):
     # No verdict where a step's draws have no variance (check_mean426).
     powered = all(p > (len(new) + 3) / 2.0 for (new, _), p in
                   zip(spec.walk.steps, spec.exponents) if new)
-    _emit({
+    yield {
         "seed": args.seed, "residual": est.value,
         "std_error": est.std_error, "n": est.n_draws,
         "within_4_se": _within(est.value, 4.0, est.std_error)
         if powered else None,
-    }, args.output)
-    return 0
+    }
 
 
 _FLAGS = {
@@ -465,65 +436,62 @@ def _build_parser():
 
     def add(group_parser, name, fn, flags, **defaults):
         p = group_parser.add_parser(name)
-        for flag in flags:
+        for flag in flags + ["--output"]:
             p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(fn=fn, **defaults)
 
     graph = sub.add_parser("graph").add_subparsers(
         dest="cmd", required=True)
-    add(graph, "analyze", _cmd_graph_analyze,
-        ["--graph", "--order", "--output"])
-    add(graph, "hasse", _cmd_graph_hasse, ["--graph", "--output"])
+    add(graph, "analyze", _cmd_graph_analyze, ["--graph", "--order"])
+    add(graph, "hasse", _cmd_graph_hasse, ["--graph"])
 
     cone = sub.add_parser("cone").add_subparsers(
         dest="cmd", required=True)
-    add(cone, "complete", _cmd_cone_complete,
-        ["--matrix", "--graph", "--output"])
-    add(cone, "phi", _cmd_cone_phi, ["--matrix", "--graph", "--output"])
+    add(cone, "complete", _cmd_cone_complete, ["--matrix", "--graph"])
+    add(cone, "phi", _cmd_cone_phi, ["--matrix", "--graph"])
 
     dist = sub.add_parser("dist").add_subparsers(
         dest="cmd", required=True)
     add(dist, "logpdf", _cmd_dist_logpdf,
-        ["--family", "--shape", "--scale", "--matrix", "--graph",
-         "--output"])
+        ["--family", "--shape", "--scale", "--matrix", "--graph"])
     add(dist, "sample", _cmd_dist_sample,
-        ["--family", "--shape", "--scale", "--graph", "--n", "--seed",
-         "--output"], n=1)
+        ["--family", "--shape", "--scale", "--graph", "--n", "--seed"], n=1)
     add(dist, "mean", _cmd_dist_mean,
-        ["--family", "--shape", "--scale", "--graph", "--output"])
+        ["--family", "--shape", "--scale", "--graph"])
 
     bayes = sub.add_parser("bayes").add_subparsers(
         dest="cmd", required=True)
     add(bayes, "fit", _cmd_bayes_fit,
-        ["--graph", "--data", "--prior", "--n", "--seed", "--output"],
-        n=4000)
+        ["--graph", "--data", "--prior", "--n", "--seed"], n=4000)
 
     verify = sub.add_parser("verify").add_subparsers(
         dest="cmd", required=True)
     add(verify, "normalizer", _cmd_verify_normalizer,
-        ["--graph", "--shape", "--scale", "--kind", "--n", "--seed",
-         "--output"], n=100000)
+        ["--graph", "--shape", "--scale", "--kind", "--n", "--seed"], n=100000)
     add(verify, "a4", _cmd_verify_a4,
-        ["--graph", "--shape", "--scale", "--kind", "--output"])
+        ["--graph", "--shape", "--scale", "--kind"])
     add(verify, "mellin", _cmd_verify_mellin,
-        ["--matrix", "--graph", "--p", "--a1", "--a2", "--n",
-         "--seed", "--output"], n=100000)
+        ["--matrix", "--graph", "--p", "--a1", "--a2", "--n", "--seed"],
+        n=100000)
     add(verify, "factorization", _cmd_verify_factorization,
-        ["--shape", "--scale", "--graph", "--n", "--seed",
-         "--output"], n=50)
+        ["--shape", "--scale", "--graph", "--n", "--seed"], n=50)
     add(verify, "mean426", _cmd_verify_mean426,
-        ["--shape", "--scale", "--graph", "--n", "--seed",
-         "--output"], n=100000)
+        ["--shape", "--scale", "--graph", "--n", "--seed"], n=100000)
     return parser
 
 
 def run(argv):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        for obj in args.fn(args):
+            text = _fmt(obj) + "\n"
+            if args.output:
+                with open(args.output, "a") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
         sys.stdout.flush()  # a reader that has gone shows here, not at exit
-        return code
+        return 0
     except GraphWishartError as exc:
         err = exc
     except BrokenPipeError:

@@ -209,6 +209,16 @@ def _matrix_normal(mean, lu, lv, rng, n):
     return mean[:, :, None] + cones._mul(lu, y)
 
 
+def _square(m, k, what, n=None):
+    """``m`` as a float array: one (k, k) matrix, or with ``n`` also a
+    stack (n, k, k); DimensionMismatch naming ``what`` otherwise."""
+    m = np.asarray(m, dtype=float)
+    if m.shape not in ((k, k), (n, k, k)):
+        raise DimensionMismatch(what + " has wrong shape",
+                                expected=[k, k], got=list(m.shape))
+    return m
+
+
 def sample_base_wishart(r, p, scale, rng, size=None):
     """Wishart draws with density proportional to
     det(x)^(p - (r+1)/2) exp(-tr(scale^{-1} x)); the mean is p * scale.
@@ -218,10 +228,9 @@ def sample_base_wishart(r, p, scale, rng, size=None):
     empty stack), else OutOfDomain.
     """
     rng = _as_stream(rng)
-    scale = np.asarray(scale, dtype=float)
-    if scale.shape != (r, r):
-        raise DimensionMismatch("scale has wrong shape",
-                                expected=[r, r], got=list(scale.shape))
+    scale = _square(scale, r, "scale")
+    if not math.isfinite(p):
+        raise OutOfDomain("shape parameter is not finite", p=p)
     if p <= (r - 1) / 2.0:
         raise OutOfDomain("shape parameter too small for dimension",
                           p=p, r=r)
@@ -243,17 +252,20 @@ def sample_matrix_normal(mean, row_cov, col_prec_mate, rng, size=None):
     there mean small spread.  Entrywise the covariance of the deltas is
     0.5 * col_prec_mate^{-1} (x) row_cov.  Either matrix may also be a
     stack (n, ., .) with one matrix per draw.  ``size`` must be a
-    non-negative integer (0 gives an empty stack), else OutOfDomain.
+    non-negative integer (0 gives an empty stack), else OutOfDomain; a
+    matrix that does not fit ``mean`` (a, b) raises DimensionMismatch.
     """
     rng = _as_stream(rng)
     mean = np.asarray(mean, dtype=float)
     a, b = mean.shape
     n = 1 if size is None else _draw_count(size)
+    row_cov = _square(row_cov, a, "row matrix", n)
+    col_prec_mate = _square(col_prec_mate, b, "column matrix", n)
     if a == 0 or b == 0:
         out = np.broadcast_to(mean, (n, a, b)).copy()
     else:
         with np.errstate(all="ignore"):  # a stack may meet the kernels
-            lu, lv = (_factor(cones._chol, _last(np.asarray(m, dtype=float)),
+            lu, lv = (_factor(cones._chol, _last(m),
                               what + " is not positive definite")
                       for m, what in ((row_cov, "row matrix"),
                                       (col_prec_mate, "column matrix")))

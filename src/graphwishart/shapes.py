@@ -100,14 +100,12 @@ def realign_shape(shape, ord_from, ord_to):
     the graph, only their order changes.
     """
     check_alignment(shape, ord_from)
+    if ord_from.graph != ord_to.graph:
+        raise ShapeMismatch("orders describe different graphs")
     amap = dict(zip(ord_from.cliques, shape.alpha))
     bmap = dict(zip(ord_from.distinct_separators, shape.beta))
-    try:
-        return ShapeParam(
-            tuple(amap[c] for c in ord_to.cliques),
-            tuple(bmap[s] for s in ord_to.distinct_separators))
-    except KeyError as exc:
-        raise ShapeMismatch("orders describe different graphs") from exc
+    return ShapeParam(tuple(amap[c] for c in ord_to.cliques),
+                      tuple(bmap[s] for s in ord_to.distinct_separators))
 
 
 def size_shift(ordering, factor=0.5, offset=1):
@@ -121,11 +119,11 @@ def size_shift(ordering, factor=0.5, offset=1):
 def log_multigamma(dim, p):
     """Logarithm of the multivariate gamma function of dimension dim.
 
-    Requires p > (dim - 1) / 2; dim = 0 gives 0.
+    Requires a finite p > (dim - 1) / 2; dim = 0 gives 0.
     """
     if dim == 0:
         return 0.0
-    if p <= (dim - 1) / 2.0:
+    if not (dim - 1) / 2.0 < p < math.inf:
         raise OutOfDomain("multivariate gamma argument out of range",
                           dim=dim, p=p)
     return dim * (dim - 1) / 4.0 * math.log(math.pi) + float(
@@ -315,11 +313,9 @@ def shape_class(shape, ordering):
     alpha, beta = shape.alpha, shape.beta
     csize = ordering.clique_sizes
 
-    in_a1 = len(set(alpha)) == 1 and set(beta) <= set(alpha) and \
-        (not beta or len(set(beta)) == 1) and \
-        alpha[0] > (max(csize) - 1) / 2.0 + _TOL
-    if in_a1 and beta:
-        in_a1 = abs(beta[0] - alpha[0]) <= _TOL
+    every = alpha + beta
+    in_a1 = max(every) - min(every) <= _TOL and \
+        min(alpha) > (max(csize) - 1) / 2.0 + _TOL
 
     in_b1 = False
     deltas = [-2.0 * a - c + 1.0 for a, c in zip(alpha, csize)]

@@ -88,6 +88,16 @@ def _series_2f1(a, b, c, z, tol=1e-15, max_terms=100000):
                         a=a, b=b, c=c, z=z, max_terms=max_terms)
 
 
+def _require_series(c, z):
+    """OutOfDomain unless z lies in [0, 1); PoleAtC when the lower
+    parameter c is a non-positive integer, where a term's denominator
+    is zero."""
+    if not 0.0 <= z < 1.0:
+        raise OutOfDomain("argument must lie in [0, 1)", z=z)
+    if c <= 0 and c == int(c):
+        raise PoleAtC("lower parameter is a non-positive integer", c=c)
+
+
 def gauss_2f1(a, b, c, z):
     """Gauss hypergeometric function on z in [0, 1).
 
@@ -95,10 +105,7 @@ def gauss_2f1(a, b, c, z):
     of the parameters when z is close to 1 (which converts the
     convergence exponent and speeds the tail).
     """
-    if not 0.0 <= z < 1.0:
-        raise OutOfDomain("argument must lie in [0, 1)", z=z)
-    if c <= 0 and c == int(c):
-        raise PoleAtC("lower parameter is a non-positive integer", c=c)
+    _require_series(c, z)
     if a == 0.0 or b == 0.0 or z == 0.0:
         return 1.0
     if z > 0.9:
@@ -109,8 +116,7 @@ def gauss_2f1(a, b, c, z):
 def check_identity_327(a, b, c, z):
     """Residual of the parameter-swap identity for the hypergeometric
     series: (1-z)^(a+b-c) F(a,b;c;z) versus F(c-a,c-b;c;z)."""
-    if not 0.0 <= z < 1.0:
-        raise OutOfDomain("argument must lie in [0, 1)", z=z)
+    _require_series(c, z)
     lhs = (1.0 - z) ** (a + b - c) * _series_2f1(a, b, c, z)
     rhs = _series_2f1(c - a, c - b, c, z)
     return abs(lhs - rhs)

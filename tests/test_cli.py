@@ -182,6 +182,19 @@ class TestDistCommands:
         assert doc["family"] == "type1"
         assert math.isfinite(doc["logpdf"])
 
+    def test_logpdf_point_on_another_graph(self, tmp_path, shape_file,
+                                           scale_file, capsys):
+        """A point whose file names a graph other than the scale's is
+        refused; it was once read on the scale's graph, exit 0."""
+        star = write_json(tmp_path / "star.json", {
+            "graph": {"n": 4, "edges": [[1, 2], [1, 3], [1, 4]]},
+            "matrix": [[2.0, 0.4, 0.4, 0.4], [0.4, 2.0, None, None],
+                       [0.4, None, 2.0, None], [0.4, None, None, 2.0]]})
+        doc = _error(*invoke(["dist", "logpdf", "--family", "type1",
+                              "--shape", shape_file, "--scale", scale_file,
+                              "--matrix", star], capsys))
+        assert doc["code"] == "graph_mismatch"
+
     def test_sample_emits_json_lines(self, shape_file, scale_file,
                                      capsys):
         code, out = invoke(["dist", "sample", "--family", "type1",
@@ -533,6 +546,64 @@ def _spec_files(tmp_path, spec):
                         {"graph": graph, "matrix": rows}),
              write_json(tmp_path / "shape.json", shape))
     return (graph, rows, shape) + paths
+
+
+# One valid run of each subcommand: literal words, {a4}, {star},
+# {scale}, {shape}, {bshape}, {prior}, {data} and {rate} name files.
+COMMANDS = {
+    "graph-analyze": "graph analyze --graph {a4} --order 1",
+    "graph-hasse": "graph hasse --graph {star}",
+    "cone-complete": "cone complete --matrix {scale}",
+    "cone-phi": "cone phi --matrix {rate}",
+    "dist-logpdf": "dist logpdf --family type1 --shape {shape} "
+                   "--scale {scale} --matrix {scale}",
+    "dist-sample": "dist sample --family type1 --shape {shape} "
+                   "--scale {scale} --n 3 --seed 4",
+    "dist-mean": "dist mean --family type1 --shape {shape} "
+                 "--scale {scale}",
+    "bayes-fit": "bayes fit --graph {a4} --data {data} --prior {prior} "
+                 "--n 50 --seed 2",
+    "verify-normalizer": "verify normalizer --shape {shape} "
+                         "--scale {scale} --n 200 --seed 1",
+    "verify-a4": "verify a4 --shape {shape} --scale {scale} --kind I",
+    "verify-mellin": "verify mellin --matrix {rate} --p 1.5 --a1 0.7 "
+                     "--a2 0.9 --n 200 --seed 5",
+    "verify-factorization": "verify factorization --shape {bshape} "
+                            "--scale {scale} --n 5 --seed 1",
+    "verify-mean426": "verify mean426 --shape {bshape} --scale {scale} "
+                      "--n 200 --seed 2",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_output_file_holds_what_stdout_gets(tmp_path, a4_file, scale_file,
+                                            shape_file, capsys, command):
+    """``--output FILE`` appends to the file exactly the bytes that the
+    same run writes to stdout without it, and leaves stdout empty."""
+    files = {
+        "a4": a4_file, "scale": scale_file, "shape": shape_file,
+        "star": write_json(tmp_path / "star.json",
+                           {"n": 4, "edges": [[1, 2], [1, 3], [1, 4]]}),
+        "bshape": write_json(tmp_path / "bshape.json",
+                             {"alpha": [-3.0] * 3, "beta": [-1.0, -2.5]}),
+        "prior": write_json(tmp_path / "prior.json", {
+            "shape": {"alpha": [-2.0] * 3, "beta": [-1.5] * 2},
+            "scale": json.loads(
+                (tmp_path / "scale.json").read_text())["matrix"]}),
+        "rate": write_json(tmp_path / "rate.json", {
+            "graph": {"n": 2, "edges": [[1, 2]]},
+            "matrix": [[2.0, 0.5], [0.5, 1.0]]}),
+    }
+    data = tmp_path / "d.csv"
+    data.write_text("0.3,-1.2,0.8,0.1\n1.1,0.4,-0.6,2.0\n"
+                    "-0.5,0.9,0.2,-1.4\n0.7,-0.3,1.6,0.5\n")
+    files["data"] = str(data)
+    argv = COMMANDS[command].format(**files).split()
+    code, out = invoke(argv, capsys)
+    assert code == 0 and out
+    target = tmp_path / "out.json"
+    assert invoke(argv + ["--output", str(target)], capsys) == (0, "")
+    assert target.read_text() == out
 
 
 class TestClassTreeSecondSide:

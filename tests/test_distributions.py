@@ -162,6 +162,16 @@ class TestBaseWishart:
         with pytest.raises(OutOfDomain):
             sample_base_wishart(2, 0.4, np.eye(2), RngStream(3))
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_shape_not_finite(self, p):
+        """A NaN shape passed the domain check and drew NaN; an infinite
+        one drew NaN with a RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomain) as err:
+                sample_base_wishart(2, p, np.eye(2), RngStream(0), 2)
+        assert err.value.context == {"p": p}
+
     def test_draws_positive_definite(self):
         rng = RngStream(4)
         draws = sample_base_wishart(3, 2.0, np.eye(3), rng, size=200)
@@ -213,6 +223,20 @@ class TestMatrixNormal:
         with pytest.raises(NotPositiveDefinite):
             sample_matrix_normal(np.zeros((2, 2)), -np.eye(2),
                                  np.eye(2), RngStream(8))
+
+    @pytest.mark.parametrize("row, col, what, expected, got", [
+        (np.eye(2), np.eye(2), "column", [3, 3], [2, 2]),
+        (np.eye(3), np.eye(2), "row", [2, 2], [3, 3]),
+        (np.eye(2), np.ones((4, 3, 3)), "column", [3, 3], [4, 3, 3]),
+    ], ids=["column", "row", "stack-length"])
+    def test_matrix_that_does_not_fit_the_mean(self, row, col, what,
+                                               expected, got):
+        """Matrices whose shape does not fit the (2, 3) mean: a typed
+        refusal naming the matrix, where numpy raised ValueError."""
+        with pytest.raises(DimensionMismatch, match=what) as err:
+            sample_matrix_normal(np.zeros((2, 3)), row, col, RngStream(8),
+                                 size=2)
+        assert err.value.context == {"expected": expected, "got": got}
 
     @pytest.mark.parametrize("size", BAD_SIZES)
     def test_bad_draw_count(self, size):

@@ -10,6 +10,7 @@ from graphwishart import (
     IncompleteMatrix,
     NonNumeric,
     OutOfDomain,
+    ShapeMismatch,
     ShapeParam,
     canonical_shape,
     decompose,
@@ -121,6 +122,12 @@ class TestLogMultigamma:
         with pytest.raises(OutOfDomain):
             log_multigamma(3, 0.9)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_argument_not_finite(self, p):
+        with pytest.raises(OutOfDomain) as err:
+            log_multigamma(2, p)
+        assert err.value.context["p"] is p
+
     def test_recursion_identities(self):
         # reduction identities for the ratio of two multivariate
         # gamma values at shifted and unshifted arguments
@@ -189,6 +196,20 @@ class TestShapeClass:
         info = shape_class(ShapeParam((2.0, 2.0, 2.0), (1.0, 1.0)),
                            a4_ord)
         assert not info.in_a_p
+
+    @pytest.mark.parametrize("alpha, beta, want", [
+        ((3.0, 3.0 + 4e-15, 3.0), (3.0, 3.0), True),
+        ((3.0, 3.0, 3.0), (3.0, 3.0 - 4e-15), True),
+        ((3.0, 3.0 + 1e-9, 3.0), (3.0, 3.0), False),
+        ((3.0, 3.0, 3.0), (3.0, 2.0), False),
+        ((0.5, 0.5, 0.5), (0.5, 0.5), False),
+    ], ids=["alpha-within", "beta-within", "alpha-apart", "beta-apart",
+            "too-small"])
+    def test_a1_equalities_hold_within_the_tolerance(self, a4_ord, alpha,
+                                                     beta, want):
+        """A_1 is one exponent p > (max clique size - 1) / 2 on every
+        block; the equalities hold within 1e-12, as in_b1's do."""
+        assert shape_class(ShapeParam(alpha, beta), a4_ord).in_a1 is want
 
     def test_homogeneous_membership(self, g0, g0_ord):
         alpha = tuple(1.0 if len(c) == 2 else 2.0
@@ -330,6 +351,15 @@ def test_log_multigamma_against_scipy():
                 gammaln(p - j / 2.0) for j in range(r))
             assert log_multigamma(r, p) == pytest.approx(
                 direct, abs=1e-12)
+
+
+def test_realign_refuses_an_order_of_another_graph(a4_ord):
+    """Every clique and separator of the 3-path is one of the 4-path
+    too, so only the graph tells the two orders apart."""
+    path3 = decompose(parse_graph({"n": 3, "edges": [[1, 2], [2, 3]]}))
+    shape = ShapeParam((3.0, 2.0, 2.0), (2.0, 2.0))
+    with pytest.raises(ShapeMismatch, match="different graphs"):
+        realign_shape(shape, a4_ord, path3)
 
 
 @pytest.mark.parametrize("family", ["type1", "type2"])

@@ -93,6 +93,17 @@ class TestIdentity327:
     def test_spot_value(self):
         assert check_identity_327(0.5, 1.0, 2.0, 0.25) < 1e-12
 
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_pole_at_c(self, c):
+        """A lower parameter that is a non-positive integer is a typed
+        refusal, as in gauss_2f1, not a division by zero."""
+        with pytest.raises(PoleAtC):
+            check_identity_327(1.0, 1.0, c, 0.5)
+
+    def test_domain(self):
+        with pytest.raises(OutOfDomain):
+            check_identity_327(1.0, 1.0, 2.0, 1.0)
+
     def test_grid(self):
         worst = 0.0
         for a in (0.3, 1.7):
