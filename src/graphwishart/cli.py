@@ -9,6 +9,7 @@ byte-identical output.
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -483,13 +484,13 @@ def _build_parser():
 def run(argv):
     args = _build_parser().parse_args(argv)
     try:
-        for obj in args.fn(args):
-            text = _fmt(obj) + "\n"
-            if args.output:
-                with open(args.output, "a") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+        with contextlib.ExitStack() as stack:
+            sink = None
+            for obj in args.fn(args):
+                if sink is None:  # a run that fails first makes no file
+                    sink = stack.enter_context(open(args.output, "a")) \
+                        if args.output else sys.stdout
+                sink.write(_fmt(obj) + "\n")
         sys.stdout.flush()  # a reader that has gone shows here, not at exit
         return 0
     except GraphWishartError as exc:

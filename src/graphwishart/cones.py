@@ -400,19 +400,48 @@ def precision_of(x):
         x.graph, _inverse_sum(x.values, ordering, ordering.signs))
 
 
+# A lower triangular block up to this order is inverted by one LAPACK
+# call, a larger one is split in two; 32 and 48 tie for r from 100 to
+# 400, and 16, 24, 64 and 96 are 8% to 24% slower (BENCH_25.json).
+_TRI_LEAF = 48
+
+
+def _tril_inv(low):
+    """Overwrite the lower triangular matrix ``low`` with its inverse Z,
+    by blocks: Z11 = L11^-1, Z22 = L22^-1, Z21 = -Z22 L21 Z11."""
+    k = low.shape[0]
+    if k <= _TRI_LEAF:
+        low[...] = np.tril(np.linalg.inv(low))
+        return
+    h = k // 2
+    _tril_inv(low[:h, :h])
+    _tril_inv(low[h:, h:])
+    low[h:, :h] = -(low[h:, h:] @ (low[h:, :h] @ low[:h, :h]))
+
+
 def phi(y):
     """Projection of the dense inverse of y onto the pattern of y.
 
-    The inverse is symmetrized rather than checked: its rounding
-    asymmetry grows with the size and conditioning of y.  NotInPG when y
-    is not positive definite or is singular in floating point.
+    The Cholesky factor y = L L^T is the cone check and gives the
+    inverse, Z^T Z with Z = L^-1 (:func:`_tril_inv`, in place).  Only
+    the lower triangle of Z^T Z is read, so nothing is symmetrized: an
+    LU inverse was asymmetric by rounding, growing with the size and
+    conditioning of y.  y is factored from a dense copy made for the
+    call, so it keeps no dense view.  NotInPG when y is not positive
+    definite or its inverse is not finite.
     """
-    inv = _inv(y.data) if _is_pd(y.data) else None
-    if inv is None:
-        raise NotInPG("matrix is not positive definite")
     p = y.graph.pattern
-    return IncompleteMatrix._of(
-        y.graph, 0.5 * (inv[p.rows, p.cols] + inv[p.cols, p.rows]))
+    z = _potrf(_scatter(y.values, p))
+    if z is not None:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                _tril_inv(z)
+                values = (z.T @ z)[p.rows, p.cols]
+        except np.linalg.LinAlgError:  # a leaf block singular to LU
+            values = np.nan
+        if np.isfinite(values).all():
+            return IncompleteMatrix._of(y.graph, values)
+    raise NotInPG("matrix is not positive definite")
 
 
 def logdet_hat(x):

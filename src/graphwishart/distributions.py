@@ -275,10 +275,11 @@ def sample_matrix_normal(mean, row_cov, col_prec_mate, rng, size=None):
 
 
 def log_wishart_pdf(x, p, scale):
-    """Log density matching :func:`sample_base_wishart`."""
+    """Log density matching :func:`sample_base_wishart`; DimensionMismatch
+    unless x and scale are square of one order."""
     x = np.asarray(x, dtype=float)
-    scale = np.asarray(scale, dtype=float)
-    r = x.shape[0]
+    r = x.shape[0] if x.ndim else 0
+    x, scale = _square(x, r, "matrix"), _square(scale, r, "scale")
     if r == 0:
         return 0.0
     sign, ldx = np.linalg.slogdet(x)
@@ -292,10 +293,11 @@ def log_wishart_pdf(x, p, scale):
 
 def log_inv_wishart_pdf(u, p, rate):
     """Log density of the inverse of a Wishart draw with the given rate
-    matrix: u = x^{-1} where x has scale rate^{-1}."""
+    matrix: u = x^{-1} where x has scale rate^{-1}.  DimensionMismatch
+    unless u and rate are square of one order."""
     u = np.asarray(u, dtype=float)
-    rate = np.asarray(rate, dtype=float)
-    r = u.shape[0]
+    r = u.shape[0] if u.ndim else 0
+    u, rate = _square(u, r, "matrix"), _square(rate, r, "rate")
     if r == 0:
         return 0.0
     sign, ldu = np.linalg.slogdet(u)
@@ -308,14 +310,20 @@ def log_inv_wishart_pdf(u, p, rate):
 
 
 def log_matrix_normal_pdf(d, mean, row_cov, col_prec_mate):
-    """Log density matching :func:`sample_matrix_normal`."""
+    """Log density matching :func:`sample_matrix_normal`;
+    DimensionMismatch unless d and mean are (a, b) matrices, row_cov is
+    (a, a) and col_prec_mate (b, b)."""
     d = np.asarray(d, dtype=float)
+    mean = np.asarray(mean, dtype=float)
+    if d.ndim != 2 or mean.shape != d.shape:
+        raise DimensionMismatch("matrix and mean need one 2-d shape",
+                                matrix=list(d.shape), mean=list(mean.shape))
     a, b = d.shape
+    u = _square(row_cov, a, "row matrix")
+    v = _square(col_prec_mate, b, "column matrix")
     if a == 0 or b == 0:
         return 0.0
-    dev = d - np.asarray(mean, dtype=float)
-    u = np.asarray(row_cov, dtype=float)
-    v = np.asarray(col_prec_mate, dtype=float)
+    dev = d - mean
     _, ldu = np.linalg.slogdet(u)
     _, ldv = np.linalg.slogdet(v)
     quad = np.trace(np.linalg.solve(u, dev) @ v @ dev.T)

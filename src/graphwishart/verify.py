@@ -89,11 +89,13 @@ def _series_2f1(a, b, c, z, tol=1e-15, max_terms=100000):
 
 
 def _require_series(c, z):
-    """OutOfDomain unless z lies in [0, 1); PoleAtC when the lower
-    parameter c is a non-positive integer, where a term's denominator
-    is zero."""
+    """OutOfDomain unless z lies in [0, 1) and the lower parameter c is
+    finite; PoleAtC when c is a non-positive integer, where a term's
+    denominator is zero."""
     if not 0.0 <= z < 1.0:
         raise OutOfDomain("argument must lie in [0, 1)", z=z)
+    if not math.isfinite(c):
+        raise OutOfDomain("lower parameter is not finite", c=c)
     if c <= 0 and c == int(c):
         raise PoleAtC("lower parameter is a non-positive integer", c=c)
 

@@ -559,6 +559,8 @@ COMMANDS = {
                    "--scale {scale} --matrix {scale}",
     "dist-sample": "dist sample --family type1 --shape {shape} "
                    "--scale {scale} --n 3 --seed 4",
+    "dist-sample-n50": "dist sample --family type1 --shape {shape} "
+                       "--scale {scale} --n 50 --seed 4",
     "dist-mean": "dist mean --family type1 --shape {shape} "
                  "--scale {scale}",
     "bayes-fit": "bayes fit --graph {a4} --data {data} --prior {prior} "
@@ -604,6 +606,18 @@ def test_output_file_holds_what_stdout_gets(tmp_path, a4_file, scale_file,
     target = tmp_path / "out.json"
     assert invoke(argv + ["--output", str(target)], capsys) == (0, "")
     assert target.read_text() == out
+
+
+def test_run_that_fails_first_makes_no_output_file(tmp_path, scale_file,
+                                                   capsys):
+    """A command refused before its first line writes its error to
+    stdout and creates no ``--output`` file."""
+    target = tmp_path / "out.json"
+    code, out = invoke(["dist", "sample", "--family", "type1", "--shape",
+                        str(tmp_path / "missing.json"), "--scale",
+                        scale_file, "--output", str(target)], capsys)
+    assert code == 1 and json.loads(out)["code"] == "malformed_input"
+    assert not target.exists()
 
 
 class TestClassTreeSecondSide:

@@ -32,7 +32,13 @@ from graphwishart import (
 from graphwishart import cones
 from graphwishart.cones import require_qg
 
-from conftest import incompletify, random_pg, random_qg
+from conftest import (
+    chordal_graphs,
+    count_calls,
+    incompletify,
+    random_pg,
+    random_qg,
+)
 
 
 class TestProject:
@@ -193,6 +199,76 @@ class TestPrecisionPhiRoundtrip:
         y = SparsePrecision(a4, -np.eye(4))
         with pytest.raises(NotInPG):
             phi(y)
+
+
+def _band(r, w):
+    """Graph on 1..r with i ~ j when 0 < |i - j| <= w (w = 1: a path)."""
+    return parse_graph({"n": r, "edges": [[i, j] for i in range(1, r + 1)
+                                          for j in range(i + 1, r + 1)
+                                          if j - i <= w]})
+
+
+def _phi_error(g, dense):
+    """Largest gap between phi and the pattern of the dense LU inverse,
+    relative to the inverse's largest entry."""
+    ref = np.linalg.inv(dense)
+    got = phi(SparsePrecision(g, dense)).data
+    mask = g.edge_mask()
+    return np.max(np.abs(got - ref)[mask]) / np.max(np.abs(ref))
+
+
+class TestPhi:
+    """phi inverts the Cholesky factor of its cone check, by blocks."""
+
+    @given(spec=chordal_graphs(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_matches_dense_inverse_on_random_chordal(self, spec, seed):
+        """Within 1e-12 relative of np.linalg.inv, with the module's leaf
+        order and with leaves of order 2, so the block recursion runs on
+        these small graphs too."""
+        g = parse_graph(spec)
+        dense = random_pg(g, np.random.default_rng(seed))
+        for leaf in (cones._TRI_LEAF, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cones, "_TRI_LEAF", leaf)
+                assert _phi_error(g, dense) < 1e-12
+
+    @pytest.mark.parametrize("width", [1, 4], ids=["path", "banded"])
+    def test_matches_dense_inverse_at_r200(self, width):
+        g = _band(200, width)
+        dense = random_pg(g, np.random.default_rng(width))
+        assert _phi_error(g, dense) < 1e-12
+
+    @pytest.mark.parametrize("dense, factored", [
+        ([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]], False),
+        (np.diag([1e-310, 1.0, 1.0]), True),
+    ], ids=["indefinite", "inverse-overflows"])
+    def test_refused(self, path3, dense, factored):
+        """An indefinite y fails its Cholesky factor; diag(1e-310, 1, 1)
+        has one (1e-310 is a positive subnormal), but its inverse's
+        first entry, 1e310, is not finite."""
+        y = SparsePrecision(path3, dense)
+        assert (cones._potrf(y.data) is not None) == factored
+        with pytest.raises(NotInPG):
+            phi(y)
+
+    def test_one_cholesky_and_no_dense_lu_inverse(self, monkeypatch):
+        """One Cholesky of the whole matrix per call, of a dense copy
+        that the point does not keep; LAPACK's inv sees only triangular
+        leaf blocks of at most ``_TRI_LEAF`` rows."""
+        g = _band(200, 4)
+        y = SparsePrecision(g, random_pg(g, np.random.default_rng(3)))
+        chol = count_calls(monkeypatch, np.linalg, "cholesky")
+        shapes = []
+        real_inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a: shapes.append(a.shape) or real_inv(a))
+        phi(y)
+        phi(y)
+        assert len(chol) == 2
+        assert y._dense is None  # the point stays packed
+        assert shapes and all(k == m <= cones._TRI_LEAF
+                              for k, m in shapes)
 
 
 class TestLogdetHat:

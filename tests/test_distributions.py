@@ -274,6 +274,32 @@ class TestMatrixNormal:
                                       "drawn block is not positive definite")
 
 
+class TestBlockDensityShapes:
+    """The block densities refuse shapes that do not fit, as their
+    samplers do, where numpy raised ValueError."""
+
+    @pytest.mark.parametrize("f", [distributions.log_wishart_pdf,
+                                   distributions.log_inv_wishart_pdf])
+    @pytest.mark.parametrize("x, other, what", [
+        (np.eye(2), np.eye(3), "scale|rate"),
+        (np.ones(2), np.eye(2), "matrix"),
+        (np.ones((2, 3)), np.eye(2), "matrix"),
+    ], ids=["other-order", "vector", "not-square"])
+    def test_wishart(self, f, x, other, what):
+        with pytest.raises(DimensionMismatch, match=what):
+            f(x, 1.5, other)
+
+    @pytest.mark.parametrize("mean, row, col, what", [
+        (np.zeros((2, 3)), np.eye(3), np.eye(2), "row"),
+        (np.zeros((2, 3)), np.eye(2), np.eye(2), "column"),
+        (np.zeros((3, 2)), np.eye(2), np.eye(3), "mean"),
+    ], ids=["row", "column", "mean"])
+    def test_matrix_normal(self, mean, row, col, what):
+        with pytest.raises(DimensionMismatch, match=what):
+            distributions.log_matrix_normal_pdf(np.zeros((2, 3)), mean,
+                                                row, col)
+
+
 class TestLogpdf:
 
     def test_scalar_gamma_reduction(self):
@@ -825,10 +851,10 @@ class TestClassTreeAcrossOrders:
 class TestLargeClassTreeDraws:
 
     def test_inv_type1_logpdf_on_nested_star(self):
-        """At r = 401 the dense inverse inside phi is asymmetric by
+        """At r = 401 an LU inverse inside phi was asymmetric by
         rounding (about 7e-10 here, above the 1e-12 relative check on
-        outside input); phi symmetrizes it, so logpdf accepts every
-        draw."""
+        outside input); phi reads one triangle of the inverse from its
+        Cholesky factor, so logpdf accepts every draw."""
         g = parse_graph(nested_star(20, 19))
         o = decompose(g)
         shape = ShapeParam((2.0,) * o.k, (1.0,) * o.k_prime)

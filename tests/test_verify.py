@@ -104,6 +104,15 @@ class TestIdentity327:
         with pytest.raises(OutOfDomain):
             check_identity_327(1.0, 1.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize("f", [gauss_2f1, check_identity_327])
+    @pytest.mark.parametrize("c", [-math.inf, math.inf, math.nan])
+    def test_lower_parameter_not_finite(self, f, c):
+        """A typed refusal naming c, where int(c) raised OverflowError
+        (or, for NaN, the series ran on)."""
+        with pytest.raises(OutOfDomain, match="lower parameter") as err:
+            f(1.0, 1.0, c, 0.5)
+        assert "c" in err.value.context
+
     def test_grid(self):
         worst = 0.0
         for a in (0.3, 1.7):
