@@ -23,7 +23,6 @@ from .cones import (
     phi,
     precision_of,
     project,
-    schur_pad,
     split_blocks,
     trace_pair,
 )
@@ -83,7 +82,7 @@ __all__ = [
     "check_factorization", "check_mean426", "sample_batch",
     "IncompleteMatrix", "SparsePrecision",
     "project", "trace_pair", "complete", "precision_of", "phi",
-    "logdet_hat", "split_blocks", "assemble_blocks", "schur_pad",
+    "logdet_hat", "split_blocks", "assemble_blocks",
     "ShapeParam", "canonical_shape", "realign_shape", "shape_class",
     "log_multigamma", "log_h", "log_gamma_I", "log_gamma_II",
     "RngStream", "WishartSpec",

@@ -19,7 +19,6 @@ from .errors import (
     NonNumeric,
     NotInPG,
     NotInQG,
-    ShapeMismatch,
 )
 from .graphs import _order_of, decompose
 
@@ -35,7 +34,6 @@ __all__ = [
     "logdet_hat",
     "split_blocks",
     "assemble_blocks",
-    "schur_pad",
 ]
 
 
@@ -400,48 +398,46 @@ def precision_of(x):
         x.graph, _inverse_sum(x.values, ordering, ordering.signs))
 
 
-# A lower triangular block up to this order is inverted by one LAPACK
-# call, a larger one is split in two; 32 and 48 tie for r from 100 to
-# 400, and 16, 24, 64 and 96 are 8% to 24% slower (BENCH_25.json).
-_TRI_LEAF = 48
-
-
-def _tril_inv(low):
-    """Overwrite the lower triangular matrix ``low`` with its inverse Z,
-    by blocks: Z11 = L11^-1, Z22 = L22^-1, Z21 = -Z22 L21 Z11."""
-    k = low.shape[0]
-    if k <= _TRI_LEAF:
-        low[...] = np.tril(np.linalg.inv(low))
-        return
-    h = k // 2
-    _tril_inv(low[:h, :h])
-    _tril_inv(low[h:, h:])
-    low[h:, :h] = -(low[h:, h:] @ (low[h:, :h] @ low[:h, :h]))
-
-
 def phi(y):
     """Projection of the dense inverse of y onto the pattern of y.
 
-    The Cholesky factor y = L L^T is the cone check and gives the
-    inverse, Z^T Z with Z = L^-1 (:func:`_tril_inv`, in place).  Only
-    the lower triangle of Z^T Z is read, so nothing is symmetrized: an
-    LU inverse was asymmetric by rounding, growing with the size and
-    conditioning of y.  y is factored from a dense copy made for the
-    call, so it keeps no dense view.  NotInPG when y is not positive
-    definite or its inverse is not finite.
+    A projected inverse on the clique order's supernodes, blocks N given
+    a clique S (Vandenberghe and Andersen, Chordal Graphs and
+    Semidefinite Optimization, 2015).  A reverse pass on a packed copy
+    of y (0 off the pattern) checks that y_NN has a Cholesky factor and
+    eliminates N: cond = y_NN^-1, ratio = -cond y_NS, y_SS += y_SN ratio.
+    A forward pass fills x as the completion does (:func:`_place`):
+    x_NS = ratio x_SS, x_NN = cond + ratio x_SS ratio^T, on the pattern
+    slots only.  O(r b^2) for blocks of b vertices, with no (r, r)
+    array.  NotInPG names the block whose factor fails, and comes also
+    when the inverse is not finite.
     """
-    p = y.graph.pattern
-    z = _potrf(_scatter(y.values, p))
-    if z is not None:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                _tril_inv(z)
-                values = (z.T @ z)[p.rows, p.cols]
-        except np.linalg.LinAlgError:  # a leaf block singular to LU
-            values = np.nan
-        if np.isfinite(values).all():
-            return IncompleteMatrix._of(y.graph, values)
-    raise NotInPG("matrix is not positive definite")
+    nodes = decompose(y.graph).supernodes
+    work = np.append(y.values, 0.0)  # slot -1: 0 off the pattern
+    parts = [None] * len(nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in reversed(range(len(nodes))):
+            node = nodes[i]
+            n = len(node.vertices)
+            block = work[node.block]
+            if not _is_pd(block[:, :n]):
+                raise NotInPG("matrix is not positive definite",
+                              vertices=list(node.vertices))
+            try:
+                cond = np.linalg.inv(block[:, :n])
+            except np.linalg.LinAlgError:  # a pivot singular to LU
+                raise NotInPG("inverse is not finite") from None
+            ratio = -(cond @ block[:, n:])
+            given, sel = node.given_tril
+            work[given] += (block[:, n:].T @ ratio)[sel]
+            parts[i] = cond, ratio
+        store = np.zeros(work.shape)  # slot -1 takes x off the pattern
+        for node, part in zip(nodes, parts):
+            _place(store, node, *part, store[node.given])
+    values = store[:-1]
+    if not np.isfinite(values).all():
+        raise NotInPG("inverse is not finite")
+    return IncompleteMatrix._of(y.graph, values)
 
 
 def logdet_hat(x):
@@ -549,28 +545,3 @@ def assemble_blocks(blocks):
     ordering = blocks.ordering
     return IncompleteMatrix._of(ordering.graph,
                                 _fill(ordering, blocks.parts))
-
-
-def schur_pad(m, vertices):
-    """Schur complement of the block on ``vertices``, zero padded.
-
-    Given a dense symmetric matrix m (or a stack of them, (..., r, r))
-    and a 1-based vertex list A, the result is zero on the rows and
-    columns of A and carries m_B - m_BA m_A^{-1} m_AB on the
-    complement B.
-    """
-    arr = np.asarray(m, dtype=float)
-    r = arr.shape[-1] if arr.ndim else 0
-    if arr.ndim < 2 or arr.shape[-2] != r:
-        raise DimensionMismatch("matrix has wrong shape",
-                                expected=[r, r], got=list(arr.shape))
-    a = _idx(vertices)
-    if len(a) and (a.min() < 0 or a.max() >= r):
-        raise ShapeMismatch("vertex label out of range",
-                            vertices=list(vertices), r=r)
-    b = np.setdiff1d(np.arange(r), a)
-    out = np.zeros(arr.shape)
-    mba = arr[..., b[:, None], a[None, :]]
-    out[..., b[:, None], b[None, :]] = arr[..., b[:, None], b[None, :]] - \
-        mba @ np.linalg.solve(arr[..., a[:, None], a[None, :]], _tr(mba))
-    return out

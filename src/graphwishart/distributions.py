@@ -401,6 +401,19 @@ class WishartSpec:
         return self.shape + size_shift(self.ordering, shift, 1)
 
     @cached_property
+    def logpdf_weights(self):
+        """Read-only weights of ``logpdf_shape`` per block of
+        ``ordering.blocks`` (:func:`shapes._weights`), the log h weights
+        of :func:`logpdf`."""
+        return _read_only(_weights(self.logpdf_shape, self.ordering))
+
+    @cached_property
+    def mean_weights(self):
+        """Read-only weights of the negated shape per block of
+        ``ordering.blocks``, those of :func:`mean_type2`."""
+        return _read_only(_weights(-self.shape, self.ordering))
+
+    @cached_property
     def plan(self):
         """The sampler walk's step plan: per step of ``walk.steps``, None
         for an empty new block, else ``(t_cond, t_ratio, wishart,
@@ -419,6 +432,12 @@ class WishartSpec:
             plans[key] = _step_plan(self.scale, self.walk,
                                     self.side == "first")
         return plans[key]
+
+
+def _read_only(values):
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 def _step_plan(scale, walk, first):
@@ -485,7 +504,8 @@ def logpdf(spec, point):
                 SparsePrecision._of(spec.graph, cones._inverse_sum(
                     x.values, spec.ordering, spec.ordering.signs))
             pair = trace_pair(spec.scale, k)
-        log_h_x = _log_h(spec.logpdf_shape, x.values, spec.ordering)
+        log_h_x = cones._logdet_sum(x.values, spec.ordering,
+                                    spec.logpdf_weights)
     except NotInQG as exc:
         raise OutOfSupport(exc.message, **exc.context) from None
     value = float(log_h_x) - spec.log_gamma - spec.log_h_scale - pair
@@ -686,7 +706,7 @@ def _precision_mean(spec):
     """Packed type2 mean at a spec's shape and scale: padded inverse scale
     blocks weighted by the shape, cliques negative, separators positive."""
     return cones._inverse_sum(spec.scale.values, spec.ordering,
-                              _weights(-spec.shape, spec.ordering))
+                              spec.mean_weights)
 
 
 def mean_type2(spec):

@@ -165,6 +165,29 @@ class StepSlots:
         return self.given[sel], sel
 
 
+# A supernode grows by whole steps up to this many vertices: the block
+# order of the projected inverse (Lin et al., SelInv, ACM TOMS 37(4),
+# 2011).
+_SUPERNODE = 32
+
+
+class Supernode(StepSlots):
+    """Consecutive steps merged into one block: ``vertices`` (N, sorted)
+    given the first step's ``given`` S, with the slots of a step on
+    (N, S), and ``block``, the slot table of N x (N then S).  N need not
+    be a clique, so ``block``, ``new`` and ``cross`` hold -1 off the
+    pattern; S is a clique."""
+
+    def __init__(self, vertices, given, pos):
+        ni = np.array(vertices, dtype=np.intp) - 1
+        gi = np.array(given, dtype=np.intp) - 1
+        block = pos[ni[:, None], np.concatenate([ni, gi])]
+        sel = np.tril_indices(len(ni))
+        super().__init__(pos[gi[:, None], gi], block[:, len(ni):],
+                         block[sel], sel)
+        self.vertices, self.block = vertices, block
+
+
 class _Walk:
     """A step list on a graph: ``steps`` of ``(new, given)`` blocks."""
 
@@ -430,6 +453,25 @@ class CliqueOrdering(_Walk):
             out.append(BlockGroup(size, slots, members,
                                   int(np.sum(members < self.k))))
         return tuple(out)
+
+    @cached_property
+    def supernodes(self):
+        """``steps`` merged into :class:`Supernode` blocks for
+        :func:`~graphwishart.cones.phi`, built on first use: a step joins
+        the current run (N, S) when its ``given`` lies in N u S and N
+        stays within ``_SUPERNODE`` vertices.  So each vertex of N has no
+        earlier neighbour outside N u S, and S is a clique."""
+        runs = []
+        for new, given in self.steps:
+            if runs and set(given) <= runs[-1][2] and \
+                    len(runs[-1][0]) + len(new) <= _SUPERNODE:
+                runs[-1][0].extend(new)
+                runs[-1][2].update(new)
+            else:
+                runs.append((list(new), given, set(new) | set(given)))
+        pos = self.graph.pattern.pos
+        return tuple(Supernode(tuple(sorted(new)), given, pos)
+                     for new, given, _ in runs if new)
 
     @cached_property
     def clique_sizes(self):

@@ -254,6 +254,22 @@ def random_second_admissible(ordering, rng, lo=1.5, hi=4.0):
     return ShapeParam(tuple(alpha), tuple(beta))
 
 
+def schur_pad(m, vertices):
+    """Dense reference: the Schur complement of the block of the
+    symmetric matrix m (or a stack (..., r, r)) on the 1-based
+    ``vertices`` A, zero padded: zero on the rows and columns of A,
+    m_B - m_BA m_A^-1 m_AB on the complement B."""
+    arr = np.asarray(m, dtype=float)
+    a = np.asarray(vertices, dtype=int) - 1
+    b = np.setdiff1d(np.arange(arr.shape[-1]), a)
+    out = np.zeros(arr.shape)
+    mba = arr[..., b[:, None], a[None, :]]
+    out[..., b[:, None], b[None, :]] = arr[..., b[:, None], b[None, :]] - \
+        mba @ np.linalg.solve(arr[..., a[:, None], a[None, :]],
+                              mba.swapaxes(-1, -2))
+    return out
+
+
 def incompletify(graph, dense):
     return IncompleteMatrix(graph, np.asarray(dense, dtype=float))
 

@@ -43,7 +43,6 @@ from graphwishart import (
     precision_of,
     project,
     sample_batch,
-    schur_pad,
     shape_class,
     split_blocks,
     trace_pair,
@@ -56,6 +55,7 @@ from conftest import (
     random_pg,
     random_qg,
     random_second_admissible,
+    schur_pad,
 )
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,19 +26,20 @@ from graphwishart import (
     phi,
     precision_of,
     project,
-    schur_pad,
     split_blocks,
     trace_pair,
 )
-from graphwishart import cones
+from graphwishart import cones, graphs
 from graphwishart.cones import require_qg
 
 from conftest import (
     chordal_graphs,
     count_calls,
     incompletify,
+    nested_star,
     random_pg,
     random_qg,
+    schur_pad,
 )
 
 
@@ -217,27 +219,88 @@ def _phi_error(g, dense):
     return np.max(np.abs(got - ref)[mask]) / np.max(np.abs(ref))
 
 
+def _star(r):
+    return parse_graph({"n": r, "edges": [[1, j] for j in range(2, r + 1)]})
+
+
+def _two_components():
+    """Graph with two components, a 3-path and a triangle, built without
+    :func:`parse_graph` (which accepts connected graphs only): the
+    triangle's step is given nothing."""
+    edges = frozenset({(1, 2), (2, 3), (4, 5), (4, 6), (5, 6)})
+    adj = graphs._build_adjacency(6, edges)
+    return graphs.DecomposableGraph(6, edges, adj, graphs._mcs_order(6, adj))
+
+
 class TestPhi:
-    """phi inverts the Cholesky factor of its cone check, by blocks."""
+    """phi is a projected inverse on the supernodes of the clique order."""
 
     @given(spec=chordal_graphs(), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_matches_dense_inverse_on_random_chordal(self, spec, seed):
-        """Within 1e-12 relative of np.linalg.inv, with the module's leaf
-        order and with leaves of order 2, so the block recursion runs on
-        these small graphs too."""
-        g = parse_graph(spec)
-        dense = random_pg(g, np.random.default_rng(seed))
-        for leaf in (cones._TRI_LEAF, 2):
+        """Within 1e-12 relative of np.linalg.inv, with the module's
+        supernode size and with supernodes of 2 vertices, so that steps
+        merge and split on these small graphs too.  Supernodes are kept
+        on the graph's clique order, so each size parses the graph anew."""
+        dense = random_pg(parse_graph(spec), np.random.default_rng(seed))
+        for size in (graphs._SUPERNODE, 2):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(cones, "_TRI_LEAF", leaf)
+                mp.setattr(graphs, "_SUPERNODE", size)
+                g = parse_graph(spec)
                 assert _phi_error(g, dense) < 1e-12
+                steps = max(len(new) for new, _ in decompose(g).steps)
+                assert all(len(node.vertices) <= max(size, steps)
+                           for node in decompose(g).supernodes)
 
     @pytest.mark.parametrize("width", [1, 4], ids=["path", "banded"])
     def test_matches_dense_inverse_at_r200(self, width):
         g = _band(200, width)
         dense = random_pg(g, np.random.default_rng(width))
         assert _phi_error(g, dense) < 1e-12
+
+    @pytest.mark.parametrize("width", [1, 4], ids=["path", "banded"])
+    def test_matches_dense_inverse_at_r1600(self, width):
+        g = _band(1600, width)
+        dense = random_pg(g, np.random.default_rng(width))
+        assert _phi_error(g, dense) < 1e-12
+
+    @pytest.mark.parametrize("graph", [
+        lambda: _star(400), lambda: parse_graph(nested_star(19, 20)),
+    ], ids=["star", "nested_star"])
+    def test_matches_dense_inverse_on_stars(self, graph):
+        g = graph()
+        assert g.vertex_count == 400
+        dense = random_pg(g, np.random.default_rng(5))
+        assert _phi_error(g, dense) < 1e-12
+
+    @pytest.mark.parametrize("size", [None, 2])
+    def test_step_given_nothing(self, size):
+        """A step with an empty given block merges into a supernode, or
+        starts one given nothing."""
+        with pytest.MonkeyPatch.context() as mp:
+            if size:
+                mp.setattr(graphs, "_SUPERNODE", size)
+            g = _two_components()
+            assert decompose(g).steps[-1] == ((4, 5, 6), ())
+            assert decompose(g).supernodes[-1].vertices == \
+                ((4, 5, 6) if size else (1, 2, 3, 4, 5, 6))
+            dense = random_pg(g, np.random.default_rng(9))
+            assert _phi_error(g, dense) < 1e-12
+
+    def test_names_the_failing_supernode(self):
+        """y indefinite only in a middle supernode of a banded graph:
+        the later blocks factor, and NotInPG names the block that does
+        not."""
+        g = _band(200, 4)
+        nodes = decompose(g).supernodes
+        mid = len(nodes) // 2
+        v = nodes[mid].vertices[3]
+        dense = random_pg(g, np.random.default_rng(4))
+        dense[v - 1, v - 1] = -1.0
+        with pytest.raises(NotInPG) as exc:
+            phi(SparsePrecision(g, dense))
+        assert 0 < mid < len(nodes) - 1
+        assert exc.value.context == {"vertices": list(nodes[mid].vertices)}
 
     @pytest.mark.parametrize("dense, factored", [
         ([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]], False),
@@ -249,26 +312,45 @@ class TestPhi:
         first entry, 1e310, is not finite."""
         y = SparsePrecision(path3, dense)
         assert (cones._potrf(y.data) is not None) == factored
-        with pytest.raises(NotInPG):
-            phi(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotInPG):
+                phi(y)
 
-    def test_one_cholesky_and_no_dense_lu_inverse(self, monkeypatch):
-        """One Cholesky of the whole matrix per call, of a dense copy
-        that the point does not keep; LAPACK's inv sees only triangular
-        leaf blocks of at most ``_TRI_LEAF`` rows."""
+    def test_small_blocks_and_no_dense_array(self, monkeypatch):
+        """No dense (r, r) scatter of y: every matrix LAPACK's Cholesky
+        or inv sees is one supernode block, at most ``_SUPERNODE`` on a
+        side, and y keeps no dense view."""
         g = _band(200, 4)
         y = SparsePrecision(g, random_pg(g, np.random.default_rng(3)))
-        chol = count_calls(monkeypatch, np.linalg, "cholesky")
+        scatters = count_calls(monkeypatch, cones, "_scatter")
         shapes = []
-        real_inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv",
-                            lambda a: shapes.append(a.shape) or real_inv(a))
+        for name in ("cholesky", "inv"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name,
+                lambda a, real=real: shapes.append(a.shape) or real(a))
         phi(y)
         phi(y)
-        assert len(chol) == 2
+        assert scatters == []
         assert y._dense is None  # the point stays packed
-        assert shapes and all(k == m <= cones._TRI_LEAF
+        assert shapes and all(k == m <= graphs._SUPERNODE
                               for k, m in shapes)
+
+    def test_allocates_far_less_than_one_dense_array(self):
+        """At banded r=1600, the peak of what phi allocates (numpy arrays
+        included, by tracemalloc) stays under a tenth of one (r, r)
+        array of doubles: it held one such array and more before."""
+        g = _band(1600, 4)
+        y = SparsePrecision(g, random_pg(g, np.random.default_rng(6)))
+        phi(y)  # supernodes built and kept on the clique order
+        tracemalloc.start()
+        try:
+            phi(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1600 * 1600 * 8 / 10
 
 
 class TestLogdetHat:

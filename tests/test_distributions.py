@@ -106,8 +106,10 @@ class TestFamilyTable:
         bad[2, 2] = -1.0  # vertex 3 lies only in the clique {1, 2, 3}
         with pytest.raises(OutOfSupport) as err:
             logpdf(spec, cone(g0, bad))
+        # g0 has 6 vertices: one supernode on the sparse cone
         assert err.value.context == (
-            {"clique": [1, 2, 3]} if cone is IncompleteMatrix else {})
+            {"clique": [1, 2, 3]} if cone is IncompleteMatrix
+            else {"vertices": [1, 2, 3, 4, 5, 6]})
 
     @pytest.mark.parametrize("family", ["type3", ["type1"], None])
     def test_unknown_family(self, family, a4, a4_ord):
@@ -115,6 +117,28 @@ class TestFamilyTable:
             WishartSpec(a4, canonical_shape("hyper", a4_ord, 1.5),
                         project(np.eye(4), a4), family)
         assert err.value.context == {"family": family}
+
+
+class TestSpecWeights:
+    """The block weights of logpdf's log h and of the type2 mean are
+    built once per spec, read-only, with the bits of ``shapes._weights``."""
+
+    @pytest.mark.parametrize("family", ["type1", "type2"])
+    def test_built_once_with_the_same_bits(self, family, g0, monkeypatch):
+        spec = _spec(g0, family)
+        o = spec.ordering
+        for got, shape in ((spec.logpdf_weights, spec.logpdf_shape),
+                           (spec.mean_weights, -spec.shape)):
+            assert not got.flags.writeable
+            assert got.tolist() == list(shapes._weights(shape, o))
+        point = sample(spec, RngStream(4), 1)[0]
+        first = logpdf(spec, point)
+        mean = mean_type2(spec).values if family == "type2" else None
+        calls = count_calls(monkeypatch, distributions, "_weights")
+        assert logpdf(spec, point) == first
+        if mean is not None:
+            assert np.array_equal(mean_type2(spec).values, mean)
+        assert calls == []
 
 
 class TestRngStream:
@@ -677,7 +701,8 @@ class TestFDensity:
         with pytest.raises(OutOfSupport) as err:
             call(good, cone(a4, bad))
         assert err.value.context == (
-            {"clique": [1, 2]} if kind == "first" else {})
+            {"clique": [1, 2]} if kind == "first"
+            else {"vertices": [1, 2, 3, 4]})
         with pytest.raises(OutOfDomain) as err:
             call(good, good, "third")
         assert err.value.context == {"kind": "third"}

@@ -22,3 +22,17 @@ def test_readme_python_blocks_run():
     assert blocks
     for code in blocks:
         exec(compile(code, "README.md", "exec"), {})
+
+
+def test_cone_exports():
+    """The cone layer's public names; the dense Schur complement
+    reference lives with the tests (``conftest.schur_pad``)."""
+    import graphwishart
+    from graphwishart import cones
+
+    assert cones.__all__ == [
+        "IncompleteMatrix", "SparsePrecision", "Blocks", "project",
+        "trace_pair", "complete", "precision_of", "phi", "logdet_hat",
+        "split_blocks", "assemble_blocks"]
+    assert not hasattr(cones, "schur_pad")
+    assert "schur_pad" not in graphwishart.__all__
